@@ -6,9 +6,10 @@
 #   4. GT_SANITIZE=address build + ctest                   [ASan+LSan]
 #   5. GT_SANITIZE=undefined build + ctest                 [UBSan, fatal reports]
 #   6. tools/gt_lint.py                                    [repo lint gate]
+#   7. gtbench/tests/selftest.py                           [repo benchmark at smoke size]
 #
 # Usage: scripts/check.sh [--fast]
-#   --fast  skip the sanitizer legs (slowest part of the matrix)
+#   --fast  skip the sanitizer and gtbench self-test legs (slowest part of the matrix)
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
@@ -166,5 +167,15 @@ fi
 # -- 6. repo lint gate --------------------------------------------------------
 step "tools/gt_lint.py"
 python3 tools/gt_lint.py
+
+# -- 7. repository benchmark self-test ----------------------------------------
+# gtbench compiles src/ in its own tree and gates each run on its own oracle,
+# so an engine change can break it without any ctest failing.
+if [[ "$FAST" == 0 ]]; then
+  step "gtbench self-test (smoke size)"
+  python3 gtbench/tests/selftest.py
+else
+  step "gtbench self-test (skipped: --fast)"
+fi
 
 printf '\ncheck.sh: all enabled legs passed\n'

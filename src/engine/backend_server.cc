@@ -39,13 +39,18 @@ bool RtnAtStep(const lang::TraversalPlan& plan, uint32_t step) {
   return plan.hops[step - 1].rtn;
 }
 
-// Whether a vertex surviving the final step is itself a result. until()
-// plans return only the until() hits: final-step survivors that never
-// matched the until filters are dropped.
+// Whether a vertex the step evaluator marks final is itself a result:
+// until() hits always are; final-step survivors are unless rtn() marks only
+// earlier steps (their reach then feeds the rtn steps instead).
 bool FinalStepYieldsResults(const lang::TraversalPlan& plan) {
-  if (plan.has_until()) return false;
-  const uint32_t last = static_cast<uint32_t>(plan.num_steps());
-  return !plan.has_rtn() || RtnAtStep(plan, last);
+  return plan.has_until() || !plan.has_rtn() ||
+         RtnAtStep(plan, static_cast<uint32_t>(plan.num_steps()));
+}
+
+const std::vector<lang::Filter>& StepVertexFilters(const lang::TraversalPlan& plan,
+                                                   uint32_t step) {
+  if (step == 0) return plan.start_vertex_filters;
+  return plan.hops[step - 1].vertex_filters;
 }
 
 // The until() filter set checked on vertices entering `step` (stamped on
@@ -76,6 +81,71 @@ uint32_t MinRtnStep(const lang::TraversalPlan& plan) {
     if (plan.hops[i].rtn) return static_cast<uint32_t>(i) + 1;
   }
   return static_cast<uint32_t>(plan.num_steps());
+}
+
+// One vertex's evaluation at one step, shared by every engine.
+struct StepOutcome {
+  bool passed = false;      // matched the step's vertex filters
+  bool final_step = false;  // until() hit, or survived the last step: no expansion
+  std::string group_value;  // kGroup, final vertices only
+  std::vector<std::pair<ServerId, graph::VertexId>> targets;  // (owner, dst) to expand to
+};
+
+// The step evaluator: applies step `step` of `plan` to one vertex record
+// (null = vertex missing). Only a passing, non-final vertex reads its hop's
+// edges, through `scan_hop_edges(label, visit)`, which calls
+// visit(dst, props) per out-edge with that label; each engine keeps its own
+// edge I/O there.
+template <typename ScanHopEdges>
+StepOutcome EvaluateStep(const lang::TraversalPlan& plan, graph::Catalog::Id type_key,
+                         const graph::Catalog& catalog,
+                         const graph::Partitioner& partitioner, uint32_t step,
+                         const graph::VertexRecord* rec, ScanHopEdges&& scan_hop_edges) {
+  StepOutcome out;
+  if (rec == nullptr ||
+      !lang::VertexMatchesAll(StepVertexFilters(plan, step), *rec, catalog, type_key)) {
+    return out;
+  }
+  out.passed = true;
+  // until(): a matching vertex at an iteration boundary is a terminal
+  // result — no further expansion. In an until() plan, final-step survivors
+  // that never matched are not results at all.
+  const std::vector<lang::Filter>* until = UntilFiltersAtStep(plan, step);
+  if (until != nullptr && lang::VertexMatchesAll(*until, *rec, catalog, type_key)) {
+    out.final_step = true;
+  } else if (step >= plan.num_steps()) {
+    if (plan.has_until()) {
+      out.passed = false;
+      return out;
+    }
+    out.final_step = true;
+  }
+  if (out.final_step) {
+    // Rendered here, while the record is in hand.
+    if (plan.result_mode == lang::ResultMode::kGroup) {
+      out.group_value = lang::GroupValueForVertex(*rec, plan.group_key, catalog, type_key);
+    }
+    return out;
+  }
+  const lang::Hop& hop = plan.hops[step];
+  scan_hop_edges(hop.edge_label, [&](graph::VertexId dst, const graph::PropMap& props) {
+    if (lang::MatchesAll(hop.edge_filters, props)) {
+      out.targets.emplace_back(partitioner.ServerFor(dst), dst);
+    }
+  });
+  return out;
+}
+
+// The plan's explicit start vertices, deduplicated and grouped by owner.
+std::vector<std::vector<FrontierEntry>> StartEntriesByServer(
+    const lang::TraversalPlan& plan, const graph::Partitioner& partitioner,
+    uint32_t num_servers) {
+  std::vector<std::vector<FrontierEntry>> per_server(num_servers);
+  std::vector<graph::VertexId> ids = plan.start_ids;
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  for (auto vid : ids) per_server[partitioner.ServerFor(vid)].push_back(FrontierEntry{vid, {}});
+  return per_server;
 }
 
 // Resolves the type-index label for an unanchored v() start (the validator
@@ -317,8 +387,9 @@ void BackendServer::DropRetainedSnapshotsForTest() {
   // Snapshots release outside mu_ as `drained` goes out of scope.
 }
 
-void BackendServer::QueueSendLocked(rpc::Message msg) {
-  outbox_.push_back(std::move(msg));
+void BackendServer::QueueSendLocked(rpc::MsgType type, rpc::EndpointId dst,
+                                    std::string payload, uint64_t rpc_id) {
+  outbox_.push_back(rpc::Message{type, cfg_.id, dst, rpc_id, std::move(payload)});
 }
 
 // One drainer at a time keeps this server's sends in the order they were
@@ -350,19 +421,6 @@ void BackendServer::DrainOutbox() {
 // Helpers
 // ---------------------------------------------------------------------------
 
-const std::vector<lang::Filter>& BackendServer::StepVertexFilters(
-    const lang::TraversalPlan& plan, uint32_t step) const {
-  if (step == 0) return plan.start_vertex_filters;
-  return plan.hops[step - 1].vertex_filters;
-}
-
-bool BackendServer::VertexPassesLocked(const CompiledPlan& cplan,
-                                       const graph::VertexRecord& rec,
-                                       uint32_t step) const {
-  return lang::VertexMatchesAll(StepVertexFilters(cplan.plan, step), rec, *catalog_,
-                                cplan.type_key);
-}
-
 // Combined tracing event: registers the downstream executions AND reports
 // the dispatching execution's own termination. Items are buffered per
 // (coordinator, travel) and flushed by size or by the maintenance tick so
@@ -385,12 +443,7 @@ void BackendServer::FlushTraceBufferLocked(ServerId coordinator, TravelId travel
   batch.travel_id = travel;
   batch.items = std::move(it->second);
   trace_buffer_.erase(it);
-  rpc::Message m;
-  m.type = rpc::MsgType::kExecDispatched;
-  m.src = cfg_.id;
-  m.dst = coordinator;
-  m.payload = batch.Encode();
-  QueueSendLocked(std::move(m));
+  QueueSendLocked(rpc::MsgType::kExecDispatched, coordinator, batch.Encode());
 }
 
 void BackendServer::FlushAllTraceBuffersLocked() {
@@ -446,15 +499,9 @@ void BackendServer::OnMessage(rpc::Message&& msg) {
     case rpc::MsgType::kCatalogPull:
       HandleCatalog(std::move(msg));
       break;
-    case rpc::MsgType::kPing: {
-      rpc::Message reply;
-      reply.type = rpc::MsgType::kPong;
-      reply.src = cfg_.id;
-      reply.dst = msg.src;
-      reply.rpc_id = msg.rpc_id;
-      SendLossy(std::move(reply));
+    case rpc::MsgType::kPing:
+      SendLossy(rpc::MsgType::kPong, msg.src, "", msg.rpc_id);
       break;
-    }
     default:
       GT_WARN << "server " << cfg_.id << ": unexpected message type "
               << rpc::MsgTypeName(msg.type);
@@ -483,41 +530,24 @@ void BackendServer::HandlePinTravel(rpc::Message&& msg) {
 // ---------------------------------------------------------------------------
 
 void BackendServer::HandleSubmit(rpc::Message&& msg) {
+  MutexLock lk(&mu_);
+  const Status st = SubmitLocked(msg);
+  if (st.ok()) return;
+  CompletePayload done;
+  done.ok = 0;
+  done.code = static_cast<uint8_t>(st.code());
+  done.error = st.ToString();
+  QueueSendLocked(rpc::MsgType::kTraversalComplete, msg.src, done.Encode(), msg.rpc_id);
+}
+
+Status BackendServer::SubmitLocked(const rpc::Message& msg) {
   auto submit = SubmitPayload::Decode(msg.payload);
-  auto fail = [&](const Status& st) {
-    CompletePayload done;
-    done.ok = 0;
-    done.code = static_cast<uint8_t>(st.code());
-    done.error = st.ToString();
-    rpc::Message reply;
-    reply.type = rpc::MsgType::kTraversalComplete;
-    reply.src = cfg_.id;
-    reply.dst = msg.src;
-    reply.rpc_id = msg.rpc_id;
-    reply.payload = done.Encode();
-    SendLossy(std::move(reply));
-  };
-  if (!submit.ok()) {
-    fail(submit.status());
-    return;
-  }
+  if (!submit.ok()) return submit.status();
   auto plan = lang::TraversalPlan::Decode(submit->plan);
-  if (!plan.ok()) {
-    fail(plan.status());
-    return;
-  }
+  if (!plan.ok()) return plan.status();
   // The wire plan is untrusted: Decode enforces structure, Validate the
   // semantic rules (scan anchor, until/branch/paths restrictions, caps).
-  if (Status vst = plan->Validate(); !vst.ok()) {
-    fail(vst);
-    return;
-  }
-
-  uint8_t cls_byte = submit->priority_class;
-  if (cls_byte >= kNumTravelClasses) cls_byte = static_cast<uint8_t>(TravelClass::kNormal);
-  const TravelClass cls = static_cast<TravelClass>(cls_byte);
-
-  MutexLock lk(&mu_);
+  GT_RETURN_IF_ERROR(plan->Validate());
 
   // Statistics-driven rewrite (result-identical; see src/lang/planner.h).
   // Runs before expansion so hand-offs forward the rewritten compact form.
@@ -529,298 +559,217 @@ void BackendServer::HandleSubmit(rpc::Message&& msg) {
   }
 
   // Expand to the executable form up front so oversized repeat chains
-  // reject before admission. Branch plans flatten into one linear sub-plan
-  // per alternative; each runs as an internal child travel below.
-  auto locked_fail = [&](const Status& st) {
-    CompletePayload done;
-    done.ok = 0;
-    done.code = static_cast<uint8_t>(st.code());
-    done.error = st.ToString();
-    rpc::Message reply;
-    reply.type = rpc::MsgType::kTraversalComplete;
-    reply.src = cfg_.id;
-    reply.dst = msg.src;
-    reply.rpc_id = msg.rpc_id;
-    reply.payload = done.Encode();
-    QueueSendLocked(std::move(reply));
-  };
-  std::vector<lang::TraversalPlan> subs;      // branch alternatives (compact)
-  std::vector<lang::TraversalPlan> expanded;  // parallel: unrolled sub-plans
-  lang::TraversalPlan unrolled;               // non-branch executable plan
-  if (plan->has_branch()) {
+  // reject before admission. A branch plan flattens into one linear
+  // sub-plan per alternative; each runs as an internal child travel below.
+  const bool branch = plan->has_branch();
+  std::vector<lang::TraversalPlan> subs;  // compact linear (sub-)plans
+  if (branch) {
     subs = plan->FlattenBranches();
-    for (const auto& sub : subs) {
-      auto u = sub.Unrolled();
-      if (!u.ok()) {
-        locked_fail(u.status());
-        return;
-      }
-      expanded.push_back(std::move(*u));
-    }
   } else {
-    auto u = plan->Unrolled();
-    if (!u.ok()) {
-      locked_fail(u.status());
-      return;
-    }
-    unrolled = std::move(*u);
+    subs.push_back(*plan);
+  }
+  std::vector<lang::TraversalPlan> expanded;  // parallel: unrolled
+  for (const auto& sub : subs) {
+    auto u = sub.Unrolled();
+    if (!u.ok()) return u.status();
+    expanded.push_back(std::move(*u));
   }
 
   // Admission control: bound the in-flight-travel table, overall and per
   // priority class. Rejection is backpressure, not failure — the client
   // retries with jittered backoff.
+  uint8_t cls_byte = submit->priority_class;
+  if (cls_byte >= kNumTravelClasses) cls_byte = static_cast<uint8_t>(TravelClass::kNormal);
   const uint32_t class_limit = cfg_.admission_limits[cls_byte];
   if ((cfg_.max_inflight_travels != 0 && travels_.size() >= cfg_.max_inflight_travels) ||
       (class_limit != 0 && inflight_per_class_[cls_byte] >= class_limit)) {
     travel_rejected_[cls_byte]->Inc();
-    CompletePayload done;
-    done.ok = 0;
-    done.code = static_cast<uint8_t>(StatusCode::kUnavailable);
-    done.error = "admission limit reached";
-    rpc::Message reply;
-    reply.type = rpc::MsgType::kTraversalComplete;
-    reply.src = cfg_.id;
-    reply.dst = msg.src;
-    reply.rpc_id = msg.rpc_id;
-    reply.payload = done.Encode();
-    QueueSendLocked(std::move(reply));
-    return;
+    return Status::Unavailable("admission limit reached");
   }
 
   const TravelId travel = MakeExecId(cfg_.id, next_travel_seq_++);
   inflight_per_class_[cls_byte]++;
   travel_admitted_[cls_byte]->Inc();
 
-  const EngineMode mode = static_cast<EngineMode>(submit->mode);
-  const uint64_t now_us = NowMicros();
-  const uint32_t timeout_ms =
-      submit->timeout_ms == 0 ? cfg_.exec_timeout_ms : submit->timeout_ms;
-  const uint64_t deadline_us =
+  TravelState proto;
+  proto.id = travel;
+  proto.mode = static_cast<EngineMode>(submit->mode);
+  proto.client = msg.src;
+  proto.started_us = NowMicros();
+  proto.last_activity_us = proto.started_us;
+  proto.timeout_ms = submit->timeout_ms == 0 ? cfg_.exec_timeout_ms : submit->timeout_ms;
+  proto.cls = static_cast<TravelClass>(cls_byte);
+  proto.deadline_us =
       submit->deadline_ms == 0
           ? 0
-          : now_us + static_cast<uint64_t>(submit->deadline_ms) * 1000;
-
-  TravelState& ts = travels_[travel];
-  ts.id = travel;
-  ts.mode = mode;
-  ts.client = msg.src;
-  ts.plan_bytes = plan_bytes;
-  ts.started_us = now_us;
-  ts.last_activity_us = now_us;
-  ts.timeout_ms = timeout_ms;
-  ts.cls = cls;
-  ts.deadline_us = deadline_us;
-  ts.result_mode = plan->result_mode;
-  ts.group_key = plan->group_key;
+          : proto.started_us + static_cast<uint64_t>(submit->deadline_ms) * 1000;
+  proto.result_mode = plan->result_mode;
+  proto.unfinished_per_step.assign(1, 0);
+  TravelState& ts = travels_[travel] = proto;
 
   // Acknowledge with the assigned travel id; results stream separately.
-  rpc::Message reply;
-  reply.type = rpc::MsgType::kTraversalAccepted;
-  reply.src = cfg_.id;
-  reply.dst = msg.src;
-  reply.rpc_id = msg.rpc_id;
-  reply.payload = EncodeTravelId(travel);
-  QueueSendLocked(std::move(reply));
+  QueueSendLocked(rpc::MsgType::kTraversalAccepted, msg.src, EncodeTravelId(travel),
+                  msg.rpc_id);
 
-  if (plan->has_branch()) {
-    // Branch fan-out: the parent travel does no engine work of its own —
-    // each flattened alternative runs as an internal child travel
-    // coordinated on this same server, so parent/child result folding
-    // happens under one mu_. Children pin their own snapshots (per-child
-    // consistency; union-of-consistent-views semantics under races) and
-    // inherit the parent's absolute deadline so lifecycle enforcement
-    // happens at the children, which propagate failure upward.
-    ts.plan = *plan;
-    ts.unfinished_per_step.assign(1, 0);
+  // Branch fan-out: the parent travel does no engine work of its own — each
+  // flattened alternative runs as an internal child travel coordinated on
+  // this same server, so parent/child result folding happens under one
+  // mu_. Children pin their own snapshots (per-child consistency;
+  // union-of-consistent-views semantics under races) and inherit the
+  // parent's absolute deadline so lifecycle enforcement happens at the
+  // children, which propagate failure upward.
+  if (branch) {
     ts.pending_children = static_cast<uint32_t>(subs.size());
     for (size_t a = 0; a < subs.size(); a++) {
       ts.children.push_back(MakeExecId(cfg_.id, next_travel_seq_++));
     }
-    for (size_t a = 0; a < subs.size(); a++) {
-      const TravelId child = ts.children[a];
-      PinTravelSnapLocked(child);
-      if (cfg_.snapshot_isolation) {
-        for (ServerId s = 0; s < cfg_.num_servers; s++) {
-          if (s == cfg_.id) continue;
-          rpc::Message pin;
-          pin.type = rpc::MsgType::kPinTravel;
-          pin.src = cfg_.id;
-          pin.dst = s;
-          pin.payload = EncodeTravelId(child);
-          QueueSendLocked(std::move(pin));
-        }
-      }
-      TravelState& cs = travels_[child];
-      cs.id = child;
-      cs.mode = mode;
-      cs.client = 0;
-      cs.internal = true;
-      cs.parent_travel = travel;
-      cs.plan_bytes = subs[a].Encode();
-      cs.plan = expanded[a];
-      cs.started_us = now_us;
-      cs.last_activity_us = now_us;
-      cs.timeout_ms = timeout_ms;
-      cs.cls = cls;
-      cs.deadline_us = deadline_us;
-      cs.result_mode = plan->result_mode;
-      cs.group_key = plan->group_key;
-      cs.unfinished_per_step.assign(cs.plan.num_steps() + 1, 0);
-
-      auto cplan = std::make_shared<CompiledPlan>();
-      cplan->plan = cs.plan;
-      cplan->plan_bytes = cs.plan_bytes;
-      cplan->mode = mode;
-      cplan->coordinator = cfg_.id;
-      cplan->type_key = catalog_->Intern("type");
-      cplan->attribution = NeedsAttribution(cs.plan);
-      plans_[child] = cplan;
-      cs.attribution = cplan->attribution;
-
-      StartTravelLocked(cs);
-    }
-    return;
   }
+  for (size_t a = 0; a < subs.size(); a++) {
+    TravelState* run = &ts;
+    if (branch) {
+      run = &(travels_[ts.children[a]] = proto);
+      run->id = ts.children[a];
+      run->client = 0;
+      run->internal = true;
+      run->parent_travel = travel;
+    }
+    // Pin the read view here and on every other server. The pin messages
+    // are queued before the seed/step frames, so on in-order transports
+    // every participant pins before it sees any work for the travel;
+    // reordered deliveries fall back to the lazy first-touch pin in the
+    // frontier handlers.
+    PinEverywhereLocked(run->id);
+    run->unfinished_per_step.assign(expanded[a].num_steps() + 1, 0);
+    run->cplan = RegisterPlanLocked(run->id, std::move(expanded[a]),
+                                    branch ? subs[a].Encode() : plan_bytes, run->mode,
+                                    cfg_.id);
+    StartTravelLocked(*run);
+  }
+  return Status::OK();
+}
 
-  // Pin the travel's read view locally and broadcast the pin to every other
-  // server. The pin messages are queued before the seed/step frames below,
-  // so on in-order transports every participant pins before it sees any
-  // work for the travel; reordered deliveries fall back to the lazy
-  // first-touch pin in the frontier handlers.
+void BackendServer::PinEverywhereLocked(TravelId travel) {
   PinTravelSnapLocked(travel);
-  if (cfg_.snapshot_isolation) {
-    for (ServerId s = 0; s < cfg_.num_servers; s++) {
-      if (s == cfg_.id) continue;
-      rpc::Message pin;
-      pin.type = rpc::MsgType::kPinTravel;
-      pin.src = cfg_.id;
-      pin.dst = s;
-      pin.payload = EncodeTravelId(travel);
-      QueueSendLocked(std::move(pin));
-    }
+  if (!cfg_.snapshot_isolation) return;
+  for (ServerId s = 0; s < cfg_.num_servers; s++) {
+    if (s != cfg_.id) QueueSendLocked(rpc::MsgType::kPinTravel, s, EncodeTravelId(travel));
   }
+}
 
-  ts.plan = std::move(unrolled);  // executable (repeat-expanded) form
-  ts.unfinished_per_step.assign(ts.plan.num_steps() + 1, 0);
-
+std::shared_ptr<BackendServer::CompiledPlan> BackendServer::RegisterPlanLocked(
+    TravelId travel, lang::TraversalPlan plan, std::string_view plan_bytes, EngineMode mode,
+    ServerId coordinator) {
   auto cplan = std::make_shared<CompiledPlan>();
-  cplan->plan = ts.plan;
-  cplan->plan_bytes = plan_bytes;
-  cplan->mode = ts.mode;
-  cplan->coordinator = cfg_.id;
+  cplan->attribution = NeedsAttribution(plan);
+  cplan->plan = std::move(plan);
+  cplan->plan_bytes.assign(plan_bytes);
+  cplan->mode = mode;
+  cplan->coordinator = coordinator;
   // Intern, not Lookup: replica catalogs only know names they have seen;
   // "type" is virtual (never carried by a mutation) so a local-only Lookup
   // misses forever and every type filter would degrade to an ordinary prop
   // filter that no vertex carries.
   cplan->type_key = catalog_->Intern("type");
-  cplan->attribution = NeedsAttribution(ts.plan);
   plans_[travel] = cplan;
-  ts.attribution = cplan->attribution;
+  return cplan;
+}
 
-  StartTravelLocked(ts);
+std::shared_ptr<BackendServer::CompiledPlan> BackendServer::PlanForLocked(
+    TravelId travel, std::string_view plan_bytes, EngineMode mode, ServerId coordinator) {
+  if (auto cplan = FindPlanLocked(travel)) return cplan;
+  // The wire form is compact; execution uses the repeat-expanded chain so
+  // step attribution and cohort numbering line up across servers.
+  auto plan = lang::TraversalPlan::Decode(plan_bytes);
+  if (!plan.ok()) return nullptr;
+  auto unrolled = plan->Unrolled();
+  if (!unrolled.ok()) return nullptr;
+  return RegisterPlanLocked(travel, std::move(*unrolled), plan_bytes, mode, coordinator);
+}
+
+std::shared_ptr<BackendServer::CompiledPlan> BackendServer::FindPlanLocked(
+    TravelId travel) const {
+  auto it = plans_.find(travel);
+  return it == plans_.end() ? nullptr : it->second;
+}
+
+std::vector<graph::VertexId> BackendServer::ScanStartLocked(TravelId travel,
+                                                           const CompiledPlan& cplan) {
+  std::vector<graph::VertexId> roots;
+  const graph::LabelId label = ScanLabelFor(cplan.plan, catalog_);
+  if (label == graph::Catalog::kInvalidId) return roots;
+  const bool warm = !scanned_types_[travel].insert(label).second;
+  const auto snap = TravelSnapLocked(travel);
+  auto collect = [&](graph::VertexId vid) {
+    roots.push_back(vid);
+    return true;
+  };
+  if (cplan.plan.push_start_filters) {
+    // Planner pushdown: apply every start filter inside the index scan so
+    // non-matching vertices never become tasks. The engines re-apply the
+    // filters at processing time (idempotent), so this is result-identical
+    // with the unpushed path.
+    const auto& sf = cplan.plan.start_vertex_filters;
+    store_->ScanVerticesByTypeFiltered(
+        label,
+        [&](const graph::VertexRecord& rec) {
+          return lang::VertexMatchesAll(sf, rec, *catalog_, cplan.type_key);
+        },
+        collect, warm, snap.get()).ok();
+  } else {
+    store_->ScanVerticesByType(label, collect, warm, snap.get()).ok();
+  }
+  return roots;
 }
 
 void BackendServer::StartTravelLocked(TravelState& ts) {
-  if (ts.mode == EngineMode::kSync) {
-    // Seed step-0 frontier batches, then start step 0 on every server.
-    ts.sync_fwd_matrices.assign(ts.plan.num_steps() + 1,
-                                std::vector<std::vector<uint32_t>>());
-    std::vector<std::vector<FrontierEntry>> seed(cfg_.num_servers);
-    std::vector<graph::VertexId> ids = ts.plan.start_ids;
-    std::sort(ids.begin(), ids.end());
-    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-    for (auto vid : ids) {
-      seed[partitioner_->ServerFor(vid)].push_back(FrontierEntry{vid, {}});
-    }
-    const bool scan = ts.plan.start_ids.empty();
-    for (ServerId s = 0; s < cfg_.num_servers; s++) {
-      if (!seed[s].empty()) {
-        SyncBatchPayload batch;
-        batch.travel_id = ts.id;
-        batch.step = 0;
-        batch.phase = 0;
-        batch.entries = std::move(seed[s]);
-        rpc::Message bm;
-        bm.type = rpc::MsgType::kSyncBatch;
-        bm.src = cfg_.id;
-        bm.dst = s;
-        bm.payload = batch.Encode();
-        QueueSendLocked(std::move(bm));
-      }
-    }
-    ts.sync_step = 0;
-    ts.sync_phase = 0;
-    ts.sync_pending_done = cfg_.num_servers;
-    for (ServerId s = 0; s < cfg_.num_servers; s++) {
-      RecordStepEventLocked(ts, 0, /*created=*/true);
-      SyncStepPayload start;
-      start.travel_id = ts.id;
-      start.step = 0;
-      start.phase = 0;
-      start.scan_start = scan ? 1 : 0;
-      start.plan = ts.plan_bytes;
-      start.batches_expected = seed[s].empty() ? 0 : 1;
-      rpc::Message sm;
-      sm.type = rpc::MsgType::kSyncStepStart;
-      sm.src = cfg_.id;
-      sm.dst = s;
-      sm.payload = start.Encode();
-      QueueSendLocked(std::move(sm));
-    }
+  if (ts.mode != EngineMode::kSync) {
+    StartRootExecsLocked(ts);
     return;
   }
-
-  StartRootExecsLocked(ts);
+  // Seed step-0 frontier batches, then start step 0 on every server.
+  const CompiledPlan& cplan = *ts.cplan;
+  ts.sync_fwd_matrices.assign(cplan.plan.num_steps() + 1,
+                              std::vector<std::vector<uint32_t>>());
+  auto seed = StartEntriesByServer(cplan.plan, *partitioner_, cfg_.num_servers);
+  std::vector<uint32_t> seeded(cfg_.num_servers, 0);
+  for (ServerId s = 0; s < cfg_.num_servers; s++) {
+    if (seed[s].empty()) continue;
+    SyncBatchPayload batch;
+    batch.travel_id = ts.id;
+    batch.step = 0;
+    batch.phase = 0;
+    batch.entries = std::move(seed[s]);
+    QueueSendLocked(rpc::MsgType::kSyncBatch, s, batch.Encode());
+    seeded[s] = 1;
+  }
+  ts.sync_step = 0;
+  ts.sync_phase = 0;
+  ts.sync_pending_done = cfg_.num_servers;
+  for (ServerId s = 0; s < cfg_.num_servers; s++) {
+    RecordStepEventLocked(ts, 0, /*created=*/true);
+    SyncStepPayload start;
+    start.travel_id = ts.id;
+    start.step = 0;
+    start.phase = 0;
+    start.scan_start = cplan.plan.start_ids.empty() ? 1 : 0;
+    start.plan = cplan.plan_bytes;
+    start.batches_expected = seeded[s];
+    QueueSendLocked(rpc::MsgType::kSyncStepStart, s, start.Encode());
+  }
 }
 
 void BackendServer::StartRootExecsLocked(TravelState& ts) {
-  const auto& plan = ts.plan;
-  std::vector<std::vector<FrontierEntry>> per_server(cfg_.num_servers);
-  bool scan = false;
-
-  if (!plan.start_ids.empty()) {
-    std::vector<graph::VertexId> ids = plan.start_ids;
-    std::sort(ids.begin(), ids.end());
-    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-    for (auto vid : ids) {
-      per_server[partitioner_->ServerFor(vid)].push_back(FrontierEntry{vid, {}});
-    }
-  } else {
-    scan = true;  // every server scans its local type index
-  }
-
-  std::vector<ExecId> created;
+  const CompiledPlan& cplan = *ts.cplan;
+  const bool scan = cplan.plan.start_ids.empty();  // every server scans its type index
+  auto per_server = StartEntriesByServer(cplan.plan, *partitioner_, cfg_.num_servers);
   for (ServerId s = 0; s < cfg_.num_servers; s++) {
     if (!scan && per_server[s].empty()) continue;
-    const ExecId exec_id = MakeExecId(cfg_.id, next_exec_seq_++);
-    created.push_back(exec_id);
-
-    TraversePayload req;
-    req.travel_id = ts.id;
-    req.step = 0;
-    req.exec_id = exec_id;
-    req.parent_exec = 0;
-    req.parent_server = cfg_.id;
-    req.coordinator = cfg_.id;
-    req.mode = static_cast<uint8_t>(ts.mode);
-    req.scan_start = scan ? 1 : 0;
-    req.plan = ts.plan_bytes;
-    req.entries = std::move(per_server[s]);
-
-    rpc::Message m;
-    m.type = rpc::MsgType::kTraverse;
-    m.src = cfg_.id;
-    m.dst = s;
-    m.payload = req.Encode();
-    QueueSendLocked(std::move(m));
-  }
-
-  ts.root_outstanding = static_cast<uint32_t>(created.size());
-  ts.roots_dispatched = true;
-  // Register the root creation events locally (the coordinator is the
-  // spawning party here).
-  for (ExecId id : created) {
-    auto& trace = ts.execs[id];
+    const ExecId exec_id = SendTraverseLocked(cplan, ts.id, /*step=*/0, /*parent_exec=*/0, s,
+                                              std::move(per_server[s]), scan);
+    ts.root_outstanding++;
+    // Register the root creation event locally (the coordinator is the
+    // spawning party here).
+    auto& trace = ts.execs[exec_id];
     trace.step = 0;
     trace.created = true;
     ts.total_created++;
@@ -828,10 +777,27 @@ void BackendServer::StartRootExecsLocked(TravelState& ts) {
     ts.unfinished_per_step[0]++;
     RecordStepEventLocked(ts, 0, /*created=*/true);
   }
-
   if (ts.root_outstanding == 0) {
     CompleteTravelLocked(ts, Status::OK());
   }
+}
+
+ExecId BackendServer::SendTraverseLocked(const CompiledPlan& cplan, TravelId travel,
+                                         uint32_t step, ExecId parent_exec, ServerId dst,
+                                         std::vector<FrontierEntry> entries, bool scan_start) {
+  TraversePayload req;
+  req.travel_id = travel;
+  req.step = step;
+  req.exec_id = MakeExecId(cfg_.id, next_exec_seq_++);
+  req.parent_exec = parent_exec;
+  req.parent_server = cfg_.id;
+  req.coordinator = cplan.coordinator;
+  req.mode = static_cast<uint8_t>(cplan.mode);
+  req.scan_start = scan_start ? 1 : 0;
+  req.plan = cplan.plan_bytes;
+  req.entries = std::move(entries);
+  QueueSendLocked(rpc::MsgType::kTraverse, dst, req.Encode());
+  return req.exec_id;
 }
 
 void BackendServer::CompleteTravelLocked(TravelState& ts, Status status) {
@@ -848,17 +814,12 @@ void BackendServer::CompleteTravelLocked(TravelState& ts, Status status) {
   }
 
   // Render + stream results to the client by result mode, then the
-  // completion marker. Internal children skip rendering entirely: their raw
-  // structures fold into the parent below and the parent renders once.
+  // completion marker. Internal children skip rendering: their results
+  // folded into the parent, which renders once.
   if (!ts.internal) {
     auto send_chunk = [&](ResultChunkPayload&& chunk) {
       chunk.travel_id = ts.id;
-      rpc::Message m;
-      m.type = rpc::MsgType::kResultChunk;
-      m.src = cfg_.id;
-      m.dst = ts.client;
-      m.payload = chunk.Encode();
-      QueueSendLocked(std::move(m));
+      QueueSendLocked(rpc::MsgType::kResultChunk, ts.client, chunk.Encode());
     };
     uint64_t total = 0;
     switch (ts.result_mode) {
@@ -918,57 +879,33 @@ void BackendServer::CompleteTravelLocked(TravelState& ts, Status status) {
     done.code = static_cast<uint8_t>(status.code());
     done.error = status.ok() ? "" : status.ToString();
     done.total_results = total;
-    rpc::Message m;
-    m.type = rpc::MsgType::kTraversalComplete;
-    m.src = cfg_.id;
-    m.dst = ts.client;
-    m.payload = done.Encode();
-    QueueSendLocked(std::move(m));
+    QueueSendLocked(rpc::MsgType::kTraversalComplete, ts.client, done.Encode());
   }
 
   // Broadcast cleanup; every server (including this one) drops the travel's
-  // plans, cache entries, queued tasks and any leftover execution state.
-  for (ServerId s = 0; s < cfg_.num_servers; s++) {
-    rpc::Message abort;
-    abort.type = rpc::MsgType::kAbortTraversal;
-    abort.src = cfg_.id;
-    abort.dst = s;
-    abort.payload = AbortPayload{ts.id, AbortPayload::kCleanup}.Encode();
-    QueueSendLocked(std::move(abort));
-  }
-  // A completing branch parent cancels any children still running (their
-  // local abort routes back through this function and finds the parent
-  // done, so the fold below is skipped for them).
-  for (TravelId child : ts.children) {
+  // plans, cache entries, queued tasks and any leftover execution state. A
+  // completing branch parent also cancels any children still running
+  // (their local abort routes back through this function and finds the
+  // parent done).
+  std::vector<TravelId> cleanup = ts.children;
+  cleanup.insert(cleanup.begin(), ts.id);
+  for (TravelId id : cleanup) {
     for (ServerId s = 0; s < cfg_.num_servers; s++) {
-      rpc::Message abort;
-      abort.type = rpc::MsgType::kAbortTraversal;
-      abort.src = cfg_.id;
-      abort.dst = s;
-      abort.payload = AbortPayload{child, AbortPayload::kCleanup}.Encode();
-      QueueSendLocked(std::move(abort));
+      QueueSendLocked(rpc::MsgType::kAbortTraversal, s,
+                      AbortPayload{id, AbortPayload::kCleanup}.Encode());
     }
   }
 
   if (ts.internal) {
-    // Fold this child's raw result structures into the parent; the union of
-    // the alternatives' results is the branch semantics. A failing child
-    // fails the whole branch with its status.
+    // The child's results already folded into the parent as they arrived;
+    // the union of the alternatives' results is the branch semantics. A
+    // failing child fails the whole branch with its status.
     auto pit = travels_.find(ts.parent_travel);
     if (pit != travels_.end() && !pit->second.done) {
       TravelState& parent = pit->second;
       if (!status.ok()) {
-        parent.results.clear();
-        parent.result_values.clear();
-        parent.result_paths.clear();
-        CompleteTravelLocked(parent, status);
+        FailTravelLocked(parent, status);
       } else {
-        parent.results.insert(ts.results.begin(), ts.results.end());
-        for (const auto& [vid, value] : ts.result_values) {
-          parent.result_values.emplace(vid, value);
-        }
-        parent.result_paths.insert(ts.result_paths.begin(), ts.result_paths.end());
-        parent.last_activity_us = NowMicros();
         if (parent.pending_children > 0) parent.pending_children--;
         if (parent.pending_children == 0) CompleteTravelLocked(parent, Status::OK());
       }
@@ -984,6 +921,33 @@ void BackendServer::CompleteTravelLocked(TravelState& ts, Status status) {
   ArchiveTravelLocked(ts, status.ok(), now_us);
 
   travels_.erase(ts.id);  // ts is dangling after this line
+}
+
+bool BackendServer::FoldResultsLocked(TravelState& ts, const std::vector<graph::VertexId>& vids,
+                                      std::vector<std::string>& values,
+                                      std::vector<std::vector<graph::VertexId>>& paths) {
+  ts.last_activity_us = NowMicros();
+  TravelState* sink = &ts;
+  if (ts.internal) {
+    auto pit = travels_.find(ts.parent_travel);
+    if (pit == travels_.end() || pit->second.done) return true;  // branch already over
+    sink = &pit->second;
+  }
+  sink->results.insert(vids.begin(), vids.end());
+  for (size_t i = 0; i < vids.size() && i < values.size(); i++) {
+    sink->result_values.try_emplace(vids[i], std::move(values[i]));
+  }
+  for (auto& path : paths) sink->result_paths.insert(std::move(path));
+  if (sink->result_paths.size() <= kMaxCoordinatorPaths) return true;
+  FailTravelLocked(*sink, Status::Internal("path result limit exceeded"));
+  return sink != &ts;
+}
+
+void BackendServer::FailTravelLocked(TravelState& ts, Status status) {
+  ts.results.clear();
+  ts.result_values.clear();
+  ts.result_paths.clear();
+  CompleteTravelLocked(ts, std::move(status));
 }
 
 void BackendServer::RecordStepEventLocked(TravelState& ts, uint32_t step,
@@ -1050,40 +1014,17 @@ void BackendServer::HandleTraverse(rpc::Message&& msg) {
     return;
   }
 
-  // Resolve the scan label before taking the lock (catalog is thread-safe).
   MutexLock lk(&mu_);
   if (aborted_travels_.count(req->travel_id) != 0) return;
 
   // Lazy first-touch pin: normally the kPinTravel broadcast got here first
   // and this returns the existing pin.
-  auto travel_snap = PinTravelSnapLocked(req->travel_id);
-
-  auto pit = plans_.find(req->travel_id);
-  std::shared_ptr<CompiledPlan> cplan;
-  if (pit != plans_.end()) {
-    cplan = pit->second;
-  } else {
-    auto plan = lang::TraversalPlan::Decode(req->plan);
-    if (!plan.ok()) {
-      GT_WARN << "server " << cfg_.id << ": bad plan in traverse";
-      return;
-    }
-    // The wire form is compact; execution uses the repeat-expanded chain so
-    // step attribution and cohort numbering line up across servers.
-    auto unrolled = plan->Unrolled();
-    if (!unrolled.ok()) {
-      GT_WARN << "server " << cfg_.id << ": bad plan in traverse: "
-              << unrolled.status().ToString();
-      return;
-    }
-    cplan = std::make_shared<CompiledPlan>();
-    cplan->plan = std::move(*unrolled);
-    cplan->plan_bytes.assign(req->plan);  // first sight: copy out of the frame
-    cplan->mode = static_cast<EngineMode>(req->mode);
-    cplan->coordinator = req->coordinator;
-    cplan->type_key = catalog_->Intern("type");  // see HandleSubmit: replicas
-    cplan->attribution = NeedsAttribution(cplan->plan);
-    plans_[req->travel_id] = cplan;
+  PinTravelSnapLocked(req->travel_id);
+  auto cplan = PlanForLocked(req->travel_id, req->plan, static_cast<EngineMode>(req->mode),
+                             req->coordinator);
+  if (cplan == nullptr) {
+    GT_WARN << "server " << cfg_.id << ": bad plan in traverse";
+    return;
   }
 
   // Duplicate-delivery absorption (exec ids are globally unique): only the
@@ -1093,50 +1034,28 @@ void BackendServer::HandleTraverse(rpc::Message&& msg) {
     return;
   }
 
-  auto exec_owner = std::make_unique<ExecState>();
-  ExecState& exec = *exec_owner;
-  exec.travel = req->travel_id;
-  exec.id = req->exec_id;
-  exec.step = req->step;
-  exec.parent_server = req->parent_server;
-  exec.parent_exec = req->parent_exec;
-
-  const bool graphtrek = cplan->mode == EngineMode::kGraphTrek;
-  const bool attribution = cplan->attribution;
-
-  // Build the entry set. The attribution path deduplicates and keeps the
-  // per-vertex parents (needed for the answer flow); the direct path
-  // iterates the wire entries as-is (senders already deduplicate).
   std::vector<graph::VertexId> scan_entries;
-  if (req->scan_start != 0) {
-    const graph::LabelId label = ScanLabelFor(cplan->plan, catalog_);
-    if (label != graph::Catalog::kInvalidId) {
-      const bool warm = !scanned_types_[req->travel_id].insert(label).second;
-      auto collect = [&](graph::VertexId vid) {
-        scan_entries.push_back(vid);
-        return true;
-      };
-      if (cplan->plan.push_start_filters) {
-        // Planner pushdown: apply every start filter inside the index scan
-        // so non-matching vertices never become root tasks. The engine
-        // re-applies the filters at processing time (idempotent), so this
-        // is result-identical with the unpushed path.
-        const auto& sf = cplan->plan.start_vertex_filters;
-        store_->ScanVerticesByTypeFiltered(
-            label,
-            [&](const graph::VertexRecord& rec) {
-              return lang::VertexMatchesAll(sf, rec, *catalog_, cplan->type_key);
-            },
-            collect, warm, travel_snap.get()).ok();
-      } else {
-        store_->ScanVerticesByType(label, collect, warm, travel_snap.get()).ok();
-      }
-    }
-  }
+  if (req->scan_start != 0) scan_entries = ScanStartLocked(req->travel_id, *cplan);
 
-  const ExecId exec_id = exec.id;
-  execs_.emplace(exec_id, std::move(exec_owner));
-  ExecState& ex = *execs_.at(exec_id);
+  ExecState& ex = *(execs_[req->exec_id] = std::make_unique<ExecState>());
+  ex.travel = req->travel_id;
+  ex.id = req->exec_id;
+  ex.step = req->step;
+  ex.parent_server = req->parent_server;
+  ex.parent_exec = req->parent_exec;
+
+  // The engines differ here only in configuration: GraphTrek absorbs
+  // redundant arrivals without I/O and schedules/merges per its knobs;
+  // Async-GT queues a FIFO, unmerged task for every arrival.
+  const bool graphtrek = cplan->mode == EngineMode::kGraphTrek;
+  const bool priority = graphtrek && cfg_.graphtrek_priority_sched;
+  const bool mergeable = graphtrek && cfg_.graphtrek_merging;
+  const bool attribution = cplan->attribution;
+  auto push_task = [&](graph::VertexId vid, bool owner) {
+    ex.owned_unprocessed++;
+    queue_.Push(VertexTask{ex.travel, ex.step, vid, ex.id, owner, /*sync=*/false}, priority,
+                mergeable);
+  };
 
   if (cplan->plan.result_mode == lang::ResultMode::kPaths) {
     // kPaths (always direct protocol: the validator forbids rtn): prefixes
@@ -1156,114 +1075,65 @@ void BackendServer::HandleTraverse(rpc::Message&& msg) {
     visit_stats_.AddStep(ex.step, ex.path_prefixes.size());
     for (const auto& [vid, prefixes] : ex.path_prefixes) {
       (void)prefixes;
-      ex.owned_unprocessed++;
-      queue_.Push(VertexTask{ex.travel, ex.step, vid, ex.id, /*is_owner=*/true,
-                             /*sync=*/false},
-                  graphtrek && cfg_.graphtrek_priority_sched,
-                  graphtrek && cfg_.graphtrek_merging);
+      push_task(vid, /*owner=*/true);
     }
-    if (ex.owned_unprocessed == 0 && !ex.dispatched) {
-      DispatchLocked(ex, *cplan);  // erases ex
-    }
+    SettleExecLocked(ex, *cplan);  // erases ex when nothing was queued
     return;
   }
 
-  if (!attribution) {
-    // Direct protocol: per entry, one memo probe decides owner vs redundant.
+  // One memo probe per arrival decides owner vs redundant. A redundant
+  // arrival on the attribution protocol takes the owner's verdict, now or
+  // through a waiter.
+  auto classify = [&](graph::VertexId vid) {
+    const TravelCache::LookupResult lr = cache_.LookupOrInsertPending(ex.travel, ex.step, vid);
+    if (lr.state == TravelCache::State::kMiss) {
+      if (attribution) ex.owned.insert(vid);
+      push_task(vid, /*owner=*/true);
+      return;
+    }
+    visit_stats_.redundant.fetch_add(1);
+    if (!graphtrek) push_task(vid, /*owner=*/false);  // pays its read, applies nothing
+    if (!attribution) return;
+    if (lr.state == TravelCache::State::kResolved) {
+      ResolveVertexLocked(ex, vid, lr.reach, /*from_owner=*/false);
+      return;
+    }
+    const ExecId waiter_exec = ex.id;
+    cache_.AddWaiter(ex.travel, ex.step, vid, [this, waiter_exec, vid](bool reach) {
+      mu_.AssertHeld();  // waiters fire under the engine lock (Resolve sites)
+      auto it = execs_.find(waiter_exec);
+      if (it == execs_.end()) return;
+      ResolveVertexLocked(*it->second, vid, reach, /*from_owner=*/false);
+      TryAnswerLocked(*it->second);
+    });
+  };
+
+  if (attribution) {
+    // Deduplicate, keeping every vertex's parents for the answer flow.
+    for (auto vid : scan_entries) {
+      ex.entry_parents.emplace(vid, std::vector<graph::VertexId>{});
+    }
+    for (auto& e : req->entries) {
+      auto [it, inserted] = ex.entry_parents.emplace(e.vid, e.parents);
+      if (!inserted) {
+        it->second.insert(it->second.end(), e.parents.begin(), e.parents.end());
+      }
+    }
+    ex.unresolved = ex.entry_parents.size();
+    visit_stats_.received.fetch_add(ex.entry_parents.size());
+    visit_stats_.AddStep(ex.step, ex.entry_parents.size());
+    for (const auto& [vid, parents] : ex.entry_parents) {
+      (void)parents;
+      classify(vid);
+    }
+  } else {
+    // Direct protocol: the wire entries as-is (senders already deduplicate).
     visit_stats_.received.fetch_add(req->entries.size() + scan_entries.size());
     visit_stats_.AddStep(ex.step, req->entries.size() + scan_entries.size());
-    auto classify = [&](graph::VertexId vid) {
-      if (graphtrek) {
-        auto lr = cache_.LookupOrInsertPending(ex.travel, ex.step, vid);
-        if (lr.state != TravelCache::State::kMiss) {
-          visit_stats_.redundant.fetch_add(1);
-          return;
-        }
-        ex.owned_unprocessed++;
-        queue_.Push(VertexTask{ex.travel, ex.step, vid, ex.id, /*is_owner=*/true,
-                               /*sync=*/false},
-                    cfg_.graphtrek_priority_sched, cfg_.graphtrek_merging);
-      } else {
-        ex.owned_unprocessed++;
-        queue_.Push(VertexTask{ex.travel, ex.step, vid, ex.id, /*is_owner=*/false,
-                               /*sync=*/false},
-                    /*priority=*/false, /*mergeable=*/false);
-      }
-    };
     for (const auto& e : req->entries) classify(e.vid);
     for (auto vid : scan_entries) classify(vid);
-    if (ex.owned_unprocessed == 0 && !ex.dispatched) {
-      DispatchLocked(ex, *cplan);  // erases ex
-    }
-    return;
   }
-
-  for (auto vid : scan_entries) {
-    ex.entry_parents.emplace(vid, std::vector<graph::VertexId>{});
-  }
-  for (auto& e : req->entries) {
-    auto [it, inserted] = ex.entry_parents.emplace(e.vid, e.parents);
-    if (!inserted) {
-      it->second.insert(it->second.end(), e.parents.begin(), e.parents.end());
-    }
-  }
-  ex.unresolved = ex.entry_parents.size();
-  visit_stats_.received.fetch_add(ex.entry_parents.size());
-  visit_stats_.AddStep(ex.step, ex.entry_parents.size());
-
-  std::vector<std::pair<graph::VertexId, TravelCache::LookupResult>> classified;
-  classified.reserve(ex.entry_parents.size());
-  for (const auto& [vid, parents] : ex.entry_parents) {
-    if (graphtrek) {
-      classified.emplace_back(vid,
-                              cache_.LookupOrInsertPending(ex.travel, ex.step, vid));
-    } else {
-      // Async-GT: classification deferred to processing time; every entry
-      // pays its own I/O.
-      classified.emplace_back(vid, TravelCache::LookupResult{});
-    }
-  }
-
-  for (auto& [vid, lr] : classified) {
-    if (!graphtrek) {
-      ex.owned_unprocessed++;
-      queue_.Push(VertexTask{ex.travel, ex.step, vid, ex.id, /*is_owner=*/false,
-                             /*sync=*/false},
-                  /*priority=*/false, /*mergeable=*/false);
-      continue;
-    }
-    switch (lr.state) {
-      case TravelCache::State::kMiss:
-        ex.owned.insert(vid);
-        ex.owned_unprocessed++;
-        queue_.Push(VertexTask{ex.travel, ex.step, vid, ex.id, /*is_owner=*/true,
-                               /*sync=*/false},
-                    cfg_.graphtrek_priority_sched, cfg_.graphtrek_merging);
-        break;
-      case TravelCache::State::kPending: {
-        visit_stats_.redundant.fetch_add(1);
-        const ExecId waiter_exec = ex.id;
-        const graph::VertexId waiter_vid = vid;
-        cache_.AddWaiter(ex.travel, ex.step, vid, [this, waiter_exec, waiter_vid](bool reach) {
-          mu_.AssertHeld();  // waiters fire under the engine lock (Resolve sites)
-          auto it = execs_.find(waiter_exec);
-          if (it == execs_.end()) return;
-          ResolveVertexLocked(*it->second, waiter_vid, reach, /*from_owner=*/false);
-          TryAnswerLocked(*it->second);
-        });
-        break;
-      }
-      case TravelCache::State::kResolved:
-        visit_stats_.redundant.fetch_add(1);
-        ResolveVertexLocked(ex, vid, lr.reach, /*from_owner=*/false);
-        break;
-    }
-  }
-
-  if (ex.owned_unprocessed == 0 && !ex.dispatched) {
-    DispatchLocked(ex, *cplan);
-  }
-  TryAnswerLocked(ex);
+  SettleExecLocked(ex, *cplan);  // direct protocol: may erase ex
 }
 
 // ---------------------------------------------------------------------------
@@ -1311,9 +1181,8 @@ void BackendServer::ProcessBatch(const std::vector<VertexTask>& batch) {
   std::vector<bool> warm(vids.size(), false);
   {
     MutexLock lk(&mu_);
-    auto it = plans_.find(travel);
-    if (it == plans_.end()) return;  // travel aborted while queued
-    cplan = it->second;
+    cplan = FindPlanLocked(travel);
+    if (cplan == nullptr) return;  // travel aborted while queued
     // The shared_ptr copy keeps the pinned view alive through the unlocked
     // I/O phase even if an abort erases the travel's pin concurrently.
     travel_snap = TravelSnapLocked(travel);
@@ -1323,8 +1192,6 @@ void BackendServer::ProcessBatch(const std::vector<VertexTask>& batch) {
   }
   const lang::TraversalPlan& plan = cplan->plan;
   const uint32_t num_steps = static_cast<uint32_t>(plan.num_steps());
-  const bool graphtrek = cplan->mode == EngineMode::kGraphTrek;
-  const bool attribution = cplan->attribution;
 
   // --- I/O phase (no engine lock held) -------------------------------------
   struct EdgeEntry {
@@ -1390,60 +1257,22 @@ void BackendServer::ProcessBatch(const std::vector<VertexTask>& batch) {
     visit_stats_.combined.fetch_add(batch.size() - vids.size());
   }
 
-  // Per-task outcome, computed lock-free. Targets are (owner server, dst)
-  // pairs; the apply phase groups as it inserts.
-  struct Outcome {
-    bool passed = false;
-    bool final_step = false;
-    std::vector<std::pair<ServerId, graph::VertexId>> targets;
-    // kGroup: the vertex's rendered group value, captured here while the
-    // record is in hand (the apply phase never re-reads the store).
-    std::string group_value;
-  };
-  std::vector<Outcome> outcomes(batch.size());
+  // Per-owner-task outcome, computed lock-free by the step evaluator. The
+  // vertex's edges are in (label, dst) order: the hop's label is one
+  // contiguous run.
+  std::vector<StepOutcome> outcomes(batch.size());
   for (size_t i = 0; i < batch.size(); i++) {
     const VertexTask& t = batch[i];
+    if (!t.is_owner) continue;
     const VidData& vd = vid_data[task_slot[i]];
-    Outcome& out = outcomes[i];
-    if (!vd.exists) continue;
-    if (!lang::VertexMatchesAll(StepVertexFilters(plan, t.step), vd.rec, *catalog_,
-                                cplan->type_key)) {
-      continue;
-    }
-    out.passed = true;
-    // until(): a matching vertex at an iteration boundary is a terminal
-    // result — no further expansion. In an until() plan, final-step
-    // survivors that never matched are not results at all.
-    const std::vector<lang::Filter>* until = UntilFiltersAtStep(plan, t.step);
-    const bool until_hit =
-        until != nullptr &&
-        lang::VertexMatchesAll(*until, vd.rec, *catalog_, cplan->type_key);
-    if (until_hit) {
-      out.final_step = true;
-    } else if (t.step >= num_steps) {
-      if (plan.has_until()) {
-        out.passed = false;
-        continue;
-      }
-      out.final_step = true;
-    }
-    if (out.final_step) {
-      if (plan.result_mode == lang::ResultMode::kGroup) {
-        out.group_value =
-            lang::GroupValueForVertex(vd.rec, plan.group_key, *catalog_, cplan->type_key);
-      }
-      continue;
-    }
-    const lang::Hop& hop = plan.hops[t.step];
-    // Edges are in (label, dst) order: the hop's label is one contiguous run.
-    const std::vector<EdgeEntry>& edges = vd.edges;
-    auto lo = std::lower_bound(
-        edges.begin(), edges.end(), hop.edge_label,
-        [](const EdgeEntry& e, graph::LabelId l) { return e.label < l; });
-    for (auto eit = lo; eit != edges.end() && eit->label == hop.edge_label; ++eit) {
-      if (!lang::MatchesAll(hop.edge_filters, eit->props)) continue;
-      out.targets.emplace_back(partitioner_->ServerFor(eit->dst), eit->dst);
-    }
+    outcomes[i] = EvaluateStep(
+        plan, cplan->type_key, *catalog_, *partitioner_, t.step, vd.exists ? &vd.rec : nullptr,
+        [&](graph::LabelId label, auto&& visit) {
+          auto eit = std::lower_bound(
+              vd.edges.begin(), vd.edges.end(), label,
+              [](const EdgeEntry& e, graph::LabelId l) { return e.label < l; });
+          for (; eit != vd.edges.end() && eit->label == label; ++eit) visit(eit->dst, eit->props);
+        });
   }
 
   // --- apply phase (engine lock) --------------------------------------------
@@ -1453,21 +1282,23 @@ void BackendServer::ProcessBatch(const std::vector<VertexTask>& batch) {
     auto eit = execs_.find(t.exec);
     if (eit == execs_.end()) continue;  // exec gone (abort)
     ExecState& exec = *eit->second;
-    Outcome& out = outcomes[i];
+    StepOutcome& out = outcomes[i];
 
-    if (cplan->plan.result_mode == lang::ResultMode::kPaths) {
-      // kPaths bypasses the cache and classification entirely: every task
-      // is an owner task, and each distinct prefix of the vertex extends
-      // through every passing edge independently.
+    if (!t.is_owner) {
+      // A redundant Async-GT arrival: its read is paid; the owner applies.
+    } else if (plan.result_mode == lang::ResultMode::kPaths) {
+      // kPaths bypasses the memo: every task is an owner task, and each
+      // distinct prefix of the vertex extends through every passing edge
+      // independently.
       const auto ppit = exec.path_prefixes.find(t.vid);
-      if (ppit != exec.path_prefixes.end()) {
-        if (out.passed && out.final_step) {
+      if (out.passed && ppit != exec.path_prefixes.end()) {
+        if (out.final_step) {
           for (const auto& prefix : ppit->second) {
             std::vector<graph::VertexId> path = prefix;
             path.push_back(t.vid);
             exec.result_paths.push_back(std::move(path));
           }
-        } else if (out.passed) {
+        } else {
           for (auto& [server, dst] : out.targets) {
             for (const auto& prefix : ppit->second) {
               std::vector<graph::VertexId> chain = prefix;
@@ -1477,91 +1308,25 @@ void BackendServer::ProcessBatch(const std::vector<VertexTask>& batch) {
           }
         }
       }
-      exec.owned_unprocessed--;
-      if (exec.owned_unprocessed == 0 && !exec.dispatched) {
-        DispatchLocked(exec, *cplan);  // erases exec on this path
-      }
-      continue;
-    }
-
-    bool owner = t.is_owner;
-    if (!graphtrek) {
-      // Async-GT classifies now: the I/O is already paid either way.
-      auto lr = cache_.LookupOrInsertPending(t.travel, t.step, t.vid);
-      switch (lr.state) {
-        case TravelCache::State::kMiss:
-          owner = true;
-          exec.owned.insert(t.vid);
-          break;
-        case TravelCache::State::kPending: {
-          visit_stats_.redundant.fetch_add(1);
-          if (attribution) {
-            const ExecId waiter_exec = exec.id;
-            const graph::VertexId waiter_vid = t.vid;
-            cache_.AddWaiter(t.travel, t.step, t.vid,
-                             [this, waiter_exec, waiter_vid](bool reach) {
-                               mu_.AssertHeld();  // fired under the engine lock
-                               auto it2 = execs_.find(waiter_exec);
-                               if (it2 == execs_.end()) return;
-                               ResolveVertexLocked(*it2->second, waiter_vid, reach,
-                                                   /*from_owner=*/false);
-                               TryAnswerLocked(*it2->second);
-                             });
-          }
-          exec.owned_unprocessed--;
-          if (exec.owned_unprocessed == 0 && !exec.dispatched) {
-            DispatchLocked(exec, *cplan);  // erases exec on the direct path
-            if (attribution) TryAnswerLocked(exec);
-            continue;
-          }
-          if (attribution) TryAnswerLocked(exec);
-          continue;
-        }
-        case TravelCache::State::kResolved:
-          visit_stats_.redundant.fetch_add(1);
-          if (attribution) ResolveVertexLocked(exec, t.vid, lr.reach, /*from_owner=*/false);
-          exec.owned_unprocessed--;
-          if (exec.owned_unprocessed == 0 && !exec.dispatched) {
-            DispatchLocked(exec, *cplan);
-            if (attribution) TryAnswerLocked(exec);
-            continue;
-          }
-          if (attribution) TryAnswerLocked(exec);
-          continue;
-      }
-    }
-
-    // Owner path: apply the computed outcome.
-    if (!attribution) {
+    } else if (!cplan->attribution) {
       // Direct protocol: resolve the memo (for redundancy absorption) and
-      // collect results/expansion; no per-vertex answer bookkeeping.
-      if (owner) {
-        auto waiters = cache_.Resolve(t.travel, t.step, t.vid, out.passed);
-        for (auto& w : waiters) w(out.passed);  // none are registered
-        if (out.passed && out.final_step) {
-          exec.results.push_back(t.vid);
-          if (cplan->plan.result_mode == lang::ResultMode::kGroup) {
-            exec.result_values.push_back(std::move(out.group_value));
-          }
-        } else if (out.passed) {
-          for (auto& [server, dst] : out.targets) {
-            exec.out_targets[server][dst];  // parents not tracked
-          }
+      // collect results/expansion; no per-vertex answer bookkeeping, and no
+      // waiters (only attribution arrivals register them).
+      cache_.Resolve(t.travel, t.step, t.vid, out.passed);
+      if (out.passed && out.final_step) {
+        exec.results.push_back(t.vid);
+        if (plan.result_mode == lang::ResultMode::kGroup) {
+          exec.result_values.push_back(std::move(out.group_value));
+        }
+      } else if (out.passed) {
+        for (auto& [server, dst] : out.targets) {
+          exec.out_targets[server][dst];  // parents not tracked
         }
       }
-      exec.owned_unprocessed--;
-      if (exec.owned_unprocessed == 0 && !exec.dispatched) {
-        DispatchLocked(exec, *cplan);  // erases exec on this path
-      }
-      continue;
-    }
-
-    if (!out.passed) {
-      ResolveVertexLocked(exec, t.vid, false, /*from_owner=*/owner);
-    } else if (out.final_step) {
-      ResolveVertexLocked(exec, t.vid, true, /*from_owner=*/owner);
-    } else if (out.targets.empty()) {
-      ResolveVertexLocked(exec, t.vid, false, /*from_owner=*/owner);
+    } else if (out.passed && out.final_step) {
+      ResolveVertexLocked(exec, t.vid, true, /*from_owner=*/true);
+    } else if (!out.passed || out.targets.empty()) {
+      ResolveVertexLocked(exec, t.vid, false, /*from_owner=*/true);
     } else {
       exec.awaiting_children.insert(t.vid);
       for (auto& [server, dst] : out.targets) {
@@ -1569,8 +1334,7 @@ void BackendServer::ProcessBatch(const std::vector<VertexTask>& batch) {
       }
     }
     exec.owned_unprocessed--;
-    if (exec.owned_unprocessed == 0 && !exec.dispatched) DispatchLocked(exec, *cplan);
-    TryAnswerLocked(exec);
+    SettleExecLocked(exec, *cplan);  // may erase exec
   }
 }
 
@@ -1600,31 +1364,21 @@ void BackendServer::ResolveVertexLocked(ExecState& exec, graph::VertexId vid, bo
   }
 }
 
+void BackendServer::SettleExecLocked(ExecState& exec, const CompiledPlan& cplan) {
+  if (exec.owned_unprocessed == 0 && !exec.dispatched) {
+    DispatchLocked(exec, cplan);
+    if (!cplan.attribution) return;  // direct protocol: exec is erased
+  }
+  if (cplan.attribution) TryAnswerLocked(exec);
+}
+
 void BackendServer::DispatchLocked(ExecState& exec, const CompiledPlan& cplan) {
   exec.dispatched = true;
 
   std::vector<ExecId> created;
   auto send_child = [&](ServerId server, std::vector<FrontierEntry> entries) {
-    const ExecId child_id = MakeExecId(cfg_.id, next_exec_seq_++);
-    created.push_back(child_id);
-
-    TraversePayload req;
-    req.travel_id = exec.travel;
-    req.step = exec.step + 1;
-    req.exec_id = child_id;
-    req.parent_exec = exec.id;
-    req.parent_server = cfg_.id;
-    req.coordinator = cplan.coordinator;
-    req.mode = static_cast<uint8_t>(cplan.mode);
-    req.plan = cplan.plan_bytes;
-    req.entries = std::move(entries);
-
-    rpc::Message m;
-    m.type = rpc::MsgType::kTraverse;
-    m.src = cfg_.id;
-    m.dst = server;
-    m.payload = req.Encode();
-    QueueSendLocked(std::move(m));
+    created.push_back(SendTraverseLocked(cplan, exec.travel, exec.step + 1, exec.id, server,
+                                         std::move(entries), /*scan_start=*/false));
   };
   for (auto& [server, targets] : exec.out_targets) {
     std::vector<FrontierEntry> entries;
@@ -1653,17 +1407,12 @@ void BackendServer::DispatchLocked(ExecState& exec, const CompiledPlan& cplan) {
       ans.result_vids = std::move(exec.results);
       ans.result_values = std::move(exec.result_values);
       ans.result_paths = std::move(exec.result_paths);
-      rpc::Message m;
-      m.type = rpc::MsgType::kReturnVertices;
-      m.src = cfg_.id;
-      m.dst = cplan.coordinator;
-      m.payload = ans.Encode();
-      QueueSendLocked(std::move(m));
+      QueueSendLocked(rpc::MsgType::kReturnVertices, cplan.coordinator, ans.Encode());
     }
     const TravelId travel = exec.travel;
     const uint32_t step = exec.step;
     const ExecId id = exec.id;
-    EraseExecLocked(id);  // exec is dangling after this line
+    execs_.erase(id);  // exec is dangling after this line
     SendDispatchEventLocked(cplan.coordinator, travel, step + 1, std::move(created), id,
                             step);
     return;
@@ -1694,18 +1443,9 @@ void BackendServer::TryAnswerLocked(ExecState& exec) {
   }
   ans.reached_parents.assign(reached_parents.begin(), reached_parents.end());
   ans.result_vids = std::move(exec.results);
-
-  rpc::Message m;
-  m.type = rpc::MsgType::kReturnVertices;
-  m.src = cfg_.id;
-  m.dst = exec.parent_server;
-  m.payload = ans.Encode();
-  QueueSendLocked(std::move(m));
-
-  EraseExecLocked(exec.id);  // exec is dangling after this line
+  QueueSendLocked(rpc::MsgType::kReturnVertices, exec.parent_server, ans.Encode());
+  execs_.erase(exec.id);  // exec is dangling after this line
 }
-
-void BackendServer::EraseExecLocked(ExecId id) { execs_.erase(id); }
 
 void BackendServer::HandleAnswer(rpc::Message&& msg) {
   auto ans = AnswerPayload::Decode(msg.payload);
@@ -1718,25 +1458,9 @@ void BackendServer::HandleAnswer(rpc::Message&& msg) {
     auto it = travels_.find(ans->travel_id);
     if (it == travels_.end()) return;
     TravelState& ts = it->second;
-    ts.results.insert(ans->result_vids.begin(), ans->result_vids.end());
-    if (!ans->result_values.empty()) {
-      // Decode validated the parallel-array invariant.
-      for (size_t i = 0; i < ans->result_vids.size(); i++) {
-        ts.result_values[ans->result_vids[i]] = std::move(ans->result_values[i]);
-      }
-    }
-    for (auto& path : ans->result_paths) {
-      ts.result_paths.insert(std::move(path));
-    }
-    ts.last_activity_us = NowMicros();
-    if (ts.result_paths.size() > kMaxCoordinatorPaths) {
-      ts.results.clear();
-      ts.result_values.clear();
-      ts.result_paths.clear();
-      CompleteTravelLocked(ts, Status::Internal("path result limit exceeded"));
-      return;
-    }
-    if (!ts.attribution) return;  // completion comes from status tracing
+    if (!FoldResultsLocked(ts, ans->result_vids, ans->result_values, ans->result_paths)) return;
+    // Direct protocol: completion comes from status tracing.
+    if (ts.cplan == nullptr || !ts.cplan->attribution) return;
     if (ts.root_outstanding > 0) ts.root_outstanding--;
     if (ts.root_outstanding == 0) CompleteTravelLocked(ts, Status::OK());
     return;
@@ -1772,13 +1496,7 @@ void BackendServer::HandleMutation(rpc::Message&& msg) {
     MutateAckPayload ack;
     ack.ok = st.ok() ? 1 : 0;
     ack.error = st.ok() ? "" : st.ToString();
-    rpc::Message reply;
-    reply.type = rpc::MsgType::kMutateAck;
-    reply.src = cfg_.id;
-    reply.dst = msg.src;
-    reply.rpc_id = msg.rpc_id;
-    reply.payload = ack.Encode();
-    SendLossy(std::move(reply));
+    SendLossy(rpc::MsgType::kMutateAck, msg.src, ack.Encode(), msg.rpc_id);
   };
 
   // Clients may address any server; requests for records owned elsewhere
@@ -1858,13 +1576,7 @@ void BackendServer::HandleMutation(rpc::Message&& msg) {
           out.props.emplace_back(catalog_->Name(key).value_or("?"), value);
         }
       }
-      rpc::Message reply;
-      reply.type = rpc::MsgType::kVertexReply;
-      reply.src = cfg_.id;
-      reply.dst = msg.src;
-      reply.rpc_id = msg.rpc_id;
-      reply.payload = out.Encode();
-      SendLossy(std::move(reply));
+      SendLossy(rpc::MsgType::kVertexReply, msg.src, out.Encode(), msg.rpc_id);
       return;
     }
     default:
@@ -1882,13 +1594,7 @@ void BackendServer::HandleCatalog(rpc::Message&& msg) {
   } else {
     out.names = catalog_->Snapshot();
   }
-  rpc::Message reply;
-  reply.type = rpc::MsgType::kCatalogReply;
-  reply.src = cfg_.id;
-  reply.dst = msg.src;
-  reply.rpc_id = msg.rpc_id;
-  reply.payload = out.Encode();
-  SendLossy(std::move(reply));
+  SendLossy(rpc::MsgType::kCatalogReply, msg.src, out.Encode(), msg.rpc_id);
 }
 
 // ---------------------------------------------------------------------------
@@ -1941,7 +1647,7 @@ void BackendServer::HandleExecEvent(rpc::Message&& msg) {
   TravelState& ts = it->second;
   ts.last_activity_us = NowMicros();
   for (const auto& item : batch->items) ApplyTraceItemLocked(ts, item);
-  if (!ts.attribution && ts.mode != EngineMode::kSync && ts.roots_dispatched &&
+  if (ts.cplan != nullptr && !ts.cplan->attribution && ts.mode != EngineMode::kSync &&
       ts.total_created > 0 && ts.incomplete_execs == 0) {
     CompleteTravelLocked(ts, Status::OK());
   }
@@ -1962,13 +1668,7 @@ void BackendServer::HandleProgress(rpc::Message&& msg) {
       }
     }
   }
-  rpc::Message reply;
-  reply.type = rpc::MsgType::kProgressReply;
-  reply.src = cfg_.id;
-  reply.dst = msg.src;
-  reply.rpc_id = msg.rpc_id;
-  reply.payload = progress.Encode();
-  SendLossy(std::move(reply));
+  SendLossy(rpc::MsgType::kProgressReply, msg.src, progress.Encode(), msg.rpc_id);
 }
 
 void BackendServer::HandleAbort(rpc::Message&& msg) {
@@ -1985,13 +1685,10 @@ void BackendServer::HandleAbort(rpc::Message&& msg) {
   auto tit = travels_.find(travel);
   if (tit != travels_.end() && !tit->second.done) {
     if (abort->reason == AbortPayload::kCancel) travel_cancelled_->Inc();
-    // Cancelled travels return no results. A cancelled branch child also
-    // folds nothing: the parent either initiated the cancel (done already)
-    // or fails over via the child's Aborted status.
-    tit->second.results.clear();
-    tit->second.result_values.clear();
-    tit->second.result_paths.clear();
-    CompleteTravelLocked(tit->second, Status::Aborted("travel cancelled"));
+    // Cancelled travels return no results. A cancelled branch child fails
+    // its parent with the child's Aborted status, unless the parent
+    // initiated the cancel (done already).
+    FailTravelLocked(tit->second, Status::Aborted("travel cancelled"));
   }
 
   aborted_travels_.insert(travel);
@@ -2033,6 +1730,11 @@ void BackendServer::HandleAbort(rpc::Message&& msg) {
   // them (they would hit the erased plan and bail, but each would still
   // burn a dequeue and possibly device I/O).
   queue_.EraseTravel(travel);
+}
+
+void BackendServer::SendLossy(rpc::MsgType type, rpc::EndpointId dst, std::string payload,
+                              uint64_t rpc_id) {
+  SendLossy(rpc::Message{type, cfg_.id, dst, rpc_id, std::move(payload)});
 }
 
 void BackendServer::SendLossy(rpc::Message msg) {
@@ -2082,10 +1784,7 @@ void BackendServer::MaintenanceLoop() {
         if (it == travels_.end()) continue;
         travel_deadline_exceeded_->Inc();
         // Deadline expiry is final: Timeout is not retryable client-side.
-        it->second.results.clear();
-        it->second.result_values.clear();
-        it->second.result_paths.clear();
-        CompleteTravelLocked(it->second, Status::Timeout("travel deadline exceeded"));
+        FailTravelLocked(it->second, Status::Timeout("travel deadline exceeded"));
       }
       for (TravelId id : failed) {
         auto it = travels_.find(id);
@@ -2094,10 +1793,7 @@ void BackendServer::MaintenanceLoop() {
                 << " timed out (execution created but never terminated); failing";
         // The paper's recovery story: detect via the trace registry and
         // restart the whole traversal. Aborted is the client's retry signal.
-        it->second.results.clear();
-        it->second.result_values.clear();
-        it->second.result_paths.clear();
-        CompleteTravelLocked(it->second, Status::Aborted("execution lost"));
+        FailTravelLocked(it->second, Status::Aborted("execution lost"));
       }
     }
     DrainOutbox();  // trace flushes + completions staged under mu_
@@ -2117,31 +1813,26 @@ void BackendServer::HandleSyncStepStart(rpc::Message&& msg) {
   PinTravelSnapLocked(start->travel_id);  // lazy fallback; usually pinned already
   SyncLocal& sl = sync_locals_[start->travel_id];
 
-  if (!sl.plan_ready && !start->plan.empty()) {
-    auto plan = lang::TraversalPlan::Decode(start->plan);
-    if (!plan.ok()) return;
-    auto unrolled = plan->Unrolled();  // execute the repeat-expanded chain
-    if (!unrolled.ok()) return;
-    sl.cplan.plan = std::move(*unrolled);
-    sl.cplan.plan_bytes = start->plan;
-    sl.cplan.mode = EngineMode::kSync;
-    sl.cplan.coordinator = msg.src;
-    sl.cplan.type_key = catalog_->Intern("type");  // see HandleSubmit: replicas
-    sl.coordinator = msg.src;
+  // Step 0's start carries the plan and the scan flag.
+  if (!start->plan.empty()) {
+    if (PlanForLocked(start->travel_id, start->plan, EngineMode::kSync, msg.src) == nullptr) {
+      return;
+    }
     sl.scan_start = start->scan_start;
-    sl.plan_ready = true;
   }
 
   if (start->phase == 0) {
     sl.step = start->step;
     sl.batches_expected[start->step] = start->batches_expected;
     SyncMaybeProcessStepLocked(start->travel_id);
-  } else {
-    // Backward round k: send alive subsets for step k+1 back to the senders,
-    // and note how many backward batches we expect ourselves.
-    sl.batches_expected[kBackwardKeyBit | start->step] = start->batches_expected;
-    SyncProcessBackwardLocked(start->travel_id, sl, start->step);
+    return;
   }
+  // Backward round k: send alive subsets for step k+1 back to the senders,
+  // and note how many backward batches we expect ourselves.
+  auto cplan = FindPlanLocked(start->travel_id);
+  if (cplan == nullptr) return;
+  sl.batches_expected[kBackwardKeyBit | start->step] = start->batches_expected;
+  SyncProcessBackwardLocked(start->travel_id, sl, *cplan, start->step);
 }
 
 void BackendServer::HandleSyncBatch(rpc::Message&& msg) {
@@ -2173,24 +1864,8 @@ void BackendServer::HandleSyncBatch(rpc::Message&& msg) {
     for (auto parent : it->second) sl.alive[k].insert(parent);
   }
   sl.back_batches_received[k]++;
-
-  const auto expected_it = sl.batches_expected.find(kBackwardKeyBit | k);
-  if (expected_it != sl.batches_expected.end() &&
-      sl.back_batches_received[k] >= expected_it->second) {
-    // Round complete locally: report results (if this step is rtn-marked).
-    SyncStepPayload done;
-    done.travel_id = batch->travel_id;
-    done.step = k;
-    done.phase = 1;
-    if (sl.plan_ready && RtnAtStep(sl.cplan.plan, k)) {
-      done.result_vids.assign(sl.alive[k].begin(), sl.alive[k].end());
-    }
-    rpc::Message m;
-    m.type = rpc::MsgType::kSyncStepDone;
-    m.src = cfg_.id;
-    m.dst = sl.coordinator;
-    m.payload = done.Encode();
-    QueueSendLocked(std::move(m));
+  if (auto cplan = FindPlanLocked(batch->travel_id)) {
+    SyncMaybeFinishBackwardLocked(batch->travel_id, sl, *cplan, k);
   }
 }
 
@@ -2198,7 +1873,9 @@ void BackendServer::SyncMaybeProcessStepLocked(TravelId travel) {
   auto it = sync_locals_.find(travel);
   if (it == sync_locals_.end()) return;
   SyncLocal& sl = it->second;
-  if (!sl.plan_ready || sl.processing) return;
+  auto cplan = FindPlanLocked(travel);
+  if (cplan == nullptr || sl.processing) return;
+  const lang::TraversalPlan& plan = cplan->plan;
 
   const uint32_t step = sl.step;
   if (sl.steps_processed.count(step) != 0) return;
@@ -2209,10 +1886,11 @@ void BackendServer::SyncMaybeProcessStepLocked(TravelId travel) {
   sl.steps_processed.insert(step);
   sl.processing = true;
 
-  // Merge the inbox into a deduplicated frontier. In kPaths mode the
-  // entries' parents are distinct visited-chain prefixes; each is kept (and
-  // deduplicated) per vertex rather than concatenated.
-  const bool paths_mode = sl.cplan.plan.result_mode == lang::ResultMode::kPaths;
+  // Merge the inbox into a deduplicated frontier (forward batches carry bare
+  // vids: parents stay with the sender for the backward phase). In kPaths
+  // mode the entries' parents are distinct visited-chain prefixes, kept and
+  // deduplicated per vertex.
+  const bool paths_mode = plan.result_mode == lang::ResultMode::kPaths;
   sl.current_frontier.clear();
   sl.current_paths.clear();
   uint64_t raw_entries = 0;
@@ -2225,59 +1903,35 @@ void BackendServer::SyncMaybeProcessStepLocked(TravelId travel) {
         if (std::find(prefixes.begin(), prefixes.end(), e.parents) == prefixes.end()) {
           prefixes.push_back(e.parents);
         }
-        sl.current_frontier.emplace(e.vid, std::vector<graph::VertexId>{});
-        continue;
       }
-      auto [fit, inserted] = sl.current_frontier.emplace(e.vid, e.parents);
-      if (!inserted) {
-        fit->second.insert(fit->second.end(), e.parents.begin(), e.parents.end());
-      }
+      sl.current_frontier.insert(e.vid);
     }
   }
   if (step == 0 && sl.scan_start != 0) {
-    const graph::LabelId label = ScanLabelFor(sl.cplan.plan, catalog_);
-    if (label != graph::Catalog::kInvalidId) {
-      const size_t before = sl.current_frontier.size();
-      const bool warm = !scanned_types_[travel].insert(label).second;
-      auto add = [&](graph::VertexId vid) {
-        raw_entries += 1;
-        if (paths_mode) {
-          auto& prefixes = sl.current_paths[vid];
-          if (prefixes.empty()) prefixes.push_back({});  // scan roots: empty prefix
-        }
-        sl.current_frontier.emplace(vid, std::vector<graph::VertexId>{});
-        return true;
-      };
-      if (sl.cplan.plan.push_start_filters) {
-        // Planner pushdown, mirroring the async scan start.
-        const auto& sf = sl.cplan.plan.start_vertex_filters;
-        const graph::Catalog::Id type_key = sl.cplan.type_key;
-        store_->ScanVerticesByTypeFiltered(
-            label,
-            [&](const graph::VertexRecord& rec) {
-              return lang::VertexMatchesAll(sf, rec, *catalog_, type_key);
-            },
-            add, warm, TravelSnapLocked(travel).get()).ok();
-      } else {
-        store_->ScanVerticesByType(label, add, warm, TravelSnapLocked(travel).get()).ok();
+    const size_t before = sl.current_frontier.size();
+    for (graph::VertexId vid : ScanStartLocked(travel, *cplan)) {
+      raw_entries += 1;
+      if (paths_mode) {
+        auto& prefixes = sl.current_paths[vid];
+        if (prefixes.empty()) prefixes.push_back({});  // scan roots: empty prefix
       }
-      visit_stats_.received.fetch_add(sl.current_frontier.size() - before);
-      visit_stats_.AddStep(step, sl.current_frontier.size() - before);
+      sl.current_frontier.insert(vid);
     }
+    visit_stats_.received.fetch_add(sl.current_frontier.size() - before);
+    visit_stats_.AddStep(step, sl.current_frontier.size() - before);
   }
   if (raw_entries > sl.current_frontier.size()) {
     visit_stats_.redundant.fetch_add(raw_entries - sl.current_frontier.size());
   }
   // The forward inbox is only needed again by the backward phase.
-  if (!sl.cplan.plan.has_rtn()) sl.inbox.erase(step);
+  if (!plan.has_rtn()) sl.inbox.erase(step);
 
   sl.pending_tasks = sl.current_frontier.size();
   if (sl.pending_tasks == 0) {
-    SyncFinishForwardStepLocked(travel, sl);
+    SyncFinishForwardStepLocked(travel, sl, *cplan);
     return;
   }
-  for (const auto& [vid, parents] : sl.current_frontier) {
-    (void)parents;
+  for (graph::VertexId vid : sl.current_frontier) {
     queue_.Push(VertexTask{travel, step, vid, 0, /*is_owner=*/true, /*sync=*/true},
                 /*priority=*/false, /*mergeable=*/false);
   }
@@ -2286,52 +1940,33 @@ void BackendServer::SyncMaybeProcessStepLocked(TravelId travel) {
 void BackendServer::ProcessSyncTask(const VertexTask& task) {
   std::shared_ptr<CompiledPlan> cplan;
   std::shared_ptr<const graph::GraphStore::ReadSnapshot> travel_snap;
-  std::vector<graph::VertexId> parents;
   bool warm = false;
   {
     MutexLock lk(&mu_);
-    auto it = sync_locals_.find(task.travel);
-    if (it == sync_locals_.end()) return;
-    auto fit = it->second.current_frontier.find(task.vid);
-    if (fit != it->second.current_frontier.end()) parents = fit->second;
-    cplan = std::make_shared<CompiledPlan>(it->second.cplan);
+    if (sync_locals_.count(task.travel) == 0) return;
+    cplan = FindPlanLocked(task.travel);
+    if (cplan == nullptr) return;
     travel_snap = TravelSnapLocked(task.travel);
     warm = !accessed_[task.travel].insert(task.vid).second;
   }
   const lang::TraversalPlan& plan = cplan->plan;
-  const uint32_t num_steps = static_cast<uint32_t>(plan.num_steps());
   const uint32_t step = task.step;
 
+  // Sync-GT reads the vertex, then only the hop's label of its edges.
   tls_current_step = static_cast<int>(step);
   auto vrec = store_->GetVertex(task.vid, warm, travel_snap.get());
-  bool passed = vrec.ok() && lang::VertexMatchesAll(StepVertexFilters(plan, step), *vrec,
-                                                    *catalog_, cplan->type_key);
-  // until(): a match at an iteration boundary is a terminal result — no
-  // expansion. Group values are rendered here, while the record is in hand.
-  const std::vector<lang::Filter>* until = UntilFiltersAtStep(plan, step);
-  const bool until_hit = passed && until != nullptr &&
-                         lang::VertexMatchesAll(*until, *vrec, *catalog_, cplan->type_key);
-  std::string group_value;
-  bool have_group_value = false;
-  if (passed && plan.result_mode == lang::ResultMode::kGroup &&
-      (until_hit || (step >= num_steps && !plan.has_until()))) {
-    group_value = lang::GroupValueForVertex(*vrec, plan.group_key, *catalog_,
-                                            cplan->type_key);
-    have_group_value = true;
-  }
-  std::vector<std::pair<graph::VertexId, graph::PropMap>> edges;
-  if (passed && !until_hit && step < num_steps) {
-    const lang::Hop& hop = plan.hops[step];
-    store_->ScanEdges(task.vid, hop.edge_label,
-                      [&](graph::VertexId dst, const graph::PropMap& props) {
-                        if (lang::MatchesAll(hop.edge_filters, props)) {
-                          edges.emplace_back(dst, props);
-                        }
-                        return true;
-                      },
-                      warm, travel_snap.get())
-        .ok();
-  }
+  StepOutcome out = EvaluateStep(
+      plan, cplan->type_key, *catalog_, *partitioner_, step, vrec.ok() ? &*vrec : nullptr,
+      [&](graph::LabelId label, auto&& visit) {
+        store_
+            ->ScanEdges(task.vid, label,
+                        [&](graph::VertexId dst, const graph::PropMap& props) {
+                          visit(dst, props);
+                          return true;
+                        },
+                        warm, travel_snap.get())
+            .ok();
+      });
   tls_current_step = -1;
   visit_stats_.real_io.fetch_add(1);
 
@@ -2339,20 +1974,29 @@ void BackendServer::ProcessSyncTask(const VertexTask& task) {
   auto it = sync_locals_.find(task.travel);
   if (it == sync_locals_.end()) return;
   SyncLocal& sl = it->second;
-  if (passed) {
+  const bool paths_mode = plan.result_mode == lang::ResultMode::kPaths;
+  const auto prefixes = paths_mode ? sl.current_paths.find(task.vid) : sl.current_paths.end();
+  if (out.passed) {
     sl.passed[step].insert(task.vid);
-    if (until_hit) {
-      // Terminal until() result: reported with this step's done message.
-      sl.step_results.push_back(task.vid);
-      if (have_group_value) sl.step_result_values.push_back(std::move(group_value));
-    } else if (plan.result_mode == lang::ResultMode::kPaths) {
+    if (out.final_step) {
+      // A result, reported with this step's done message.
+      if (prefixes != sl.current_paths.end()) {
+        for (const auto& prefix : prefixes->second) {
+          std::vector<graph::VertexId> chain = prefix;
+          chain.push_back(task.vid);
+          sl.step_result_paths.push_back(std::move(chain));
+        }
+      } else if (!paths_mode && FinalStepYieldsResults(plan)) {
+        sl.step_results.push_back(task.vid);
+        if (plan.result_mode == lang::ResultMode::kGroup) {
+          sl.step_result_values.push_back(std::move(out.group_value));
+        }
+      }
+    } else if (paths_mode) {
       // Each distinct prefix of this vertex extends through every edge.
-      const auto ppit = sl.current_paths.find(task.vid);
-      if (ppit != sl.current_paths.end()) {
-        for (const auto& [dst, props] : edges) {
-          (void)props;
-          const ServerId server = partitioner_->ServerFor(dst);
-          for (const auto& prefix : ppit->second) {
+      if (prefixes != sl.current_paths.end()) {
+        for (const auto& [server, dst] : out.targets) {
+          for (const auto& prefix : prefixes->second) {
             std::vector<graph::VertexId> chain = prefix;
             chain.push_back(task.vid);
             sl.path_expansion[step][server].push_back(FrontierEntry{dst, std::move(chain)});
@@ -2360,149 +2004,77 @@ void BackendServer::ProcessSyncTask(const VertexTask& task) {
         }
       }
     } else {
-      for (const auto& [dst, props] : edges) {
-        (void)props;
-        sl.expansion[step][partitioner_->ServerFor(dst)][dst].push_back(task.vid);
+      for (const auto& [server, dst] : out.targets) {
+        sl.expansion[step][server][dst].push_back(task.vid);
       }
     }
-    if (!until_hit && have_group_value) sl.value_by_vid[task.vid] = std::move(group_value);
   }
   if (sl.pending_tasks > 0) sl.pending_tasks--;
-  if (sl.pending_tasks == 0) SyncFinishForwardStepLocked(task.travel, sl);
+  if (sl.pending_tasks == 0) SyncFinishForwardStepLocked(task.travel, sl, *cplan);
 }
 
-void BackendServer::SyncFinishForwardStepLocked(TravelId travel, SyncLocal& sl) {
+void BackendServer::SyncFinishForwardStepLocked(TravelId travel, SyncLocal& sl,
+                                                const CompiledPlan& cplan) {
   const uint32_t step = sl.step;
-  const lang::TraversalPlan& plan = sl.cplan.plan;
-  const uint32_t num_steps = static_cast<uint32_t>(plan.num_steps());
 
   SyncStepPayload done;
   done.travel_id = travel;
   done.step = step;
   done.phase = 0;
   done.batches_sent.assign(cfg_.num_servers, 0);
-
-  const bool paths_mode = plan.result_mode == lang::ResultMode::kPaths;
-
-  if (step < num_steps) {
-    if (paths_mode) {
-      // Path batches ship full prefixes in FrontierEntry::parents; duplicate
-      // (vid, prefix) pairs were already deduped at expansion time.
-      auto pexp_it = sl.path_expansion.find(step);
-      if (pexp_it != sl.path_expansion.end()) {
-        for (auto& [server, entries] : pexp_it->second) {
-          SyncBatchPayload batch;
-          batch.travel_id = travel;
-          batch.step = step + 1;
-          batch.phase = 0;
-          batch.entries = std::move(entries);
-          rpc::Message m;
-          m.type = rpc::MsgType::kSyncBatch;
-          m.src = cfg_.id;
-          m.dst = server;
-          m.payload = batch.Encode();
-          QueueSendLocked(std::move(m));
-          done.batches_sent[server] = 1;
-        }
+  auto send_batch = [&](ServerId server, std::vector<FrontierEntry> entries) {
+    SyncBatchPayload batch;
+    batch.travel_id = travel;
+    batch.step = step + 1;
+    batch.phase = 0;
+    batch.entries = std::move(entries);
+    QueueSendLocked(rpc::MsgType::kSyncBatch, server, batch.Encode());
+    done.batches_sent[server] = 1;
+  };
+  // Path batches ship full prefixes in FrontierEntry::parents; duplicate
+  // (vid, prefix) pairs were already deduped at expansion time.
+  if (auto pexp = sl.path_expansion.find(step); pexp != sl.path_expansion.end()) {
+    for (auto& [server, entries] : pexp->second) send_batch(server, std::move(entries));
+  }
+  if (auto exp = sl.expansion.find(step); exp != sl.expansion.end()) {
+    for (auto& [server, targets] : exp->second) {
+      // Parents stay local (the backward phase uses this server's own
+      // expansion map); ship bare vertex ids.
+      std::vector<FrontierEntry> entries;
+      entries.reserve(targets.size());
+      for (auto& [dst, parents] : targets) {
+        (void)parents;
+        entries.push_back(FrontierEntry{dst, {}});
       }
-    } else {
-      auto exp_it = sl.expansion.find(step);
-      if (exp_it != sl.expansion.end()) {
-        for (auto& [server, targets] : exp_it->second) {
-          SyncBatchPayload batch;
-          batch.travel_id = travel;
-          batch.step = step + 1;
-          batch.phase = 0;
-          batch.entries.reserve(targets.size());
-          // Parents stay local (the backward phase uses this server's own
-          // expansion map); ship bare vertex ids.
-          for (auto& [dst, parents] : targets) {
-            (void)parents;
-            batch.entries.push_back(FrontierEntry{dst, {}});
-          }
-          rpc::Message m;
-          m.type = rpc::MsgType::kSyncBatch;
-          m.src = cfg_.id;
-          m.dst = server;
-          m.payload = batch.Encode();
-          QueueSendLocked(std::move(m));
-          done.batches_sent[server] = 1;
-        }
-      }
-    }
-  } else {
-    // Final step: report surviving vertices when they are the results.
-    if (paths_mode) {
-      auto pit = sl.passed.find(step);
-      if (pit != sl.passed.end()) {
-        for (graph::VertexId vid : pit->second) {
-          auto ppit = sl.current_paths.find(vid);
-          if (ppit == sl.current_paths.end()) continue;
-          for (const auto& prefix : ppit->second) {
-            std::vector<graph::VertexId> chain = prefix;
-            chain.push_back(vid);
-            done.result_paths.push_back(std::move(chain));
-          }
-        }
-      }
-    } else if (FinalStepYieldsResults(plan)) {
-      auto pit = sl.passed.find(step);
-      if (pit != sl.passed.end()) {
-        done.result_vids.assign(pit->second.begin(), pit->second.end());
-        if (plan.result_mode == lang::ResultMode::kGroup) {
-          done.result_values.reserve(done.result_vids.size());
-          for (graph::VertexId vid : done.result_vids) {
-            done.result_values.push_back(sl.value_by_vid[vid]);
-          }
-        }
-      }
+      send_batch(server, std::move(entries));
     }
   }
 
-  // until() hits collected at this step are terminal results regardless of
-  // the step index; attach them to this step's done message.
-  if (!sl.step_results.empty()) {
-    if (plan.result_mode == lang::ResultMode::kGroup && done.result_values.empty() &&
-        !done.result_vids.empty()) {
-      // Keep the parallel-array invariant if finals were attached above.
-      done.result_values.resize(done.result_vids.size());
-    }
-    done.result_vids.insert(done.result_vids.end(), sl.step_results.begin(),
-                            sl.step_results.end());
-    if (plan.result_mode == lang::ResultMode::kGroup) {
-      done.result_values.insert(done.result_values.end(),
-                                sl.step_result_values.begin(),
-                                sl.step_result_values.end());
-    }
-    sl.step_results.clear();
-    sl.step_result_values.clear();
-  }
+  done.result_vids = std::move(sl.step_results);
+  done.result_values = std::move(sl.step_result_values);
+  done.result_paths = std::move(sl.step_result_paths);
+  sl.step_results.clear();
+  sl.step_result_values.clear();
+  sl.step_result_paths.clear();
 
   // Keep forward history only when a backward phase will need it.
-  if (!plan.has_rtn()) {
+  if (!cplan.plan.has_rtn()) {
     sl.expansion.erase(step);
     sl.passed.erase(step);
   }
   sl.path_expansion.erase(step);  // paths plans never have a backward phase
   sl.current_paths.clear();
-  sl.value_by_vid.clear();
   sl.current_frontier.clear();
   sl.processing = false;
 
-  rpc::Message m;
-  m.type = rpc::MsgType::kSyncStepDone;
-  m.src = cfg_.id;
-  m.dst = sl.coordinator;
-  m.payload = done.Encode();
-  QueueSendLocked(std::move(m));
+  QueueSendLocked(rpc::MsgType::kSyncStepDone, cplan.coordinator, done.Encode());
 }
 
 void BackendServer::SyncProcessBackwardLocked(TravelId travel, SyncLocal& sl,
-                                              uint32_t step) {
+                                              const CompiledPlan& cplan, uint32_t step) {
   // Round `step`: send, to each forward sender of step+1 entries, the subset
   // of its entries that are alive.
-  const lang::TraversalPlan& plan = sl.cplan.plan;
-  const uint32_t num_steps = static_cast<uint32_t>(plan.num_steps());
+  const uint32_t num_steps = static_cast<uint32_t>(cplan.plan.num_steps());
   const std::unordered_set<graph::VertexId>& alive_next =
       (step + 1 >= num_steps) ? sl.passed[num_steps] : sl.alive[step + 1];
 
@@ -2519,33 +2091,29 @@ void BackendServer::SyncProcessBackwardLocked(TravelId travel, SyncLocal& sl,
           batch.entries.push_back(FrontierEntry{e.vid, {}});
         }
       }
-      rpc::Message m;
-      m.type = rpc::MsgType::kSyncBatch;
-      m.src = cfg_.id;
-      m.dst = sender;
-      m.payload = batch.Encode();
-      QueueSendLocked(std::move(m));
+      QueueSendLocked(rpc::MsgType::kSyncBatch, sender, batch.Encode());
     }
   }
-
   // A server that expects zero backward batches finishes the round at once.
+  SyncMaybeFinishBackwardLocked(travel, sl, cplan, step);
+}
+
+void BackendServer::SyncMaybeFinishBackwardLocked(TravelId travel, SyncLocal& sl,
+                                                  const CompiledPlan& cplan, uint32_t step) {
   const auto expected_it = sl.batches_expected.find(kBackwardKeyBit | step);
-  if (expected_it != sl.batches_expected.end() &&
-      sl.back_batches_received[step] >= expected_it->second) {
-    SyncStepPayload done;
-    done.travel_id = travel;
-    done.step = step;
-    done.phase = 1;
-    if (RtnAtStep(plan, step)) {
-      done.result_vids.assign(sl.alive[step].begin(), sl.alive[step].end());
-    }
-    rpc::Message m;
-    m.type = rpc::MsgType::kSyncStepDone;
-    m.src = cfg_.id;
-    m.dst = sl.coordinator;
-    m.payload = done.Encode();
-    QueueSendLocked(std::move(m));
+  if (expected_it == sl.batches_expected.end() ||
+      sl.back_batches_received[step] < expected_it->second) {
+    return;
   }
+  // Round complete locally: report results (if this step is rtn-marked).
+  SyncStepPayload done;
+  done.travel_id = travel;
+  done.step = step;
+  done.phase = 1;
+  if (RtnAtStep(cplan.plan, step)) {
+    done.result_vids.assign(sl.alive[step].begin(), sl.alive[step].end());
+  }
+  QueueSendLocked(rpc::MsgType::kSyncStepDone, cplan.coordinator, done.Encode());
 }
 
 void BackendServer::HandleSyncStepDone(rpc::Message&& msg) {
@@ -2560,29 +2128,17 @@ void BackendServer::HandleSyncStepDone(rpc::Message&& msg) {
   SyncCoordinatorStepDoneLocked(ts, *done, msg.src);
 }
 
-void BackendServer::SyncCoordinatorStepDoneLocked(TravelState& ts,
-                                                  const SyncStepPayload& done,
+void BackendServer::SyncCoordinatorStepDoneLocked(TravelState& ts, SyncStepPayload& done,
                                                   ServerId src) {
-  if (done.step != ts.sync_step || done.phase != ts.sync_phase) return;  // stale
+  // Stale, or not a running sync travel (its step matrices are unset).
+  if (done.step != ts.sync_step || done.phase != ts.sync_phase ||
+      done.step >= ts.sync_fwd_matrices.size()) {
+    return;
+  }
 
   // Forward-phase barrier arrivals close the per-server span for this step.
   if (done.phase == 0) RecordStepEventLocked(ts, done.step, /*created=*/false);
-  ts.results.insert(done.result_vids.begin(), done.result_vids.end());
-  if (!done.result_values.empty()) {
-    for (size_t i = 0; i < done.result_vids.size() && i < done.result_values.size(); i++) {
-      ts.result_values.emplace(done.result_vids[i], done.result_values[i]);
-    }
-  }
-  if (!done.result_paths.empty()) {
-    for (auto& p : done.result_paths) ts.result_paths.insert(std::move(p));
-    if (ts.result_paths.size() > kMaxCoordinatorPaths) {
-      ts.results.clear();
-      ts.result_values.clear();
-      ts.result_paths.clear();
-      CompleteTravelLocked(ts, Status::Internal("path result limit exceeded"));
-      return;
-    }
-  }
+  if (!FoldResultsLocked(ts, done.result_vids, done.result_values, done.result_paths)) return;
   if (done.phase == 0) {
     if (ts.sync_fwd_matrices[done.step].empty()) {
       ts.sync_fwd_matrices[done.step].assign(cfg_.num_servers,
@@ -2595,7 +2151,8 @@ void BackendServer::SyncCoordinatorStepDoneLocked(TravelState& ts,
   if (ts.sync_pending_done > 0) ts.sync_pending_done--;
   if (ts.sync_pending_done > 0) return;
 
-  const uint32_t num_steps = static_cast<uint32_t>(ts.plan.num_steps());
+  const lang::TraversalPlan& plan = ts.cplan->plan;
+  const uint32_t num_steps = static_cast<uint32_t>(plan.num_steps());
 
   if (ts.sync_phase == 0) {
     if (ts.sync_step < num_steps) {
@@ -2603,7 +2160,7 @@ void BackendServer::SyncCoordinatorStepDoneLocked(TravelState& ts,
       return;
     }
     // Forward pass complete.
-    const bool needs_backward = ts.plan.has_rtn() && MinRtnStep(ts.plan) < num_steps &&
+    const bool needs_backward = plan.has_rtn() && MinRtnStep(plan) < num_steps &&
                                 num_steps > 0;
     if (!needs_backward) {
       CompleteTravelLocked(ts, Status::OK());
@@ -2614,7 +2171,7 @@ void BackendServer::SyncCoordinatorStepDoneLocked(TravelState& ts,
   }
 
   // Backward phase.
-  const uint32_t min_rtn = MinRtnStep(ts.plan);
+  const uint32_t min_rtn = MinRtnStep(plan);
   if (ts.sync_step > min_rtn) {
     SyncStartStepLocked(ts, ts.sync_step - 1, /*phase=*/1);
   } else {
@@ -2653,12 +2210,7 @@ void BackendServer::SyncStartStepLocked(TravelState& ts, uint32_t step, uint8_t 
       }
       start.batches_expected = expected;
     }
-    rpc::Message m;
-    m.type = rpc::MsgType::kSyncStepStart;
-    m.src = cfg_.id;
-    m.dst = s;
-    m.payload = start.Encode();
-    QueueSendLocked(std::move(m));
+    QueueSendLocked(rpc::MsgType::kSyncStepStart, s, start.Encode());
   }
 }
 
@@ -2672,11 +2224,6 @@ const lang::PlanStats& BackendServer::PlanStatsLocked() {
   store_->ScanAllVertices([&](const graph::VertexRecord& rec) {
     plan_stats_.total_vertices++;
     plan_stats_.vertices_per_type[rec.label]++;
-    return true;
-  }).ok();
-  store_->ScanEverythingEdges([&](const graph::EdgeRecord& rec) {
-    plan_stats_.total_edges++;
-    plan_stats_.edges_per_label[rec.label]++;
     return true;
   }).ok();
   return plan_stats_;

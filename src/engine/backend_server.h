@@ -5,12 +5,18 @@
 // result stream.
 //
 // One class implements all three engines under evaluation; the mode travels
-// with each traversal:
-//   Sync-GT    - coordinator-driven level-synchronous steps (Section VI)
-//   Async-GT   - plain asynchronous: every arrival pays its own I/O, FIFO
-//                scheduling, no merging
-//   GraphTrek  - asynchronous + traversal-affiliate cache absorption +
-//                smallest-step-first scheduling + execution merging
+// with each traversal. Every engine evaluates a vertex through the same step
+// evaluator; they differ only in when a step runs and what a repeat arrival
+// costs:
+//   Sync-GT    - coordinator-driven level-synchronous steps (Section VI):
+//                a step's frontier is deduplicated at the barrier, then each
+//                vertex is read once
+//   Async-GT   - asynchronous: arrivals are classified against the
+//                traversal-affiliate cache on arrival, but a redundant
+//                arrival still queues an I/O-only task that pays its read
+//                and applies nothing; FIFO scheduling, no merging
+//   GraphTrek  - Async-GT whose redundant arrivals are absorbed without I/O,
+//                plus smallest-step-first scheduling and execution merging
 #pragma once
 
 #include <array>
@@ -18,6 +24,8 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <string>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -175,7 +183,7 @@ class BackendServer {
     std::unordered_set<graph::VertexId> owned;
     // Vertices not yet resolved to reach/no-reach.
     size_t unresolved = 0;
-    // Owner tasks not yet processed by a worker.
+    // Queued tasks (owner and Async-GT I/O-only) not yet processed.
     size_t owned_unprocessed = 0;
     // Owner vertices whose reach awaits child answers.
     std::unordered_set<graph::VertexId> awaiting_children;
@@ -212,8 +220,9 @@ class BackendServer {
     TravelId id = 0;
     EngineMode mode = EngineMode::kGraphTrek;
     rpc::EndpointId client = 0;
-    std::string plan_bytes;
-    lang::TraversalPlan plan;
+    // The travel's registered plan (shared with plans_); null for a branch
+    // parent, which runs no engine work of its own.
+    std::shared_ptr<CompiledPlan> cplan;
     uint64_t started_us = 0;
     uint64_t last_activity_us = 0;
     uint32_t timeout_ms = 0;
@@ -235,26 +244,23 @@ class BackendServer {
     // Async: outstanding root executions (attribution path only); results
     // accumulate here.
     uint32_t root_outstanding = 0;
-    bool attribution = false;
-    bool roots_dispatched = false;
     uint64_t incomplete_execs = 0;  // trace entries missing created/terminated
     std::unordered_set<graph::VertexId> results;
 
     // Result-mode accumulation (rendered to the client only at completion).
     lang::ResultMode result_mode = lang::ResultMode::kVertices;
-    graph::Catalog::Id group_key = 0;
     std::unordered_map<graph::VertexId, std::string> result_values;  // kGroup
     std::set<std::vector<graph::VertexId>> result_paths;             // kPaths
 
     // Branch fan-out (coordinator-side): a branch plan becomes one parent
     // travel plus one internal child travel per flattened alternative, all
     // coordinated on this server so parent/child folding happens under one
-    // mu_. Children skip admission and client streaming; their RAW result
-    // structures merge into the parent at completion, and rendering happens
-    // only when the parent completes.
+    // mu_. Children skip admission and client streaming; rendering happens
+    // only when the parent completes. Children fold each result batch
+    // straight into the parent, so the parent's path cap bounds the union.
     TravelId parent_travel = 0;      // nonzero = internal branch child
     bool internal = false;           // true for branch children
-    uint32_t pending_children = 0;   // parent: children not yet folded
+    uint32_t pending_children = 0;   // parent: children not yet complete
     std::vector<TravelId> children;  // parent: abort/deadline cascade list
 
     // Per-step span accumulation for the archived TravelTrace (async modes
@@ -265,14 +271,12 @@ class BackendServer {
     uint32_t sync_step = 0;
     uint8_t sync_phase = 0;  // 0 fwd, 1 back
     uint32_t sync_pending_done = 0;
-    std::vector<std::vector<uint32_t>> sync_batch_matrix;  // [src][dst] forward counts
     std::vector<std::vector<std::vector<uint32_t>>> sync_fwd_matrices;  // per step
   };
 
-  // Per-server synchronous-engine state for one traversal.
+  // Per-server synchronous-engine state for one traversal (its plan lives
+  // in plans_, like the async engines').
   struct SyncLocal {
-    CompiledPlan cplan;
-    ServerId coordinator = 0;
     // inbox[step][sender] = entries received.
     std::unordered_map<uint32_t, std::unordered_map<ServerId, std::vector<FrontierEntry>>>
         inbox;
@@ -280,7 +284,6 @@ class BackendServer {
     // Expected batch counts per step, set by kSyncStepStart (forward) and
     // by the backward-round kick-off; UINT32_MAX = not yet announced.
     std::unordered_map<uint32_t, uint32_t> batches_expected;
-    bool plan_ready = false;
     uint8_t scan_start = 0;
     bool processing = false;  // a forward step is in flight
     std::unordered_set<uint32_t> steps_processed;  // forward steps already run
@@ -294,16 +297,13 @@ class BackendServer {
     // Step being processed.
     uint32_t step = 0;
     size_t pending_tasks = 0;
-    std::unordered_map<graph::VertexId, std::vector<graph::VertexId>> current_frontier;
-    std::unordered_set<graph::VertexId> current_passed;
-    // until() hits collected during this forward step (terminal results; they
-    // ride the step-done report's result_vids). step_result_values is the
-    // parallel kGroup value vector.
+    std::unordered_set<graph::VertexId> current_frontier;
+    // Results found during this forward step (until() hits and final-step
+    // survivors), reported with the step-done message: vids with their
+    // parallel kGroup values, or completed kPaths chains.
     std::vector<graph::VertexId> step_results;
     std::vector<std::string> step_result_values;
-    // kGroup: rendered value per final-step passing vertex, captured while
-    // the record is in hand during ProcessSyncTask.
-    std::unordered_map<graph::VertexId, std::string> value_by_vid;
+    std::vector<std::vector<graph::VertexId>> step_result_paths;
     // kPaths: distinct visited-chain prefixes per current-frontier vertex,
     // and the per-(prefix, edge) outbound expansion (dst->parents merging in
     // `expansion` would garble distinct prefixes).
@@ -334,27 +334,31 @@ class BackendServer {
   void HandleSyncBatch(rpc::Message&& msg);
   void HandleSyncStepDone(rpc::Message&& msg);
 
-  // --- async engine ----------------------------------------------------------
-
-  void WorkerLoop();
-  void ProcessBatch(const std::vector<VertexTask>& batch);
-  void ProcessSyncTask(const VertexTask& task);
+  // --- coordinator ------------------------------------------------------------
 
   // All Locked methods require mu_.
-  void ResolveVertexLocked(ExecState& exec, graph::VertexId vid, bool reach, bool from_owner)
-      GT_REQUIRES(mu_);
-  void DispatchLocked(ExecState& exec, const CompiledPlan& cplan) GT_REQUIRES(mu_);
-  void TryAnswerLocked(ExecState& exec) GT_REQUIRES(mu_);
-  void EraseExecLocked(ExecId id) GT_REQUIRES(mu_);
-  void StartRootExecsLocked(TravelState& ts) GT_REQUIRES(mu_);
+  // Decodes, rewrites and admits a submitted travel, then launches it; a
+  // non-OK status is the client's failed-submit reply.
+  Status SubmitLocked(const rpc::Message& msg) GT_REQUIRES(mu_);
   // Launches an admitted travel: seeds the sync step matrix + step-start
-  // broadcast (kSync) or the root executions (async modes). Factored out of
-  // HandleSubmit so branch children launch through the same path.
+  // broadcast (kSync) or the root executions (async modes).
   void StartTravelLocked(TravelState& ts) GT_REQUIRES(mu_);
+  void StartRootExecsLocked(TravelState& ts) GT_REQUIRES(mu_);
+  // Pins `travel` here and broadcasts the pin to every other server.
+  void PinEverywhereLocked(TravelId travel) GT_REQUIRES(mu_);
   // Lazily collects planner statistics from the local shard (once per
   // server; guarded by plan_stats_ready_). Maintenance-path scans only — no
   // device charges.
   const lang::PlanStats& PlanStatsLocked() GT_REQUIRES(mu_);
+  // Folds one batch of results (values parallel to vids, or empty) into
+  // the travel — a branch child's into its parent — and fails that travel
+  // once its paths exceed the coordinator cap. Returns false when `ts`
+  // itself completed (it is then dangling).
+  bool FoldResultsLocked(TravelState& ts, const std::vector<graph::VertexId>& vids,
+                         std::vector<std::string>& values,
+                         std::vector<std::vector<graph::VertexId>>& paths) GT_REQUIRES(mu_);
+  // Completes the travel with an error: its partial results are dropped.
+  void FailTravelLocked(TravelState& ts, Status status) GT_REQUIRES(mu_);
   void CompleteTravelLocked(TravelState& ts, Status status) GT_REQUIRES(mu_);
   // Folds one execution lifecycle event into the travel's step spans.
   void RecordStepEventLocked(TravelState& ts, uint32_t step, bool created)
@@ -363,21 +367,67 @@ class BackendServer {
   // time in the per-mode duration histogram.
   void ArchiveTravelLocked(const TravelState& ts, bool ok, uint64_t now_us)
       GT_REQUIRES(mu_);
+  void ApplyTraceItemLocked(TravelState& ts, const TraceItem& item) GT_REQUIRES(mu_);
+
+  // --- plans --------------------------------------------------------------------
+
+  // Registers `travel`'s executable (repeat-unrolled) plan on this server.
+  std::shared_ptr<CompiledPlan> RegisterPlanLocked(TravelId travel, lang::TraversalPlan plan,
+                                                   std::string_view plan_bytes,
+                                                   EngineMode mode, ServerId coordinator)
+      GT_REQUIRES(mu_);
+  // The travel's plan on this server, compiled from its compact wire form
+  // on first sight. Null when the bytes do not decode.
+  std::shared_ptr<CompiledPlan> PlanForLocked(TravelId travel, std::string_view plan_bytes,
+                                              EngineMode mode, ServerId coordinator)
+      GT_REQUIRES(mu_);
+  // The registered plan, or null (never seen here, or already cleaned up).
+  std::shared_ptr<CompiledPlan> FindPlanLocked(TravelId travel) const GT_REQUIRES(mu_);
+  // Scan-start roots on this server: the type index of the plan's anchor
+  // type, with the planner's pushed-down start filters applied inside the
+  // scan. A re-scan within a travel charges the warm device cost.
+  std::vector<graph::VertexId> ScanStartLocked(TravelId travel, const CompiledPlan& cplan)
+      GT_REQUIRES(mu_);
+
+  // --- async engines --------------------------------------------------------
+
+  void WorkerLoop();
+  void ProcessBatch(const std::vector<VertexTask>& batch);
+
+  void ResolveVertexLocked(ExecState& exec, graph::VertexId vid, bool reach, bool from_owner)
+      GT_REQUIRES(mu_);
+  // Dispatches the exec's children once its last task ran; on the
+  // attribution protocol, then answers once every vertex resolved. May
+  // erase `exec`.
+  void SettleExecLocked(ExecState& exec, const CompiledPlan& cplan) GT_REQUIRES(mu_);
+  void DispatchLocked(ExecState& exec, const CompiledPlan& cplan) GT_REQUIRES(mu_);
+  // Queues a kTraverse hand-off that creates a new exec at `step` on `dst`;
+  // returns the new exec's id.
+  ExecId SendTraverseLocked(const CompiledPlan& cplan, TravelId travel, uint32_t step,
+                            ExecId parent_exec, ServerId dst,
+                            std::vector<FrontierEntry> entries, bool scan_start)
+      GT_REQUIRES(mu_);
+  void TryAnswerLocked(ExecState& exec) GT_REQUIRES(mu_);
   void SendDispatchEventLocked(ServerId coordinator, TravelId travel, uint32_t child_step,
                                std::vector<ExecId> children, ExecId term_exec,
                                uint32_t term_step) GT_REQUIRES(mu_);
   void FlushTraceBufferLocked(ServerId coordinator, TravelId travel) GT_REQUIRES(mu_);
   void FlushAllTraceBuffersLocked() GT_REQUIRES(mu_);
-  void ApplyTraceItemLocked(TravelState& ts, const TraceItem& item) GT_REQUIRES(mu_);
 
   // --- sync engine ------------------------------------------------------------
 
+  void ProcessSyncTask(const VertexTask& task);
   void SyncMaybeProcessStepLocked(TravelId travel) GT_REQUIRES(mu_);
-  void SyncFinishForwardStepLocked(TravelId travel, SyncLocal& sl) GT_REQUIRES(mu_);
-  void SyncProcessBackwardLocked(TravelId travel, SyncLocal& sl, uint32_t step)
+  void SyncFinishForwardStepLocked(TravelId travel, SyncLocal& sl, const CompiledPlan& cplan)
       GT_REQUIRES(mu_);
-  void SyncCoordinatorStepDoneLocked(TravelState& ts, const SyncStepPayload& done,
-                                     ServerId src) GT_REQUIRES(mu_);
+  void SyncProcessBackwardLocked(TravelId travel, SyncLocal& sl, const CompiledPlan& cplan,
+                                 uint32_t step) GT_REQUIRES(mu_);
+  // Reports backward round `step` to the coordinator once every expected
+  // backward batch arrived.
+  void SyncMaybeFinishBackwardLocked(TravelId travel, SyncLocal& sl, const CompiledPlan& cplan,
+                                     uint32_t step) GT_REQUIRES(mu_);
+  void SyncCoordinatorStepDoneLocked(TravelState& ts, SyncStepPayload& done, ServerId src)
+      GT_REQUIRES(mu_);
   void SyncStartStepLocked(TravelState& ts, uint32_t step, uint8_t phase) GT_REQUIRES(mu_);
 
   // --- maintenance ------------------------------------------------------------
@@ -387,13 +437,16 @@ class BackendServer {
   // Fire-and-forget send: delivery failures are logged and counted, never
   // propagated — the engine's status tracer owns end-to-end recovery.
   void SendLossy(rpc::Message msg);
+  void SendLossy(rpc::MsgType type, rpc::EndpointId dst, std::string payload,
+                 uint64_t rpc_id = 0);
 
-  // Sends staged while mu_ is held: QueueSendLocked appends to outbox_, and
-  // every path that may have queued (message handlers, worker batches, the
-  // maintenance tick) calls DrainOutbox after releasing mu_. Keeps the
-  // transport — whose delivery work is unbounded from our perspective —
-  // out of the engine's critical section.
-  void QueueSendLocked(rpc::Message msg) GT_REQUIRES(mu_);
+  // Sends staged while mu_ is held: QueueSendLocked appends a message from
+  // this server to outbox_, and every path that may have queued (message
+  // handlers, worker batches, the maintenance tick) calls DrainOutbox after
+  // releasing mu_. Keeps the transport — whose delivery work is unbounded
+  // from our perspective — out of the engine's critical section.
+  void QueueSendLocked(rpc::MsgType type, rpc::EndpointId dst, std::string payload,
+                       uint64_t rpc_id = 0) GT_REQUIRES(mu_);
   void DrainOutbox() GT_EXCLUDES(mu_);
 
   // Pins this server's current store view for `travel` (no-op when
@@ -407,11 +460,6 @@ class BackendServer {
   // The travel's pin on this server, or null (isolation off / never pinned).
   std::shared_ptr<const graph::GraphStore::ReadSnapshot> TravelSnapLocked(
       TravelId travel) const GT_REQUIRES(mu_);
-
-  bool VertexPassesLocked(const CompiledPlan& cplan, const graph::VertexRecord& rec,
-                          uint32_t step) const GT_REQUIRES(mu_);
-  const std::vector<lang::Filter>& StepVertexFilters(const lang::TraversalPlan& plan,
-                                                     uint32_t step) const;
 
   ServerConfig cfg_;
   graph::GraphStore* store_;

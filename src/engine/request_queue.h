@@ -27,7 +27,7 @@ struct VertexTask {
   uint32_t step = 0;
   graph::VertexId vid = 0;
   ExecId exec = 0;      // owning local execution (0 for sync-engine tasks)
-  bool is_owner = true; // false: redundant arrival that must re-consult the memo
+  bool is_owner = true; // false: Async-GT redundant arrival: pays its read, applies nothing
   bool sync = false;    // synchronous-engine task
 };
 

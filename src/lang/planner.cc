@@ -15,21 +15,12 @@ constexpr double kRangePrior = 0.35;
 
 }  // namespace
 
-PlanStats CollectPlanStats(const graph::RefGraph& graph, const graph::Catalog& catalog) {
+PlanStats CollectPlanStats(const graph::RefGraph& graph) {
   PlanStats stats;
   for (const auto& [vid, rec] : graph.vertices()) {
     (void)vid;
     stats.total_vertices++;
     stats.vertices_per_type[rec.label]++;
-  }
-  stats.total_edges = graph.num_edges();
-  const auto num_labels = static_cast<graph::LabelId>(catalog.size());
-  for (const auto& [vid, rec] : graph.vertices()) {
-    (void)rec;
-    for (graph::LabelId label = 0; label < num_labels; label++) {
-      const size_t n = graph.Edges(vid, label).size();
-      if (n != 0) stats.edges_per_label[label] += n;
-    }
   }
   return stats;
 }

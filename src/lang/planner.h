@@ -1,6 +1,5 @@
-// Statistics-driven plan rewriting. The planner consumes the same graph
-// statistics the Table II generator benches compute (vertex counts per
-// type, edge counts per label) and applies two result-identical rewrites:
+// Statistics-driven plan rewriting. The planner consumes vertex counts per
+// type and applies two result-identical rewrites:
 //
 //   1. Filter reordering: AND-composed va()/ea() filter lists are
 //      stable-sorted by estimated selectivity (cheapest-to-eliminate
@@ -28,18 +27,7 @@ namespace gt::lang {
 // ratios are representative); tests and benches build them from a RefGraph.
 struct PlanStats {
   uint64_t total_vertices = 0;
-  uint64_t total_edges = 0;
   std::map<graph::LabelId, uint64_t> vertices_per_type;
-  std::map<graph::LabelId, uint64_t> edges_per_label;
-
-  double avg_out_degree(graph::LabelId edge_label) const {
-    if (total_vertices == 0) return 0.0;
-    auto it = edges_per_label.find(edge_label);
-    const double edges = it == edges_per_label.end()
-                             ? static_cast<double>(total_edges)
-                             : static_cast<double>(it->second);
-    return edges / static_cast<double>(total_vertices);
-  }
 };
 
 // Which rewrites ran (for goldens and for the bench's self-report).
@@ -48,9 +36,8 @@ struct PlannerReport {
   bool pushed_down = false;
 };
 
-// Builds PlanStats by counting a RefGraph (tests, benches, clients). The
-// catalog bounds the label-id space for the per-label edge counts.
-PlanStats CollectPlanStats(const graph::RefGraph& graph, const graph::Catalog& catalog);
+// Builds PlanStats by counting a RefGraph (tests, benches, clients).
+PlanStats CollectPlanStats(const graph::RefGraph& graph);
 
 // Estimated fraction of candidate vertices/edges a filter keeps. Type-EQ
 // filters use the per-type counts; the rest use fixed per-op priors scaled

@@ -373,6 +373,64 @@ TEST(EngineFeatureTest, AsyncPlainDoesMoreIoThanGraphTrek) {
   EXPECT_GT(async_io, graphtrek_io);
 }
 
+TEST(EngineFeatureTest, AsyncPlainPaysOneReadPerArrival) {
+  ClusterConfig cfg;
+  cfg.num_servers = 4;
+  auto cluster = Cluster::Create(cfg);
+  ASSERT_TRUE(cluster.ok());
+  Catalog* catalog = (*cluster)->catalog();
+  RefGraph g = RandomishGraph(catalog, 8, 150, 1200);
+  ASSERT_TRUE((*cluster)->Load(g).ok());
+
+  GTravel travel(catalog);
+  travel.v({1});
+  for (int i = 0; i < 6; i++) travel.e("link");
+  auto plan = travel.Build();
+  ASSERT_TRUE(plan.ok());
+
+  auto run_and_sum = [&](EngineMode mode) {
+    (*cluster)->ResetStats();
+    auto result = (*cluster)->Run(*plan, mode);
+    EXPECT_TRUE(result.ok());
+    VisitStats::Snapshot sum;
+    for (uint32_t s = 0; s < 4; s++) {
+      const auto snap = (*cluster)->server(s)->visit_stats().Read();
+      sum.received += snap.received;
+      sum.redundant += snap.redundant;
+      sum.combined += snap.combined;
+      sum.real_io += snap.real_io;
+    }
+    return sum;
+  };
+
+  // Distinct (step, vertex) pairs the travel reaches: the memo's misses.
+  uint64_t distinct_visits = 0;
+  std::set<VertexId> frontier = {1};
+  const auto link = catalog->Lookup("link");
+  for (int step = 0; step <= 6; step++) {
+    distinct_visits += frontier.size();
+    std::set<VertexId> next;
+    for (VertexId v : frontier) {
+      for (const auto& [dst, props] : g.Edges(v, link)) next.insert(dst);
+    }
+    frontier = std::move(next);
+  }
+
+  const VisitStats::Snapshot async_plain = run_and_sum(EngineMode::kAsyncPlain);
+  const VisitStats::Snapshot graphtrek = run_and_sum(EngineMode::kGraphTrek);
+  // Async-GT classifies arrivals like GraphTrek but absorbs nothing: every
+  // arrival, redundant or not, pays its own read, and nothing merges.
+  EXPECT_GT(async_plain.received, 0u);
+  EXPECT_EQ(async_plain.real_io, async_plain.received);
+  EXPECT_EQ(async_plain.combined, 0u);
+  // Both engines give each distinct (step, vertex) pair exactly one owner
+  // and count every other arrival as redundant. The raw arrival counts
+  // themselves depend on how vertices spread over concurrent executions,
+  // which is timing, so only their difference is fixed.
+  EXPECT_EQ(async_plain.received - async_plain.redundant, distinct_visits);
+  EXPECT_EQ(graphtrek.received - graphtrek.redundant, distinct_visits);
+}
+
 // --- straggler injection ---------------------------------------------------------------
 
 TEST(EngineFeatureTest, InjectedStragglerSlowsSyncMoreThanGraphTrek) {
@@ -428,6 +486,68 @@ TEST(EngineFeatureTest, InjectedStragglerSlowsSyncMoreThanGraphTrek) {
   EXPECT_LT(gt_penalty, sync_penalty * 1.5)
       << "sync " << sync_base << "->" << sync_straggled << " gt " << gt_base << "->"
       << gt_straggled;
+}
+
+// --- coordinator result bounds ---------------------------------------------------------
+
+TEST(EngineFeatureTest, BranchPathUnionOverCapFails) {
+  // Two three-hop alternatives from vertex 0, each yielding 41^3 = 68,921
+  // distinct chains (under the coordinator's 2^17 path cap); their union,
+  // 137,842 chains, is over it. Alternative "a" enters through mids 1..41,
+  // alternative "c" through mids 101..141; both then fan out through the
+  // complete bipartite layers 1001..1041 and 2001..2041.
+  ClusterConfig cfg;
+  cfg.num_servers = 2;
+  auto cluster = Cluster::Create(cfg);
+  ASSERT_TRUE(cluster.ok());
+  Catalog* catalog = (*cluster)->catalog();
+  const auto t = catalog->Intern("N");
+  const auto a = catalog->Intern("a");
+  const auto b = catalog->Intern("b");
+  const auto c = catalog->Intern("c");
+  RefGraph g;
+  auto add_vertex = [&](VertexId v) {
+    VertexRecord rec;
+    rec.id = v;
+    rec.label = t;
+    g.AddVertex(rec);
+  };
+  auto add_edge = [&](VertexId src, graph::LabelId label, VertexId dst) {
+    EdgeRecord e;
+    e.src = src;
+    e.label = label;
+    e.dst = dst;
+    g.AddEdge(e);
+  };
+  constexpr VertexId kWidth = 41;
+  add_vertex(0);
+  for (VertexId i = 0; i < kWidth; i++) {
+    for (VertexId v : {1 + i, 101 + i, 1001 + i, 2001 + i}) add_vertex(v);
+  }
+  for (VertexId i = 0; i < kWidth; i++) {
+    add_edge(0, a, 1 + i);
+    add_edge(0, c, 101 + i);
+    for (VertexId j = 0; j < kWidth; j++) {
+      add_edge(1 + i, b, 1001 + j);
+      add_edge(101 + i, b, 1001 + j);
+      add_edge(1001 + i, b, 2001 + j);
+    }
+  }
+  ASSERT_TRUE((*cluster)->Load(g).ok());
+
+  auto plan = GTravel(catalog)
+                  .v({0})
+                  .branch({GTravel::Alt(catalog).e("a"), GTravel::Alt(catalog).e("c")})
+                  .e("b")
+                  .e("b")
+                  .path()
+                  .Build();
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  auto result = (*cluster)->Run(*plan, EngineMode::kGraphTrek);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInternal) << result.status().ToString();
+  EXPECT_NE(result.status().ToString().find("path result limit exceeded"), std::string::npos)
+      << result.status().ToString();
 }
 
 // --- misc -----------------------------------------------------------------------------

@@ -54,19 +54,16 @@ RefGraph BuildGoldenGraph(Catalog* catalog) {
 TEST(PlannerTest, CollectPlanStatsCountsTypesAndLabels) {
   Catalog catalog;
   RefGraph g = BuildGoldenGraph(&catalog);
-  const PlanStats stats = CollectPlanStats(g, catalog);
+  const PlanStats stats = CollectPlanStats(g);
   EXPECT_EQ(stats.total_vertices, 10u);
-  EXPECT_EQ(stats.total_edges, 30u);
   EXPECT_EQ(stats.vertices_per_type.at(catalog.Lookup("A")), 2u);
   EXPECT_EQ(stats.vertices_per_type.at(catalog.Lookup("B")), 8u);
-  EXPECT_EQ(stats.edges_per_label.at(catalog.Lookup("x")), 30u);
-  EXPECT_DOUBLE_EQ(stats.avg_out_degree(catalog.Lookup("x")), 3.0);
 }
 
 TEST(PlannerTest, TypeEqSelectivityUsesTrueFraction) {
   Catalog catalog;
   RefGraph g = BuildGoldenGraph(&catalog);
-  const PlanStats stats = CollectPlanStats(g, catalog);
+  const PlanStats stats = CollectPlanStats(g);
   const auto type_key = catalog.Intern("type");
   const Filter type_a{type_key, FilterOp::kEq, {PropValue("A")}};
   const Filter type_b{type_key, FilterOp::kEq, {PropValue("B")}};
@@ -92,7 +89,7 @@ TEST(PlannerTest, TypeEqSelectivityUsesTrueFraction) {
 TEST(PlannerTest, GoldenReorderPutsSelectiveTypeFilterFirst) {
   Catalog catalog;
   RefGraph g = BuildGoldenGraph(&catalog);
-  const PlanStats stats = CollectPlanStats(g, catalog);
+  const PlanStats stats = CollectPlanStats(g);
   const auto type_key = catalog.Intern("type");
 
   // Chained order: the RANGE (0.35) before the type-EQ "A" (0.2). The
@@ -124,7 +121,7 @@ TEST(PlannerTest, GoldenReorderPutsSelectiveTypeFilterFirst) {
 TEST(PlannerTest, GoldenReorderSortsHopFilterListsByOpPrior) {
   Catalog catalog;
   RefGraph g = BuildGoldenGraph(&catalog);
-  const PlanStats stats = CollectPlanStats(g, catalog);
+  const PlanStats stats = CollectPlanStats(g);
   const auto type_key = catalog.Intern("type");
 
   GTravel travel(&catalog);
@@ -145,7 +142,7 @@ TEST(PlannerTest, GoldenReorderSortsHopFilterListsByOpPrior) {
 TEST(PlannerTest, GoldenPushdownOnlyWhenScanStartCarriesExtraFilters) {
   Catalog catalog;
   RefGraph g = BuildGoldenGraph(&catalog);
-  const PlanStats stats = CollectPlanStats(g, catalog);
+  const PlanStats stats = CollectPlanStats(g);
   const auto type_key = catalog.Intern("type");
 
   // Type anchor only: the index scan already yields exactly the start set.
@@ -297,7 +294,7 @@ TEST(PlannerTest, RewritesPreserveReferenceResultsOnSeededGraphs) {
     const auto type_key = catalog.Intern("type");
     const uint32_t n = 30 + static_cast<uint32_t>(rng.Uniform(50));
     RefGraph g = BuildRandomGraph(&catalog, &rng, n);
-    const PlanStats stats = CollectPlanStats(g, catalog);
+    const PlanStats stats = CollectPlanStats(g);
 
     for (int q = 0; q < 5; q++) {
       SCOPED_TRACE("query=" + std::to_string(q));
