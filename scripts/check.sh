@@ -45,10 +45,12 @@ ctest --test-dir build --output-on-failure --no-tests=error \
 # Cross-engine differential gate: the seeded random-workload comparison of
 # Sync-GT / Async-GT / GraphTrek against the reference evaluator, including
 # the duplicate+drop idempotence leg. Run explicitly for the same reason as
-# the crash sweeps: discovery problems must not silently drop it.
+# the crash sweeps: discovery problems must not silently drop it. Repeated:
+# frame/answer accounting bugs in the attribution protocol show only on
+# some schedules.
 step "cross-engine differential harness (test_engine_differential)"
 ctest --test-dir build --output-on-failure --no-tests=error \
-  -R 'EngineDifferentialTest'
+  --repeat until-fail:3 -R 'EngineDifferentialTest'
 
 # GTravel language + planner gate: plan codec round-trip/validation, the
 # GTravel builder, the reference evaluator, and the statistics-driven

@@ -254,6 +254,8 @@ Status BackendServer::Start() {
                       "Visit requests received, by traversal step");
   reg->DescribeFamily("gt_engine_duplicate_frames_total", metrics::MetricType::kCounter,
                       "Re-delivered hand-off frames absorbed by exec-id dedup");
+  reg->DescribeFamily("gt_engine_frames_sent_total", metrics::MetricType::kCounter,
+                      "kTraverse frames sent, roots included");
   reg->DescribeFamily("gt_engine_travel_cache_hits_total", metrics::MetricType::kCounter,
                       "Travel-cache lookups that found an entry");
   reg->DescribeFamily("gt_engine_travel_cache_misses_total", metrics::MetricType::kCounter,
@@ -281,6 +283,7 @@ Status BackendServer::Start() {
     }
     counter("gt_engine_send_failures_total", send_failures_.load());
     counter("gt_engine_duplicate_frames_total", visit_stats_.duplicate_frames.load());
+    counter("gt_engine_frames_sent_total", visit_stats_.frames_sent.load());
     out->push_back({"gt_engine_queue_depth", base,
                     static_cast<double>(queue_.size()), MetricType::kGauge});
     out->push_back({"gt_engine_queue_high_watermark", base,
@@ -329,12 +332,16 @@ bool BackendServer::HasTravelResidue(TravelId travel) const {
   MutexLock lk(&mu_);
   if (plans_.count(travel) != 0 || travels_.count(travel) != 0 ||
       sync_locals_.count(travel) != 0 || accessed_.count(travel) != 0 ||
+      pending_frames_.count(travel) != 0 ||
       scanned_types_.count(travel) != 0 || travel_snaps_.count(travel) != 0 ||
       cache_.HasTravel(travel)) {
     return true;
   }
   for (const auto& [id, exec] : execs_) {
     if (exec->travel == travel) return true;
+  }
+  for (const auto& [id, record] : dispatches_) {
+    if (record.travel == travel) return true;
   }
   for (const auto& [key, items] : trace_buffer_) {
     if (key.second == travel && !items.empty()) return true;
@@ -421,18 +428,15 @@ void BackendServer::DrainOutbox() {
 // Helpers
 // ---------------------------------------------------------------------------
 
-// Combined tracing event: registers the downstream executions AND reports
-// the dispatching execution's own termination. Items are buffered per
+// Status-tracing items (execution created / terminated) are buffered per
 // (coordinator, travel) and flushed by size or by the maintenance tick so
-// tracing stays off the traversal's critical path.
-void BackendServer::SendDispatchEventLocked(ServerId coordinator, TravelId travel,
-                                            uint32_t child_step, std::vector<ExecId> children,
-                                            ExecId term_exec, uint32_t term_step) {
+// tracing stays off the traversal's critical path. Buffer order is send
+// order: a frame's creation item is queued before any of its parents'
+// terminations.
+void BackendServer::QueueTraceItemLocked(ServerId coordinator, TravelId travel,
+                                         TraceItem item) {
   auto& buf = trace_buffer_[{coordinator, travel}];
-  for (ExecId child : children) {
-    buf.push_back(TraceItem{child, child_step, 1});
-  }
-  buf.push_back(TraceItem{term_exec, term_step, 0});
+  buf.push_back(item);
   if (buf.size() >= 48) FlushTraceBufferLocked(coordinator, travel);
 }
 
@@ -797,6 +801,7 @@ ExecId BackendServer::SendTraverseLocked(const CompiledPlan& cplan, TravelId tra
   req.plan = cplan.plan_bytes;
   req.entries = std::move(entries);
   QueueSendLocked(rpc::MsgType::kTraverse, dst, req.Encode());
+  visit_stats_.frames_sent.fetch_add(1, std::memory_order_relaxed);
   return req.exec_id;
 }
 
@@ -1276,6 +1281,11 @@ void BackendServer::ProcessBatch(const std::vector<VertexTask>& batch) {
   }
 
   // --- apply phase (engine lock) --------------------------------------------
+  // Every owner task's expansion joins the travel's pending frame for its
+  // (next step, destination), whichever execution owns the task; the
+  // frames leave when an execution settles (SettleExecLocked).
+  std::vector<ExecId> touched;  // executions with a task here, first-appearance order
+
   MutexLock lk(&mu_);
   for (size_t i = 0; i < batch.size(); i++) {
     const VertexTask& t = batch[i];
@@ -1283,13 +1293,19 @@ void BackendServer::ProcessBatch(const std::vector<VertexTask>& batch) {
     if (eit == execs_.end()) continue;  // exec gone (abort)
     ExecState& exec = *eit->second;
     StepOutcome& out = outcomes[i];
+    if (std::find(touched.begin(), touched.end(), exec.id) == touched.end()) {
+      touched.push_back(exec.id);
+    }
+    auto frame_to = [&](ServerId server) -> PendingFrame& {
+      return pending_frames_[travel][{t.step + 1, server}];
+    };
 
     if (!t.is_owner) {
       // A redundant Async-GT arrival: its read is paid; the owner applies.
     } else if (plan.result_mode == lang::ResultMode::kPaths) {
       // kPaths bypasses the memo: every task is an owner task, and each
       // distinct prefix of the vertex extends through every passing edge
-      // independently.
+      // independently (dst->parents merging would garble the prefixes).
       const auto ppit = exec.path_prefixes.find(t.vid);
       if (out.passed && ppit != exec.path_prefixes.end()) {
         if (out.final_step) {
@@ -1303,7 +1319,7 @@ void BackendServer::ProcessBatch(const std::vector<VertexTask>& batch) {
             for (const auto& prefix : ppit->second) {
               std::vector<graph::VertexId> chain = prefix;
               chain.push_back(t.vid);
-              exec.out_path_entries[server].push_back(FrontierEntry{dst, std::move(chain)});
+              frame_to(server).path_entries.push_back(FrontierEntry{dst, std::move(chain)});
             }
           }
         }
@@ -1320,7 +1336,7 @@ void BackendServer::ProcessBatch(const std::vector<VertexTask>& batch) {
         }
       } else if (out.passed) {
         for (auto& [server, dst] : out.targets) {
-          exec.out_targets[server][dst];  // parents not tracked
+          frame_to(server).targets.emplace_back(dst, 0);  // parents not tracked
         }
       }
     } else if (out.passed && out.final_step) {
@@ -1330,11 +1346,21 @@ void BackendServer::ProcessBatch(const std::vector<VertexTask>& batch) {
     } else {
       exec.awaiting_children.insert(t.vid);
       for (auto& [server, dst] : out.targets) {
-        exec.out_targets[server][dst].push_back(t.vid);
+        PendingFrame& f = frame_to(server);
+        f.targets.emplace_back(dst, t.vid);
+        // One record entry per (task, frame): a task's targets are adjacent.
+        const std::pair<graph::VertexId, ExecId> parent{t.vid, exec.id};
+        if (f.record.parents.empty() || f.record.parents.back() != parent) {
+          f.record.parents.push_back(parent);
+        }
       }
     }
     exec.owned_unprocessed--;
-    SettleExecLocked(exec, *cplan);  // may erase exec
+  }
+
+  for (ExecId id : touched) {
+    auto eit = execs_.find(id);
+    if (eit != execs_.end()) SettleExecLocked(*eit->second, *cplan);  // may erase it
   }
 }
 
@@ -1364,44 +1390,60 @@ void BackendServer::ResolveVertexLocked(ExecState& exec, graph::VertexId vid, bo
   }
 }
 
-void BackendServer::SettleExecLocked(ExecState& exec, const CompiledPlan& cplan) {
-  if (exec.owned_unprocessed == 0 && !exec.dispatched) {
-    DispatchLocked(exec, cplan);
-    if (!cplan.attribution) return;  // direct protocol: exec is erased
+void BackendServer::SendPendingFramesLocked(TravelId travel, const CompiledPlan& cplan) {
+  auto pit = pending_frames_.find(travel);
+  if (pit == pending_frames_.end()) return;
+  for (auto& [key, f] : pit->second) {
+    const auto [step, server] = key;
+    std::vector<FrontierEntry> entries = std::move(f.path_entries);
+    std::sort(f.targets.begin(), f.targets.end());
+    f.targets.erase(std::unique(f.targets.begin(), f.targets.end()), f.targets.end());
+    for (size_t k = 0; k < f.targets.size();) {
+      FrontierEntry entry{f.targets[k].first, {}};
+      for (; k < f.targets.size() && f.targets[k].first == entry.vid; k++) {
+        if (cplan.attribution) entry.parents.push_back(f.targets[k].second);
+      }
+      entries.push_back(std::move(entry));
+    }
+    ExecId dispatch = 0;
+    if (cplan.attribution) {
+      // The frame is one child of every execution it carries vertices of,
+      // counted once per execution however its vertices interleave.
+      std::vector<ExecId> owners;
+      for (const auto& [vid, owner] : f.record.parents) owners.push_back(owner);
+      std::sort(owners.begin(), owners.end());
+      owners.erase(std::unique(owners.begin(), owners.end()), owners.end());
+      for (ExecId owner : owners) {
+        if (auto eit = execs_.find(owner); eit != execs_.end()) {
+          eit->second->children_outstanding++;
+        }
+      }
+      dispatch = MakeExecId(cfg_.id, next_exec_seq_++);
+      f.record.travel = travel;
+      dispatches_.emplace(dispatch, std::move(f.record));
+    }
+    const ExecId child = SendTraverseLocked(cplan, travel, step, dispatch, server,
+                                            std::move(entries), /*scan_start=*/false);
+    QueueTraceItemLocked(cplan.coordinator, travel, TraceItem{child, step, 1});
   }
-  if (cplan.attribution) TryAnswerLocked(exec);
+  pending_frames_.erase(pit);
 }
 
-void BackendServer::DispatchLocked(ExecState& exec, const CompiledPlan& cplan) {
+void BackendServer::SettleExecLocked(ExecState& exec, const CompiledPlan& cplan) {
+  if (exec.owned_unprocessed > 0 || exec.dispatched) return;
   exec.dispatched = true;
-
-  std::vector<ExecId> created;
-  auto send_child = [&](ServerId server, std::vector<FrontierEntry> entries) {
-    created.push_back(SendTraverseLocked(cplan, exec.travel, exec.step + 1, exec.id, server,
-                                         std::move(entries), /*scan_start=*/false));
-  };
-  for (auto& [server, targets] : exec.out_targets) {
-    std::vector<FrontierEntry> entries;
-    entries.reserve(targets.size());
-    for (auto& [dst, parents] : targets) {
-      entries.push_back(FrontierEntry{dst, std::move(parents)});
-    }
-    send_child(server, std::move(entries));
-  }
-  // kPaths expansion: one entry per (prefix, edge), prefixes in `parents`.
-  for (auto& [server, entries] : exec.out_path_entries) {
-    send_child(server, std::move(entries));
-  }
-  exec.children_outstanding = static_cast<uint32_t>(created.size());
-  exec.out_targets.clear();
-  exec.out_path_entries.clear();
-
+  // Sending first queues each frame's creation item ahead of this
+  // termination, and counts the frames in this execution's children.
+  SendPendingFramesLocked(exec.travel, cplan);
+  const TravelId travel = exec.travel;
+  const TraceItem terminated{exec.id, exec.step, 0};
   if (!cplan.attribution) {
     // Direct protocol (paper Fig. 3): results go straight to the
-    // coordinator; the execution is finished once it has dispatched.
+    // coordinator, ahead of the termination that covers them; the
+    // execution is finished once it has dispatched.
     if (!exec.results.empty() || !exec.result_paths.empty()) {
       AnswerPayload ans;
-      ans.travel_id = exec.travel;
+      ans.travel_id = travel;
       ans.exec_id = exec.id;
       ans.parent_exec = 0;  // travel-level accumulation
       ans.result_vids = std::move(exec.results);
@@ -1409,19 +1451,23 @@ void BackendServer::DispatchLocked(ExecState& exec, const CompiledPlan& cplan) {
       ans.result_paths = std::move(exec.result_paths);
       QueueSendLocked(rpc::MsgType::kReturnVertices, cplan.coordinator, ans.Encode());
     }
-    const TravelId travel = exec.travel;
-    const uint32_t step = exec.step;
-    const ExecId id = exec.id;
-    execs_.erase(id);  // exec is dangling after this line
-    SendDispatchEventLocked(cplan.coordinator, travel, step + 1, std::move(created), id,
-                            step);
+    execs_.erase(exec.id);  // exec is dangling after this line
+    QueueTraceItemLocked(cplan.coordinator, travel, terminated);
     return;
   }
+  // Status tracing (Section IV-C): report the termination, then answer once
+  // every vertex resolved (every frame of an earlier batch may have
+  // answered already).
+  QueueTraceItemLocked(cplan.coordinator, travel, terminated);
+  ResolveUnreachedLocked(exec);
+  TryAnswerLocked(exec);
+}
 
-  // Status tracing (Section IV-C): register the downstream executions with
-  // the coordinator and report this execution's own termination.
-  SendDispatchEventLocked(cplan.coordinator, exec.travel, exec.step + 1,
-                          std::move(created), exec.id, exec.step);
+void BackendServer::ResolveUnreachedLocked(ExecState& exec) {
+  if (!exec.dispatched || exec.children_outstanding > 0) return;
+  std::vector<graph::VertexId> dead(exec.awaiting_children.begin(),
+                                    exec.awaiting_children.end());
+  for (auto vid : dead) ResolveVertexLocked(exec, vid, false, /*from_owner=*/true);
 }
 
 void BackendServer::TryAnswerLocked(ExecState& exec) {
@@ -1466,25 +1512,39 @@ void BackendServer::HandleAnswer(rpc::Message&& msg) {
     return;
   }
 
-  auto eit = execs_.find(ans->parent_exec);
-  if (eit == execs_.end()) return;
-  ExecState& exec = *eit->second;
-  if (exec.children_outstanding > 0) exec.children_outstanding--;
+  // The answer to one frame: erasing its record on first delivery makes a
+  // duplicated answer a no-op.
+  auto rit = dispatches_.find(ans->parent_exec);
+  if (rit == dispatches_.end()) return;
+  const DispatchRecord record = std::move(rit->second);
+  dispatches_.erase(rit);
 
-  for (auto vid : ans->reached_parents) {
-    ResolveVertexLocked(exec, vid, true, /*from_owner=*/true);
-  }
-  exec.results.insert(exec.results.end(), ans->result_vids.begin(), ans->result_vids.end());
-
-  if (exec.children_outstanding == 0) {
-    // Everything still awaiting children has no live path.
-    std::vector<graph::VertexId> dead(exec.awaiting_children.begin(),
-                                      exec.awaiting_children.end());
-    for (auto vid : dead) {
-      ResolveVertexLocked(exec, vid, false, /*from_owner=*/true);
+  // Each reached parent vid resolves in its owner execution. No owner can
+  // answer before the loop below counts the frame off.
+  std::sort(ans->reached_parents.begin(), ans->reached_parents.end());
+  std::vector<ExecId> owners;
+  for (const auto& [vid, owner] : record.parents) {
+    if (std::find(owners.begin(), owners.end(), owner) == owners.end()) owners.push_back(owner);
+    if (!std::binary_search(ans->reached_parents.begin(), ans->reached_parents.end(), vid)) {
+      continue;
     }
+    auto eit = execs_.find(owner);
+    if (eit != execs_.end()) ResolveVertexLocked(*eit->second, vid, true, /*from_owner=*/true);
   }
-  TryAnswerLocked(exec);
+  // Results pass through one parent; each parent counts the frame once.
+  bool results_attached = false;
+  for (ExecId owner : owners) {
+    auto eit = execs_.find(owner);
+    if (eit == execs_.end()) continue;
+    ExecState& exec = *eit->second;
+    if (!results_attached) {
+      exec.results.insert(exec.results.end(), ans->result_vids.begin(), ans->result_vids.end());
+      results_attached = true;
+    }
+    if (exec.children_outstanding > 0) exec.children_outstanding--;
+    ResolveUnreachedLocked(exec);
+    TryAnswerLocked(exec);  // may erase exec
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -1722,6 +1782,14 @@ void BackendServer::HandleAbort(rpc::Message&& msg) {
   for (auto it = execs_.begin(); it != execs_.end();) {
     if (it->second->travel == travel) {
       it = execs_.erase(it);
+    } else {
+      ++it;
+    }
+  }
+  pending_frames_.erase(travel);
+  for (auto it = dispatches_.begin(); it != dispatches_.end();) {
+    if (it->second.travel == travel) {
+      it = dispatches_.erase(it);
     } else {
       ++it;
     }

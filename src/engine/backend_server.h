@@ -125,8 +125,9 @@ class BackendServer {
   // trace-event JSON. False when the travel is not in the archive.
   bool ExportTraceJson(TravelId travel, std::string* json) const GT_EXCLUDES(mu_);
 
-  // True while any per-travel engine state (plan, execs, coordinator entry,
-  // sync-local, memo/access/type-scan maps, pinned snapshot) survives for
+  // True while any per-travel engine state (plan, execs, dispatch records,
+  // coordinator entry, sync-local, memo/access/type-scan maps, pinned
+  // snapshot) survives for
   // `travel`. The cancellation contract is that an abort reclaims
   // everything; tests poll this on every server after cancelling.
   bool HasTravelResidue(TravelId travel) const GT_EXCLUDES(mu_);
@@ -169,12 +170,17 @@ class BackendServer {
     std::unordered_set<ExecId> seen_execs;
   };
 
-  // Asynchronous-engine execution state (one per kTraverse request).
+  // Asynchronous-engine execution state (one per kTraverse request). Its
+  // owner tasks' expansion joins the travel's pending frames (ProcessBatch);
+  // the execution itself only reports termination.
   struct ExecState {
     TravelId travel = 0;
     ExecId id = 0;
     uint32_t step = 0;
     ServerId parent_server = 0;
+    // The sender's dispatch id (attribution protocol), 0 for roots and the
+    // direct protocol: the answer goes to that dispatch record, or to the
+    // coordinator's travel-level accounting.
     ExecId parent_exec = 0;
 
     // Per distinct vertex: previous-step parents (for the answer upward).
@@ -191,12 +197,10 @@ class BackendServer {
     std::unordered_set<graph::VertexId> resolved;
     std::unordered_set<graph::VertexId> reached;
 
-    // Outbound expansion accumulated while owner tasks process:
-    // target server -> dst -> parents.
-    std::unordered_map<ServerId,
-                       std::unordered_map<graph::VertexId, std::vector<graph::VertexId>>>
-        out_targets;
+    // Set once the last task ran and the termination was reported.
     bool dispatched = false;
+    // Sent frames carrying this execution's vertices not yet answered
+    // (attribution protocol; each frame counts once per execution).
     uint32_t children_outstanding = 0;
 
     std::vector<graph::VertexId> results;  // rtn/final hits + child pass-through
@@ -209,10 +213,24 @@ class BackendServer {
     // be reached along several chains; each expands independently).
     std::unordered_map<graph::VertexId, std::vector<std::vector<graph::VertexId>>>
         path_prefixes;
-    // kPaths outbound expansion: one frontier entry per (prefix, edge) —
-    // out_targets' dst->parents merging would garble distinct prefixes.
-    std::unordered_map<ServerId, std::vector<FrontierEntry>> out_path_entries;
     bool answered = false;
+  };
+
+  // Attribution protocol: one per sent frame, keyed by the dispatch id the
+  // frame carries as its parent_exec. A frame serves every execution whose
+  // vertices were expanded toward that (step, server) since the travel's
+  // last send, so the answer's reached parents route back through
+  // (parent vid, owner exec).
+  struct DispatchRecord {
+    TravelId travel = 0;
+    std::vector<std::pair<graph::VertexId, ExecId>> parents;
+  };
+
+  // One outbound kTraverse frame being filled, per (travel, step, server).
+  struct PendingFrame {
+    std::vector<std::pair<graph::VertexId, graph::VertexId>> targets;  // (dst, parent vid)
+    std::vector<FrontierEntry> path_entries;  // kPaths: one per (prefix, edge)
+    DispatchRecord record;                    // attribution: the frame's parents
   };
 
   // Coordinator-side per-traversal state (status tracing, Section IV-C).
@@ -396,21 +414,27 @@ class BackendServer {
 
   void ResolveVertexLocked(ExecState& exec, graph::VertexId vid, bool reach, bool from_owner)
       GT_REQUIRES(mu_);
-  // Dispatches the exec's children once its last task ran; on the
-  // attribution protocol, then answers once every vertex resolved. May
-  // erase `exec`.
+  // Sends the travel's pending frames: one per (step, server) filled since
+  // its last send, with a dispatch record each on the attribution protocol.
+  void SendPendingFramesLocked(TravelId travel, const CompiledPlan& cplan) GT_REQUIRES(mu_);
+  // Once the exec's last task ran: sends the travel's pending frames, then
+  // reports the exec's termination (direct protocol: after its results,
+  // then erases it); on the attribution protocol, answers once every vertex
+  // resolved. May erase `exec`.
   void SettleExecLocked(ExecState& exec, const CompiledPlan& cplan) GT_REQUIRES(mu_);
-  void DispatchLocked(ExecState& exec, const CompiledPlan& cplan) GT_REQUIRES(mu_);
   // Queues a kTraverse hand-off that creates a new exec at `step` on `dst`;
   // returns the new exec's id.
   ExecId SendTraverseLocked(const CompiledPlan& cplan, TravelId travel, uint32_t step,
                             ExecId parent_exec, ServerId dst,
                             std::vector<FrontierEntry> entries, bool scan_start)
       GT_REQUIRES(mu_);
+  // Once every frame carrying a dispatched exec's vertices has answered,
+  // resolves its vertices still awaiting children as unreached.
+  void ResolveUnreachedLocked(ExecState& exec) GT_REQUIRES(mu_);
   void TryAnswerLocked(ExecState& exec) GT_REQUIRES(mu_);
-  void SendDispatchEventLocked(ServerId coordinator, TravelId travel, uint32_t child_step,
-                               std::vector<ExecId> children, ExecId term_exec,
-                               uint32_t term_step) GT_REQUIRES(mu_);
+  // Buffers one status-tracing item for the travel's coordinator.
+  void QueueTraceItemLocked(ServerId coordinator, TravelId travel, TraceItem item)
+      GT_REQUIRES(mu_);
   void FlushTraceBufferLocked(ServerId coordinator, TravelId travel) GT_REQUIRES(mu_);
   void FlushAllTraceBuffersLocked() GT_REQUIRES(mu_);
 
@@ -473,6 +497,15 @@ class BackendServer {
   mutable Mutex mu_;
   std::unordered_map<TravelId, std::shared_ptr<CompiledPlan>> plans_ GT_GUARDED_BY(mu_);
   std::unordered_map<ExecId, std::unique_ptr<ExecState>> execs_ GT_GUARDED_BY(mu_);
+  // Outbound frames per travel, filled by worker batches and sent whenever
+  // one of the travel's executions settles. Frames wait for a settle rather
+  // than a batch end: an Async-GT batch is one task, and a frame per task
+  // would multiply the messages; a settling execution needs its own
+  // vertices' frames out before its termination anyway.
+  std::unordered_map<TravelId, std::map<std::pair<uint32_t, ServerId>, PendingFrame>>
+      pending_frames_ GT_GUARDED_BY(mu_);
+  // Attribution frames sent and not yet answered, by dispatch id.
+  std::unordered_map<ExecId, DispatchRecord> dispatches_ GT_GUARDED_BY(mu_);
   std::unordered_map<TravelId, TravelState> travels_ GT_GUARDED_BY(mu_);  // coordinated here
   std::unordered_map<TravelId, SyncLocal> sync_locals_ GT_GUARDED_BY(mu_);
   TravelCache cache_ GT_GUARDED_BY(mu_);

@@ -228,6 +228,10 @@ struct TraversePayload {
   TravelId travel_id = 0;
   uint32_t step = 0;      // step index of the entries' working set
   ExecId exec_id = 0;     // id of the execution created at the receiver
+  // One frame serves every sender execution whose vertices its worker batch
+  // expanded toward this (step, receiver). On the attribution protocol this
+  // is the sender's dispatch id, which routes the answer to those
+  // executions; 0 for roots and direct-protocol frames.
   ExecId parent_exec = 0;
   ServerId parent_server = 0;
   ServerId coordinator = 0;
@@ -275,7 +279,7 @@ struct TraversePayload {
 struct AnswerPayload {
   TravelId travel_id = 0;
   ExecId exec_id = 0;         // the answering execution
-  ExecId parent_exec = 0;     // destination execution
+  ExecId parent_exec = 0;     // the frame's dispatch id; 0 = the coordinator
   std::vector<graph::VertexId> reached_parents;  // parent vids with a live path
   std::vector<graph::VertexId> result_vids;      // rtn/final results, pass-through
   // Result-mode extension (decode tolerates its absence for old encoders;

@@ -30,6 +30,9 @@ struct VisitStats {
   // Whole hand-off frames absorbed because their exec id was already
   // delivered once (duplicating transports); not part of the visit sum.
   std::atomic<uint64_t> duplicate_frames{0};
+  // kTraverse frames this server sent, roots included; received visits per
+  // frame is the frontier entries each frame carried.
+  std::atomic<uint64_t> frames_sent{0};
   std::atomic<uint64_t> per_step[kMaxTrackedSteps] = {};
 
   void AddStep(uint32_t step, uint64_t n = 1) {
@@ -38,7 +41,7 @@ struct VisitStats {
   }
 
   void Reset() {
-    received = redundant = combined = real_io = duplicate_frames = 0;
+    received = redundant = combined = real_io = duplicate_frames = frames_sent = 0;
     for (auto& s : per_step) s = 0;
   }
 

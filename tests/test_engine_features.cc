@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <functional>
+#include <memory>
 #include <set>
 #include <thread>
 #include <vector>
@@ -429,6 +432,140 @@ TEST(EngineFeatureTest, AsyncPlainPaysOneReadPerArrival) {
   // which is timing, so only their difference is fixed.
   EXPECT_EQ(async_plain.received - async_plain.redundant, distinct_visits);
   EXPECT_EQ(graphtrek.received - graphtrek.redundant, distinct_visits);
+}
+
+// --- outbound frames ----------------------------------------------------------------
+
+// Holds chosen vertex accesses until a condition holds, so a test can force
+// which tasks queue up together. Each hold gives up after 5 s: a schedule
+// that never forms fails the test's assertions instead of hanging it.
+class AccessGate final : public graph::AccessInterceptor {
+ public:
+  void Hold(uint32_t server, VertexId vid, std::function<bool()> until) {
+    auto rule = std::make_unique<HoldRule>();
+    rule->server = server;
+    rule->vid = vid;
+    rule->until = std::move(until);
+    holds_.push_back(std::move(rule));
+  }
+  // True once the held access on (server, vid) has started.
+  bool Reached(uint32_t server, VertexId vid) const {
+    for (const auto& h : holds_) {
+      if (h->server == server && h->vid == vid) return h->reached.load();
+    }
+    return false;
+  }
+
+  void OnVertexAccess(uint32_t server_id, VertexId vid) override {
+    for (const auto& h : holds_) {
+      if (h->server != server_id || h->vid != vid) continue;
+      h->reached.store(true);
+      const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+      while (!h->until() && std::chrono::steady_clock::now() < give_up) {
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+      }
+    }
+  }
+
+ private:
+  struct HoldRule {
+    uint32_t server = 0;
+    VertexId vid = 0;
+    std::function<bool()> until;
+    std::atomic<bool> reached{false};
+  };
+  std::vector<std::unique_ptr<HoldRule>> holds_;  // fixed before the travel runs
+};
+
+TEST(EngineFeatureTest, BatchDispatchSharesFrameAcrossExecutions) {
+  // r (s0) expands to a1 (s1), a2 (s2) and the decoy z (s0); a1 -> {b1, b3}
+  // and a2 -> {b2, b4}, all four on s0; each b_i -> c_i on s1. The rtn() on
+  // the b step puts the travel on the attribution protocol. s0's single
+  // worker is held inside z's access until b1..b4 are all queued, so one
+  // batch applies them: first one of a2's (queued first), then the rest in
+  // vid order, so the two vertices of a2's step-2 execution are never
+  // adjacent in the batch. The four expansions to s1 must leave in one
+  // frame that answers to both step-2 executions.
+  AccessGate gate;
+  ClusterConfig cfg;
+  cfg.num_servers = 3;
+  cfg.workers_per_server = 1;
+  cfg.exec_timeout_ms = 3000;  // a miscounted frame hangs the travel: fail fast
+  // Duplicating every kTraverse frame on s0 -> s1 counts exactly those
+  // frames in the link's `duplicated` column; receivers absorb the copies.
+  cfg.net_faults = true;
+  auto cluster = Cluster::Create(cfg);
+  ASSERT_TRUE(cluster.ok());
+  Catalog* catalog = (*cluster)->catalog();
+  const graph::Partitioner* partitioner = (*cluster)->partitioner();
+
+  VertexId next = 1;
+  auto pick_on = [&](ServerId server) {
+    while (partitioner->ServerFor(next) != server) next++;
+    return next++;
+  };
+  const VertexId r = pick_on(0);
+  const VertexId z = pick_on(0);
+  const VertexId a1 = pick_on(1);
+  const VertexId a2 = pick_on(2);
+  const VertexId b1 = pick_on(0);
+  const VertexId b2 = pick_on(0);
+  const VertexId b3 = pick_on(0);
+  const VertexId b4 = pick_on(0);
+  std::vector<VertexId> cs;
+  for (int i = 0; i < 4; i++) cs.push_back(pick_on(1));
+
+  RefGraph g;
+  const auto t = catalog->Intern("N");
+  const auto link = catalog->Intern("link");
+  for (VertexId v : {r, z, a1, a2, b1, b2, b3, b4, cs[0], cs[1], cs[2], cs[3]}) {
+    VertexRecord rec;
+    rec.id = v;
+    rec.label = t;
+    g.AddVertex(rec);
+  }
+  auto edge = [&](VertexId src, VertexId dst) {
+    EdgeRecord e;
+    e.src = src;
+    e.label = link;
+    e.dst = dst;
+    g.AddEdge(e);
+  };
+  for (VertexId a : {a1, a2, z}) edge(r, a);
+  edge(a1, b1);
+  edge(a1, b3);
+  edge(a2, b2);
+  edge(a2, b4);
+  const std::vector<VertexId> bs = {b1, b2, b3, b4};
+  for (size_t i = 0; i < bs.size(); i++) edge(bs[i], cs[i]);
+  ASSERT_TRUE((*cluster)->Load(g).ok());
+
+  // z holds s0's worker until b1..b4 are queued; a2 runs once z is held and
+  // a1 once a2's b2, b4 are queued, so a2's execution is scheduled first and
+  // the vid-ordered widening then interleaves the two executions.
+  BackendServer* s0 = (*cluster)->server(0);
+  gate.Hold(0, z, [s0] { return s0->queue_depth() >= 4; });
+  gate.Hold(2, a2, [&gate, z] { return gate.Reached(0, z); });
+  gate.Hold(1, a1, [s0] { return s0->queue_depth() >= 2; });
+  for (uint32_t s = 0; s < 3; s++) (*cluster)->store(s)->SetInterceptor(&gate);
+  rpc::LinkFault dup;
+  dup.duplicate_probability = 1.0;
+  dup.only_type = rpc::MsgType::kTraverse;
+  (*cluster)->fault_transport()->SetLinkFault(0, 1, dup);
+
+  auto plan = GTravel(catalog).v({r}).e("link").e("link").rtn().e("link").Build();
+  ASSERT_TRUE(plan.ok());
+  (*cluster)->ResetStats();
+  auto result = (*cluster)->Run(*plan, EngineMode::kGraphTrek);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->vids, lang::EvaluatePlanOnRefGraph(*plan, g, *catalog));
+  EXPECT_EQ(result->vids, (std::vector<VertexId>{b1, b2, b3, b4}));
+
+  // s0 -> s1 carried a1's step-1 frame and one step-3 frame for c1..c4.
+  const auto links = (*cluster)->fault_transport()->LinkSnapshot();
+  EXPECT_EQ(links.at(rpc::LinkKey{0, 1}).duplicated, 2u);
+  // s0's frames: the root, r's three step-1 frames, the shared step-3 frame.
+  EXPECT_EQ(s0->visit_stats().frames_sent.load(), 5u);
 }
 
 // --- straggler injection ---------------------------------------------------------------
