@@ -47,10 +47,12 @@ ctest --test-dir build --output-on-failure --no-tests=error \
 # the duplicate+drop idempotence leg. Run explicitly for the same reason as
 # the crash sweeps: discovery problems must not silently drop it. Repeated:
 # frame/answer accounting bugs in the attribution protocol show only on
-# some schedules.
+# some schedules. The scheduled frame test rides along: it pins down when
+# a travel's frames leave a server (on local quiescence, one step-3 frame
+# for two batches) on both result protocols.
 step "cross-engine differential harness (test_engine_differential)"
 ctest --test-dir build --output-on-failure --no-tests=error \
-  --repeat until-fail:3 -R 'EngineDifferentialTest'
+  --repeat until-fail:3 -R 'EngineDifferentialTest|EngineFeatureTest\.FramesWaitForLocalQuiescence'
 
 # GTravel language + planner gate: plan codec round-trip/validation, the
 # GTravel builder, the reference evaluator, and the statistics-driven
@@ -77,8 +79,10 @@ ctest --test-dir build --output-on-failure --no-tests=error \
   -R 'bench_smoke_ablation_optimizations|AdjacencyCacheTest'
 
 # Travel-lifecycle gate: queue-key collision regression, cancellation
-# reclaim, admission control and deadline enforcement, plus the load
-# generator that drives them at --smoke size. Explicit -R so a discovery
+# reclaim, admission control, deadline enforcement and completion with the
+# maintenance tick held off, plus the load generator that drives them at
+# --smoke size (TravelLifecycleTest matches the tick test,
+# PlainTravelCompletesWithoutMaintenanceTick). Explicit -R so a discovery
 # problem cannot silently drop the lifecycle coverage.
 step "travel lifecycle tests + load-generator smoke"
 ctest --test-dir build --output-on-failure --no-tests=error \

@@ -256,6 +256,8 @@ Status BackendServer::Start() {
                       "Re-delivered hand-off frames absorbed by exec-id dedup");
   reg->DescribeFamily("gt_engine_frames_sent_total", metrics::MetricType::kCounter,
                       "kTraverse frames sent, roots included");
+  reg->DescribeFamily("gt_engine_local_flushes_total", metrics::MetricType::kCounter,
+                      "Quiescent flushes: a travel's frames, settles and trace items sent at once");
   reg->DescribeFamily("gt_engine_travel_cache_hits_total", metrics::MetricType::kCounter,
                       "Travel-cache lookups that found an entry");
   reg->DescribeFamily("gt_engine_travel_cache_misses_total", metrics::MetricType::kCounter,
@@ -284,6 +286,7 @@ Status BackendServer::Start() {
     counter("gt_engine_send_failures_total", send_failures_.load());
     counter("gt_engine_duplicate_frames_total", visit_stats_.duplicate_frames.load());
     counter("gt_engine_frames_sent_total", visit_stats_.frames_sent.load());
+    counter("gt_engine_local_flushes_total", visit_stats_.local_flushes.load());
     out->push_back({"gt_engine_queue_depth", base,
                     static_cast<double>(queue_.size()), MetricType::kGauge});
     out->push_back({"gt_engine_queue_high_watermark", base,
@@ -304,8 +307,8 @@ void BackendServer::Stop() {
   if (!started_) return;
   started_ = false;
   metrics::Registry::Default()->RemoveCollector(metrics_collector_);
+  stop_.store(true);  // before unregistering: DrainOutbox sends nothing from here on
   transport_->UnregisterEndpoint(cfg_.id);
-  stop_.store(true);
   {
     MutexLock lk(&maint_mu_);
     maint_stop_ = true;
@@ -332,9 +335,8 @@ bool BackendServer::HasTravelResidue(TravelId travel) const {
   MutexLock lk(&mu_);
   if (plans_.count(travel) != 0 || travels_.count(travel) != 0 ||
       sync_locals_.count(travel) != 0 || accessed_.count(travel) != 0 ||
-      pending_frames_.count(travel) != 0 ||
-      scanned_types_.count(travel) != 0 || travel_snaps_.count(travel) != 0 ||
-      cache_.HasTravel(travel)) {
+      local_work_.count(travel) != 0 || scanned_types_.count(travel) != 0 ||
+      travel_snaps_.count(travel) != 0 || cache_.HasTravel(travel)) {
     return true;
   }
   for (const auto& [id, exec] : execs_) {
@@ -403,7 +405,8 @@ void BackendServer::QueueSendLocked(rpc::MsgType type, rpc::EndpointId dst,
 // queued: with two, a drainer preempted between its swap and its sends could
 // let a later termination event overtake its kReturnVertices. A thread that
 // finds a drain in progress leaves its messages to the active drainer, which
-// loops until the outbox is empty.
+// loops until the outbox is empty. A stopped server drops what it staged: a
+// worker finishing its batch during Stop() sends nothing.
 void BackendServer::DrainOutbox() {
   std::vector<rpc::Message> staged;
   {
@@ -413,7 +416,10 @@ void BackendServer::DrainOutbox() {
     staged.swap(outbox_);
   }
   for (;;) {
-    for (auto& m : staged) SendLossy(std::move(m));
+    for (auto& m : staged) {
+      if (stop_.load()) break;
+      SendLossy(std::move(m));
+    }
     staged.clear();
     MutexLock lk(&mu_);
     if (outbox_.empty()) {
@@ -429,8 +435,8 @@ void BackendServer::DrainOutbox() {
 // ---------------------------------------------------------------------------
 
 // Status-tracing items (execution created / terminated) are buffered per
-// (coordinator, travel) and flushed by size or by the maintenance tick so
-// tracing stays off the traversal's critical path. Buffer order is send
+// (coordinator, travel) and flushed at the travel's local quiescence, or
+// early by size, so one message carries many items. Buffer order is send
 // order: a frame's creation item is queued before any of its parents'
 // terminations.
 void BackendServer::QueueTraceItemLocked(ServerId coordinator, TravelId travel,
@@ -448,13 +454,6 @@ void BackendServer::FlushTraceBufferLocked(ServerId coordinator, TravelId travel
   batch.items = std::move(it->second);
   trace_buffer_.erase(it);
   QueueSendLocked(rpc::MsgType::kExecDispatched, coordinator, batch.Encode());
-}
-
-void BackendServer::FlushAllTraceBuffersLocked() {
-  while (!trace_buffer_.empty()) {
-    auto key = trace_buffer_.begin()->first;
-    FlushTraceBufferLocked(key.first, key.second);
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -1082,7 +1081,7 @@ void BackendServer::HandleTraverse(rpc::Message&& msg) {
       (void)prefixes;
       push_task(vid, /*owner=*/true);
     }
-    SettleExecLocked(ex, *cplan);  // erases ex when nothing was queued
+    AdmitExecLocked(ex, *cplan);  // erases ex when nothing was queued
     return;
   }
 
@@ -1138,7 +1137,7 @@ void BackendServer::HandleTraverse(rpc::Message&& msg) {
     for (const auto& e : req->entries) classify(e.vid);
     for (auto vid : scan_entries) classify(vid);
   }
-  SettleExecLocked(ex, *cplan);  // direct protocol: may erase ex
+  AdmitExecLocked(ex, *cplan);  // may erase ex
 }
 
 // ---------------------------------------------------------------------------
@@ -1283,21 +1282,20 @@ void BackendServer::ProcessBatch(const std::vector<VertexTask>& batch) {
   // --- apply phase (engine lock) --------------------------------------------
   // Every owner task's expansion joins the travel's pending frame for its
   // (next step, destination), whichever execution owns the task; the
-  // frames leave when an execution settles (SettleExecLocked).
-  std::vector<ExecId> touched;  // executions with a task here, first-appearance order
-
+  // frames leave, and the executions whose last task ran settle, once the
+  // travel has no task left on this server (FlushQuiescentLocked).
   MutexLock lk(&mu_);
+  auto wit = local_work_.find(travel);
+  if (wit == local_work_.end()) return;  // travel aborted during the I/O phase
+  LocalWork& work = wit->second;
   for (size_t i = 0; i < batch.size(); i++) {
     const VertexTask& t = batch[i];
     auto eit = execs_.find(t.exec);
     if (eit == execs_.end()) continue;  // exec gone (abort)
     ExecState& exec = *eit->second;
     StepOutcome& out = outcomes[i];
-    if (std::find(touched.begin(), touched.end(), exec.id) == touched.end()) {
-      touched.push_back(exec.id);
-    }
     auto frame_to = [&](ServerId server) -> PendingFrame& {
-      return pending_frames_[travel][{t.step + 1, server}];
+      return work.frames[{t.step + 1, server}];
     };
 
     if (!t.is_owner) {
@@ -1355,13 +1353,15 @@ void BackendServer::ProcessBatch(const std::vector<VertexTask>& batch) {
         }
       }
     }
-    exec.owned_unprocessed--;
+    if (--exec.owned_unprocessed == 0) work.ran.push_back(exec.id);
   }
 
-  for (ExecId id : touched) {
-    auto eit = execs_.find(id);
-    if (eit != execs_.end()) SettleExecLocked(*eit->second, *cplan);  // may erase it
-  }
+  assert(work.tasks >= batch.size());
+  work.tasks -= batch.size();
+  if (work.tasks > 0) return;
+  LocalWork done = std::move(work);
+  local_work_.erase(wit);
+  FlushQuiescentLocked(travel, done, *cplan);
 }
 
 void BackendServer::ResolveVertexLocked(ExecState& exec, graph::VertexId vid, bool reach,
@@ -1390,10 +1390,22 @@ void BackendServer::ResolveVertexLocked(ExecState& exec, graph::VertexId vid, bo
   }
 }
 
-void BackendServer::SendPendingFramesLocked(TravelId travel, const CompiledPlan& cplan) {
-  auto pit = pending_frames_.find(travel);
-  if (pit == pending_frames_.end()) return;
-  for (auto& [key, f] : pit->second) {
+void BackendServer::AdmitExecLocked(ExecState& exec, const CompiledPlan& cplan) {
+  const TravelId travel = exec.travel;
+  if (exec.owned_unprocessed > 0) {
+    local_work_[travel].tasks += exec.owned_unprocessed;
+    return;
+  }
+  SettleExecLocked(exec, cplan);  // no pending frame carries its vertices
+  if (local_work_.count(travel) == 0) FlushTraceBufferLocked(cplan.coordinator, travel);
+}
+
+void BackendServer::FlushQuiescentLocked(TravelId travel, LocalWork& work,
+                                         const CompiledPlan& cplan) {
+  visit_stats_.local_flushes.fetch_add(1, std::memory_order_relaxed);
+  // Sending first queues each frame's creation item ahead of the
+  // terminations below, and counts the frames in their executions' children.
+  for (auto& [key, f] : work.frames) {
     const auto [step, server] = key;
     std::vector<FrontierEntry> entries = std::move(f.path_entries);
     std::sort(f.targets.begin(), f.targets.end());
@@ -1426,15 +1438,16 @@ void BackendServer::SendPendingFramesLocked(TravelId travel, const CompiledPlan&
                                             std::move(entries), /*scan_start=*/false);
     QueueTraceItemLocked(cplan.coordinator, travel, TraceItem{child, step, 1});
   }
-  pending_frames_.erase(pit);
+  for (ExecId id : work.ran) {
+    auto eit = execs_.find(id);
+    if (eit != execs_.end()) SettleExecLocked(*eit->second, cplan);  // may erase it
+  }
+  FlushTraceBufferLocked(cplan.coordinator, travel);
 }
 
 void BackendServer::SettleExecLocked(ExecState& exec, const CompiledPlan& cplan) {
   if (exec.owned_unprocessed > 0 || exec.dispatched) return;
   exec.dispatched = true;
-  // Sending first queues each frame's creation item ahead of this
-  // termination, and counts the frames in this execution's children.
-  SendPendingFramesLocked(exec.travel, cplan);
   const TravelId travel = exec.travel;
   const TraceItem terminated{exec.id, exec.step, 0};
   if (!cplan.attribution) {
@@ -1786,7 +1799,7 @@ void BackendServer::HandleAbort(rpc::Message&& msg) {
       ++it;
     }
   }
-  pending_frames_.erase(travel);
+  local_work_.erase(travel);
   for (auto it = dispatches_.begin(); it != dispatches_.end();) {
     if (it->second.travel == travel) {
       it = dispatches_.erase(it);
@@ -1831,7 +1844,6 @@ void BackendServer::MaintenanceLoop() {
     std::vector<TravelId> failed;
     {
       MutexLock lk(&mu_);
-      FlushAllTraceBuffersLocked();
       const uint64_t now = NowMicros();
       for (auto& [id, ts] : travels_) {
         if (ts.done) continue;
@@ -1864,7 +1876,7 @@ void BackendServer::MaintenanceLoop() {
         FailTravelLocked(it->second, Status::Aborted("execution lost"));
       }
     }
-    DrainOutbox();  // trace flushes + completions staged under mu_
+    DrainOutbox();  // completions staged under mu_
   }
 }
 

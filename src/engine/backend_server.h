@@ -54,9 +54,9 @@ struct ServerConfig {
   size_t cache_capacity = 1 << 20;    // traversal-affiliate cache entries
   uint32_t exec_timeout_ms = 15000;   // coordinator failure-detection window
   uint32_t result_chunk = 4096;       // vids per kResultChunk message
-  // Maintenance tick period: trace-buffer flush cadence and the resolution
-  // of failure detection / deadline enforcement. The 5 ms default drives
-  // small-travel completion latency; raise it for TSan/soak runs.
+  // Maintenance tick period: the resolution of failure detection and
+  // deadline enforcement. Frames and trace items never wait on it (they
+  // leave on local quiescence); raise it for TSan/soak runs.
   uint32_t maintenance_interval_ms = 5;
 
   // Admission control (coordinator role). A submit is rejected with
@@ -125,9 +125,9 @@ class BackendServer {
   // trace-event JSON. False when the travel is not in the archive.
   bool ExportTraceJson(TravelId travel, std::string* json) const GT_EXCLUDES(mu_);
 
-  // True while any per-travel engine state (plan, execs, dispatch records,
-  // coordinator entry, sync-local, memo/access/type-scan maps, pinned
-  // snapshot) survives for
+  // True while any per-travel engine state (plan, execs, local work and
+  // its pending frames, dispatch records, coordinator entry, sync-local,
+  // memo/access/type-scan maps, pinned snapshot) survives for
   // `travel`. The cancellation contract is that an abort reclaims
   // everything; tests poll this on every server after cancelling.
   bool HasTravelResidue(TravelId travel) const GT_EXCLUDES(mu_);
@@ -172,7 +172,8 @@ class BackendServer {
 
   // Asynchronous-engine execution state (one per kTraverse request). Its
   // owner tasks' expansion joins the travel's pending frames (ProcessBatch);
-  // the execution itself only reports termination.
+  // the execution itself only reports termination: at the travel's next
+  // local quiescence, or on arrival when it queued no task.
   struct ExecState {
     TravelId travel = 0;
     ExecId id = 0;
@@ -197,7 +198,8 @@ class BackendServer {
     std::unordered_set<graph::VertexId> resolved;
     std::unordered_set<graph::VertexId> reached;
 
-    // Set once the last task ran and the termination was reported.
+    // Set once the termination was reported: after the last task ran and
+    // the travel's frames left, or on arrival when no task was queued.
     bool dispatched = false;
     // Sent frames carrying this execution's vertices not yet answered
     // (attribution protocol; each frame counts once per execution).
@@ -231,6 +233,18 @@ class BackendServer {
     std::vector<std::pair<graph::VertexId, graph::VertexId>> targets;  // (dst, parent vid)
     std::vector<FrontierEntry> path_entries;  // kPaths: one per (prefix, edge)
     DispatchRecord record;                    // attribution: the frame's parents
+  };
+
+  // A travel's work on this server, present while it has a task queued or
+  // inside a worker batch here. The batch that brings `tasks` to zero
+  // flushes it (FlushQuiescentLocked).
+  struct LocalWork {
+    size_t tasks = 0;
+    // Executions whose last task ran since the travel's last flush.
+    std::vector<ExecId> ran;
+    // Outbound frames filled by the travel's batches, per (step, server),
+    // whichever executions own the tasks: they leave together at the flush.
+    std::map<std::pair<uint32_t, ServerId>, PendingFrame> frames;
   };
 
   // Coordinator-side per-traversal state (status tracing, Section IV-C).
@@ -414,14 +428,24 @@ class BackendServer {
 
   void ResolveVertexLocked(ExecState& exec, graph::VertexId vid, bool reach, bool from_owner)
       GT_REQUIRES(mu_);
-  // Sends the travel's pending frames: one per (step, server) filled since
-  // its last send, with a dispatch record each on the attribution protocol.
-  void SendPendingFramesLocked(TravelId travel, const CompiledPlan& cplan) GT_REQUIRES(mu_);
-  // Once the exec's last task ran: sends the travel's pending frames, then
-  // reports the exec's termination (direct protocol: after its results,
+  // Reports the exec's termination (direct protocol: after its results,
   // then erases it); on the attribution protocol, answers once every vertex
-  // resolved. May erase `exec`.
+  // resolved. Sends no frames: every frame carrying the exec's vertices has
+  // left (quiescent flush), or the exec queued no task. May erase `exec`.
   void SettleExecLocked(ExecState& exec, const CompiledPlan& cplan) GT_REQUIRES(mu_);
+  // A new exec's queued tasks join the travel's local work; an exec with
+  // none settles at once, and its termination leaves now only when the
+  // travel has no local work here (else the next quiescent flush carries
+  // it). May erase `exec`.
+  void AdmitExecLocked(ExecState& exec, const CompiledPlan& cplan) GT_REQUIRES(mu_);
+  // Local quiescence of `travel` (a worker batch left it no task here):
+  // sends the frames of its finished `work`, one per (step, server) with a
+  // dispatch record each on the attribution protocol, settles the
+  // executions that ran, then flushes its trace buffer, so each creation
+  // item leaves ahead of the terminations of the executions its frame
+  // carries.
+  void FlushQuiescentLocked(TravelId travel, LocalWork& work, const CompiledPlan& cplan)
+      GT_REQUIRES(mu_);
   // Queues a kTraverse hand-off that creates a new exec at `step` on `dst`;
   // returns the new exec's id.
   ExecId SendTraverseLocked(const CompiledPlan& cplan, TravelId travel, uint32_t step,
@@ -432,11 +456,12 @@ class BackendServer {
   // resolves its vertices still awaiting children as unreached.
   void ResolveUnreachedLocked(ExecState& exec) GT_REQUIRES(mu_);
   void TryAnswerLocked(ExecState& exec) GT_REQUIRES(mu_);
-  // Buffers one status-tracing item for the travel's coordinator.
+  // Buffers one status-tracing item for the travel's coordinator. A full
+  // buffer (48 items) flushes early; otherwise the travel's quiescent flush
+  // sends it.
   void QueueTraceItemLocked(ServerId coordinator, TravelId travel, TraceItem item)
       GT_REQUIRES(mu_);
   void FlushTraceBufferLocked(ServerId coordinator, TravelId travel) GT_REQUIRES(mu_);
-  void FlushAllTraceBuffersLocked() GT_REQUIRES(mu_);
 
   // --- sync engine ------------------------------------------------------------
 
@@ -497,13 +522,7 @@ class BackendServer {
   mutable Mutex mu_;
   std::unordered_map<TravelId, std::shared_ptr<CompiledPlan>> plans_ GT_GUARDED_BY(mu_);
   std::unordered_map<ExecId, std::unique_ptr<ExecState>> execs_ GT_GUARDED_BY(mu_);
-  // Outbound frames per travel, filled by worker batches and sent whenever
-  // one of the travel's executions settles. Frames wait for a settle rather
-  // than a batch end: an Async-GT batch is one task, and a frame per task
-  // would multiply the messages; a settling execution needs its own
-  // vertices' frames out before its termination anyway.
-  std::unordered_map<TravelId, std::map<std::pair<uint32_t, ServerId>, PendingFrame>>
-      pending_frames_ GT_GUARDED_BY(mu_);
+  std::unordered_map<TravelId, LocalWork> local_work_ GT_GUARDED_BY(mu_);
   // Attribution frames sent and not yet answered, by dispatch id.
   std::unordered_map<ExecId, DispatchRecord> dispatches_ GT_GUARDED_BY(mu_);
   std::unordered_map<TravelId, TravelState> travels_ GT_GUARDED_BY(mu_);  // coordinated here
@@ -518,7 +537,7 @@ class BackendServer {
   std::unordered_map<TravelId, std::unordered_set<graph::LabelId>> scanned_types_
       GT_GUARDED_BY(mu_);
   // Outbound tracing events, batched per (coordinator, travel) and flushed
-  // by size or by the maintenance tick.
+  // at the travel's local quiescence, or early by size.
   std::map<std::pair<ServerId, TravelId>, std::vector<TraceItem>> trace_buffer_
       GT_GUARDED_BY(mu_);
   // Per-travel pinned store snapshot (snapshot_isolation). Workers copy the

@@ -33,6 +33,9 @@ struct VisitStats {
   // kTraverse frames this server sent, roots included; received visits per
   // frame is the frontier entries each frame carried.
   std::atomic<uint64_t> frames_sent{0};
+  // Quiescent flushes: each sends one travel's pending frames together, so
+  // frames_sent / local_flushes is the mean frames per flush (roots aside).
+  std::atomic<uint64_t> local_flushes{0};
   std::atomic<uint64_t> per_step[kMaxTrackedSteps] = {};
 
   void AddStep(uint32_t step, uint64_t n = 1) {
@@ -41,7 +44,7 @@ struct VisitStats {
   }
 
   void Reset() {
-    received = redundant = combined = real_io = duplicate_frames = frames_sent = 0;
+    received = redundant = combined = real_io = duplicate_frames = frames_sent = local_flushes = 0;
     for (auto& s : per_step) s = 0;
   }
 

@@ -568,6 +568,95 @@ TEST(EngineFeatureTest, BatchDispatchSharesFrameAcrossExecutions) {
   EXPECT_EQ(s0->visit_stats().frames_sent.load(), 5u);
 }
 
+// r (s0) -> a1 (s1), a2 (s2); a1 -> b1 and a2 -> b2, both on s0; b1 -> c1
+// and b2 -> c2, both on s1. s0's single worker is held inside b1's access
+// until b2 is queued, so b1 and b2 apply in separate batches of separate
+// executions. b1's batch leaves b2 queued, so its expansion waits; b2's
+// batch brings the travel to local quiescence and one step-3 frame carries
+// both. Settling per execution would send one step-3 frame each.
+void RunFramesWaitForLocalQuiescence(bool rtn_at_b) {
+  AccessGate gate;
+  ClusterConfig cfg;
+  cfg.num_servers = 3;
+  cfg.workers_per_server = 1;
+  cfg.exec_timeout_ms = 3000;  // a miscounted frame hangs the travel: fail fast
+  cfg.net_faults = true;       // duplicated s0 -> s1 frames count them
+  auto cluster = Cluster::Create(cfg);
+  ASSERT_TRUE(cluster.ok());
+  Catalog* catalog = (*cluster)->catalog();
+  const graph::Partitioner* partitioner = (*cluster)->partitioner();
+
+  VertexId next = 1;
+  auto pick_on = [&](ServerId server) {
+    while (partitioner->ServerFor(next) != server) next++;
+    return next++;
+  };
+  const VertexId r = pick_on(0);
+  const VertexId a1 = pick_on(1);
+  const VertexId a2 = pick_on(2);
+  const VertexId b1 = pick_on(0);
+  const VertexId b2 = pick_on(0);
+  const VertexId c1 = pick_on(1);
+  const VertexId c2 = pick_on(1);
+
+  RefGraph g;
+  const auto t = catalog->Intern("N");
+  const auto link = catalog->Intern("link");
+  for (VertexId v : {r, a1, a2, b1, b2, c1, c2}) {
+    VertexRecord rec;
+    rec.id = v;
+    rec.label = t;
+    g.AddVertex(rec);
+  }
+  for (auto [src, dst] : std::vector<std::pair<VertexId, VertexId>>{
+           {r, a1}, {r, a2}, {a1, b1}, {a2, b2}, {b1, c1}, {b2, c2}}) {
+    EdgeRecord e;
+    e.src = src;
+    e.label = link;
+    e.dst = dst;
+    g.AddEdge(e);
+  }
+  ASSERT_TRUE((*cluster)->Load(g).ok());
+
+  BackendServer* s0 = (*cluster)->server(0);
+  gate.Hold(2, a2, [&gate, b1] { return gate.Reached(0, b1); });
+  gate.Hold(0, b1, [s0] { return s0->queue_depth() >= 1; });
+  for (uint32_t s = 0; s < 3; s++) (*cluster)->store(s)->SetInterceptor(&gate);
+  rpc::LinkFault dup;
+  dup.duplicate_probability = 1.0;
+  dup.only_type = rpc::MsgType::kTraverse;
+  (*cluster)->fault_transport()->SetLinkFault(0, 1, dup);
+
+  GTravel travel(catalog);
+  travel.v({r}).e("link").e("link");
+  if (rtn_at_b) travel.rtn();
+  travel.e("link");
+  auto plan = travel.Build();
+  ASSERT_TRUE(plan.ok());
+  (*cluster)->ResetStats();
+  auto result = (*cluster)->Run(*plan, EngineMode::kGraphTrek);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->vids, lang::EvaluatePlanOnRefGraph(*plan, g, *catalog));
+  EXPECT_EQ(result->vids.size(), 2u);
+
+  // s0 -> s1 carried r's step-1 frame and one step-3 frame for c1, c2.
+  const auto links = (*cluster)->fault_transport()->LinkSnapshot();
+  EXPECT_EQ(links.at(rpc::LinkKey{0, 1}).duplicated, 2u);
+  // s0's frames: the root, r's two step-1 frames, the shared step-3 frame.
+  EXPECT_EQ(s0->visit_stats().frames_sent.load(), 4u);
+}
+
+TEST(EngineFeatureTest, FramesWaitForLocalQuiescence) {
+  {
+    SCOPED_TRACE("rtn() on the b step (attribution protocol)");
+    RunFramesWaitForLocalQuiescence(/*rtn_at_b=*/true);
+  }
+  {
+    SCOPED_TRACE("plain (direct protocol)");
+    RunFramesWaitForLocalQuiescence(/*rtn_at_b=*/false);
+  }
+}
+
 // --- straggler injection ---------------------------------------------------------------
 
 TEST(EngineFeatureTest, InjectedStragglerSlowsSyncMoreThanGraphTrek) {

@@ -1,10 +1,11 @@
 // Travel-lifecycle tests: request-queue order-key collision regression,
-// cooperative cancellation reclaim, coordinator admission control and
-// server-enforced deadlines.
+// cooperative cancellation reclaim, coordinator admission control,
+// server-enforced deadlines, and completion without the maintenance tick.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -18,6 +19,7 @@
 #endif
 #endif
 
+#include "bench/bench_util.h"
 #include "src/common/metrics.h"
 #include "src/engine/cluster.h"
 #include "src/engine/request_queue.h"
@@ -336,6 +338,36 @@ TEST(TravelLifecycleTest, DeadlineExceededCompletesAsTimeout) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
   EXPECT_TRUE(drained) << "queues not drained after deadline expiry";
+}
+
+// Completion detection needs no maintenance tick: every frame and trace
+// item leaves at its travel's local quiescence on each server, so plain
+// (direct-protocol) travels complete while the tick never fires. A tick
+// flushing the trace buffers would hold each travel for its 60 s period.
+TEST(TravelLifecycleTest, PlainTravelCompletesWithoutMaintenanceTick) {
+  ClusterConfig cfg;
+  cfg.num_servers = 4;
+  cfg.maintenance_interval_ms = 60000;
+  auto cluster = Cluster::Create(cfg);
+  ASSERT_TRUE(cluster.ok());
+  Catalog* catalog = (*cluster)->catalog();
+  bench::BenchConfig bcfg;
+  bcfg.rmat_scale = 9;
+  const RefGraph g = bench::BuildRmat1(catalog, bcfg);
+  ASSERT_TRUE((*cluster)->Load(g).ok());
+
+  auto client = (*cluster)->NewClient();
+  RunOptions opts;  // kGraphTrek; plain hops take the direct protocol
+  opts.client_timeout_ms = 10000;
+  opts.max_restarts = 0;
+  for (uint32_t steps : {2u, 4u}) {
+    SCOPED_TRACE(std::to_string(steps) + " steps");
+    const auto plan = bench::HopPlan(catalog, bench::kBenchSource, steps);
+    auto result = client->Run(plan, opts);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->vids, lang::EvaluatePlanOnRefGraph(plan, g, *catalog));
+    EXPECT_LT(result->elapsed_ms, 10000.0);
+  }
 }
 
 }  // namespace
