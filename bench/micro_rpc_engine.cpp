@@ -83,8 +83,8 @@ void BM_RequestQueuePushPop(benchmark::State& state) {
   uint64_t i = 0;
   for (auto _ : state) {
     // Two tasks per vertex (distinct steps) so merging has work to do.
-    q.Push(engine::VertexTask{1, 1, i % 512, 1, true, false}, true, merging);
-    q.Push(engine::VertexTask{1, 2, i % 512, 2, true, false}, true, merging);
+    q.Push(engine::VertexTask{1, 1, i % 512, 1, true}, true, merging);
+    q.Push(engine::VertexTask{1, 2, i % 512, 2, true}, true, merging);
     q.PopBatch(&batch);
     if (!merging) q.PopBatch(&batch);
     i++;

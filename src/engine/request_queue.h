@@ -9,7 +9,7 @@
 //                     mergeable: popping one extracts every queued task for
 //                     the same {travel, vertex} so a single disk access
 //                     serves them all ("combined visits").
-//   Async-GT tasks  - plain FIFO, never merged.
+//   Async-GT and Sync-GT tasks - plain FIFO, never merged.
 #pragma once
 
 #include <cassert>
@@ -26,9 +26,8 @@ struct VertexTask {
   TravelId travel = 0;
   uint32_t step = 0;
   graph::VertexId vid = 0;
-  ExecId exec = 0;      // owning local execution (0 for sync-engine tasks)
+  ExecId exec = 0;      // owning local execution
   bool is_owner = true; // false: Async-GT redundant arrival: pays its read, applies nothing
-  bool sync = false;    // synchronous-engine task
 };
 
 class RequestQueue {

@@ -1,9 +1,8 @@
 // Archived per-travel execution timeline. The coordinator already observes
 // every execution's lifecycle through the status-tracing registry (TraceItem
-// batches arriving as kExecDispatched, plus the sync engine's step barrier
-// round-trips); TravelTrace condenses those events into per-step spans that
-// survive travel completion, and renders as Chrome trace-event JSON for
-// chrome://tracing / Perfetto ("load trace.json").
+// batches arriving as kTraceBatch); TravelTrace condenses those events into
+// per-step spans that survive travel completion, and renders as Chrome
+// trace-event JSON for chrome://tracing / Perfetto ("load trace.json").
 #pragma once
 
 #include <cstdint>

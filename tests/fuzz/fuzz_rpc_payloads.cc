@@ -32,7 +32,7 @@ GT_FUZZ_HARNESS(FuzzRpcPayloads) {
   if (size == 0) return 0;
   const std::string_view payload(reinterpret_cast<const char*>(data) + 1, size - 1);
 
-  switch (data[0] % 17) {
+  switch (data[0] % 16) {
     case 0: RoundTrip<SubmitPayload>(payload); break;
     case 1: RoundTrip<TraversePayload>(payload); break;
     case 2: RoundTrip<AnswerPayload>(payload); break;
@@ -41,15 +41,14 @@ GT_FUZZ_HARNESS(FuzzRpcPayloads) {
     case 5: RoundTrip<CompletePayload>(payload); break;
     case 6: RoundTrip<AbortPayload>(payload); break;
     case 7: RoundTrip<ProgressPayload>(payload); break;
-    case 8: RoundTrip<SyncStepPayload>(payload); break;
-    case 9: RoundTrip<SyncBatchPayload>(payload); break;
-    case 10: RoundTrip<PutVertexPayload>(payload); break;
-    case 11: RoundTrip<PutEdgePayload>(payload); break;
-    case 12: RoundTrip<MutateAckPayload>(payload); break;
-    case 13: RoundTrip<GetVertexPayload>(payload); break;
-    case 14: RoundTrip<VertexReplyPayload>(payload); break;
-    case 15: RoundTrip<CatalogInternPayload>(payload); break;
-    case 16: RoundTrip<CatalogReplyPayload>(payload); break;
+    case 8: RoundTrip<ReleaseStepPayload>(payload); break;
+    case 9: RoundTrip<PutVertexPayload>(payload); break;
+    case 10: RoundTrip<PutEdgePayload>(payload); break;
+    case 11: RoundTrip<MutateAckPayload>(payload); break;
+    case 12: RoundTrip<GetVertexPayload>(payload); break;
+    case 13: RoundTrip<VertexReplyPayload>(payload); break;
+    case 14: RoundTrip<CatalogInternPayload>(payload); break;
+    case 15: RoundTrip<CatalogReplyPayload>(payload); break;
   }
   return 0;
 }

@@ -205,65 +205,49 @@ void GenRpcPayloads(const std::filesystem::path& root) {
   progress.total_terminated = 6;
   seed(7, "progress", progress.Encode());
 
-  SyncStepPayload step;
-  step.travel_id = 9;
-  step.step = 1;
-  step.plan = plan;
-  step.batches_sent = {1, 0};
-  seed(8, "sync_step", step.Encode());
-
-  SyncStepPayload step_ext;
-  step_ext.travel_id = 9;
-  step_ext.step = 2;
-  step_ext.result_vids = {100, 101};
-  step_ext.result_values = {"bucket-a", "bucket-b"};
-  step_ext.result_paths = {{1, 100}, {2, 50, 101}};
-  seed(8, "sync_step_ext", step_ext.Encode());
-
-  SyncBatchPayload batch;
-  batch.travel_id = 9;
-  batch.step = 1;
-  batch.entries = SampleFrontier();
-  seed(9, "sync_batch", batch.Encode());
+  ReleaseStepPayload release;
+  release.travel_id = 9;
+  release.step = 2;
+  seed(8, "release_step", release.Encode());
 
   PutVertexPayload put_v;
   put_v.vid = 4;
   put_v.label = "file";
   put_v.props = {{"size", gt::graph::PropValue(int64_t{4096})},
                  {"name", gt::graph::PropValue(std::string("a.txt"))}};
-  seed(10, "put_vertex", put_v.Encode());
+  seed(9, "put_vertex", put_v.Encode());
 
   PutEdgePayload put_e;
   put_e.src = 4;
   put_e.label = "contains";
   put_e.dst = 5;
   put_e.props = {{"ts", gt::graph::PropValue(3.5)}};
-  seed(11, "put_edge", put_e.Encode());
+  seed(10, "put_edge", put_e.Encode());
 
   MutateAckPayload ack;
   ack.ok = 0;
   ack.error = "not the owner";
-  seed(12, "mutate_ack", ack.Encode());
+  seed(11, "mutate_ack", ack.Encode());
 
   GetVertexPayload get_v;
   get_v.vid = 4;
-  seed(13, "get_vertex", get_v.Encode());
+  seed(12, "get_vertex", get_v.Encode());
 
   VertexReplyPayload reply;
   reply.found = 1;
   reply.vid = 4;
   reply.label = "file";
   reply.props = {{"size", gt::graph::PropValue(int64_t{4096})}};
-  seed(14, "vertex_reply", reply.Encode());
+  seed(13, "vertex_reply", reply.Encode());
 
   CatalogInternPayload intern;
   intern.name = "contains";
-  seed(15, "catalog_intern", intern.Encode());
+  seed(14, "catalog_intern", intern.Encode());
 
   CatalogReplyPayload cat;
   cat.id = 3;
   cat.names = {"file", "dir", "contains"};
-  seed(16, "catalog_reply", cat.Encode());
+  seed(15, "catalog_reply", cat.Encode());
 }
 
 void GenPlan(const std::filesystem::path& root) {

@@ -289,31 +289,10 @@ std::vector<Surface> AllSurfaces() {
         PayloadSurface("progress", progress, progress.Encode().size()));
   }
   {
-    engine::SyncStepPayload step;
-    step.travel_id = 7;
-    step.step = 1;
-    step.plan = "plan";
-    step.batches_sent = {2, 0};
-    step.result_vids = {4};
-    surfaces.push_back(PayloadSurface("sync_step", step, step.Encode().size()));
-  }
-  {
-    engine::SyncStepPayload step;
-    step.travel_id = 7;
-    step.step = 2;
-    step.result_vids = {4};
-    engine::SyncStepPayload legacy = step;
-    step.result_values = {"gv"};
-    step.result_paths = {{1, 4}};
-    surfaces.push_back(
-        PayloadSurface("sync_step_ext", step, legacy.Encode().size()));
-  }
-  {
-    engine::SyncBatchPayload batch;
-    batch.travel_id = 7;
-    batch.step = 1;
-    batch.entries = {{10, {1, 2}}};
-    surfaces.push_back(PayloadSurface("sync_batch", batch, batch.Encode().size()));
+    engine::ReleaseStepPayload release;
+    release.travel_id = 7;
+    release.step = 3;
+    surfaces.push_back(PayloadSurface("release_step", release, release.Encode().size()));
   }
   {
     engine::PutVertexPayload put_v;
@@ -517,7 +496,7 @@ TEST(DecodeErrorsTest, HostileCountPrefixesFailWithoutAllocating) {
 // re-decodes; these pin the rejection side explicitly for every new field.
 TEST(DecodeErrorsTest, ExtTailTruncationIsRejected) {
   const std::set<std::string> ext_surfaces = {
-      "plan_ext", "plan_branch", "answer_ext", "result_chunk_ext", "sync_step_ext"};
+      "plan_ext", "plan_branch", "answer_ext", "result_chunk_ext"};
   size_t seen = 0;
   for (const Surface& s : AllSurfaces()) {
     if (ext_surfaces.count(s.name) == 0) continue;
@@ -623,15 +602,6 @@ TEST(DecodeErrorsTest, ResultTailParallelArrayMismatchIsRejected) {
     EXPECT_FALSE(engine::AnswerPayload::Decode(answer.Encode()).ok());
     answer.result_values = {"a", "b"};
     EXPECT_TRUE(engine::AnswerPayload::Decode(answer.Encode()).ok());
-  }
-  {  // Sync step: same invariant on the barrier path.
-    engine::SyncStepPayload step;
-    step.travel_id = 7;
-    step.result_vids = {4};
-    step.result_values = {"a", "b"};
-    EXPECT_FALSE(engine::SyncStepPayload::Decode(step.Encode()).ok());
-    step.result_values = {"a"};
-    EXPECT_TRUE(engine::SyncStepPayload::Decode(step.Encode()).ok());
   }
 }
 

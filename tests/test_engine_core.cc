@@ -91,7 +91,7 @@ TEST(TravelCacheTest, EraseTravelDropsOnlyThatTravel) {
 // --- RequestQueue ---------------------------------------------------------------
 
 VertexTask Task(TravelId travel, uint32_t step, graph::VertexId vid) {
-  return VertexTask{travel, step, vid, 0, true, false};
+  return VertexTask{travel, step, vid, 0, true};
 }
 
 TEST(RequestQueueTest, FifoTasksPopInArrivalOrder) {
@@ -230,22 +230,14 @@ TEST(PayloadTest, AnswerRoundTrip) {
   EXPECT_EQ(decoded->result_vids, p.result_vids);
 }
 
-TEST(PayloadTest, SyncStepRoundTrip) {
-  SyncStepPayload p;
+TEST(PayloadTest, ReleaseStepRoundTrip) {
+  ReleaseStepPayload p;
   p.travel_id = 11;
   p.step = 4;
-  p.phase = 1;
-  p.scan_start = 1;
-  p.plan = "plan";
-  p.batches_sent = {0, 2, 1};
-  p.batches_expected = 7;
-  p.result_vids = {42, 43};
-  auto decoded = SyncStepPayload::Decode(p.Encode());
+  auto decoded = ReleaseStepPayload::Decode(p.Encode());
   ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded->phase, 1);
-  EXPECT_EQ(decoded->batches_sent, p.batches_sent);
-  EXPECT_EQ(decoded->batches_expected, 7u);
-  EXPECT_EQ(decoded->result_vids, p.result_vids);
+  EXPECT_EQ(decoded->travel_id, 11u);
+  EXPECT_EQ(decoded->step, 4u);
 }
 
 TEST(PayloadTest, ProgressRoundTrip) {
@@ -282,7 +274,7 @@ TEST(PayloadTest, TraceBatchRejectsTruncation) {
 TEST(PayloadTest, CorruptPayloadsRejected) {
   EXPECT_FALSE(TraversePayload::Decode("x").ok());
   EXPECT_FALSE(AnswerPayload::Decode("").ok());
-  EXPECT_FALSE(SyncStepPayload::Decode("zz").ok());
+  EXPECT_FALSE(ReleaseStepPayload::Decode("z").ok());
 }
 
 TEST(ExecIdTest, EncodesServerAndSequence) {

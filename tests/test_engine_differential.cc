@@ -374,15 +374,15 @@ TEST(EngineDifferentialTest, PlannerOnMatchesPlannerOff) {
   }
 }
 
-TEST(EngineDifferentialTest, AsyncEnginesMatchOracleUnderDuplicationAndDrops) {
+TEST(EngineDifferentialTest, EnginesMatchOracleUnderDuplicationAndDrops) {
   // Idempotence leg: duplicate every kTraverse frame on every link, and
   // additionally drop a fraction of them on one link so the failure
-  // detector's restart path runs. Only kTraverse is exercised because only
-  // frontier hand-offs are idempotent by design (exec-id dedup absorbs
-  // re-delivered frames; duplicated kReturnVertices/kSyncBatch frames would
-  // double-count protocol state, which the transport never re-delivers).
-  // The sync engine does not use kTraverse, so this leg covers the two
-  // asynchronous engines.
+  // detector's restart path runs. Only kTraverse and Sync-GT's kReleaseStep
+  // are exercised because only they are idempotent by design (exec-id dedup
+  // absorbs re-delivered frames, and a re-delivered release finds its held
+  // frames gone; duplicated kReturnVertices frames would double-count
+  // protocol state, which the transport never re-delivers). Every engine
+  // hands off through kTraverse, so this leg covers all three.
 #if defined(GT_UNDER_TSAN)
   const uint64_t seeds = 2;
 #else
@@ -416,7 +416,7 @@ TEST(EngineDifferentialTest, AsyncEnginesMatchOracleUnderDuplicationAndDrops) {
     const lang::TraversalPlan plan = BuildRandomExtPlan(catalog, &rng, n);
     const lang::RefEvalResult oracle = lang::EvaluatePlanExtOnRefGraph(plan, g, *catalog);
     auto client = (*cluster)->NewClient();
-    for (EngineMode mode : {EngineMode::kAsyncPlain, EngineMode::kGraphTrek}) {
+    for (EngineMode mode : kAllModes) {
       SCOPED_TRACE(EngineModeName(mode));
       RunOptions opts;
       opts.mode = mode;
@@ -428,6 +428,22 @@ TEST(EngineDifferentialTest, AsyncEnginesMatchOracleUnderDuplicationAndDrops) {
     }
     EXPECT_GT(
         (*cluster)->fault_transport()->stats().messages_duplicated.load(), 0u);
+    {
+      // Sync-GT with every step release delivered twice on every link.
+      SCOPED_TRACE("Sync-GT, duplicated releases");
+      (*cluster)->fault_transport()->ClearAllFaults();
+      rpc::LinkFault dup_release;
+      dup_release.duplicate_probability = 1.0;
+      dup_release.only_type = rpc::MsgType::kReleaseStep;
+      (*cluster)->fault_transport()->SetLinkFault(rpc::kAnyEndpoint, rpc::kAnyEndpoint,
+                                                  dup_release);
+      RunOptions opts;
+      opts.mode = EngineMode::kSync;
+      opts.coordinator = 0;
+      auto result = client->Run(plan, opts);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      ExpectMatchesRefEval(plan, *result, oracle);
+    }
     // The engines must have actually absorbed re-deliveries (not merely
     // gotten lucky): the dedup counter is part of the exposed registry.
     EXPECT_GT(metrics::Registry::Default()->Sum("gt_engine_duplicate_frames_total"),

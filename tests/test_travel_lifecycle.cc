@@ -52,14 +52,14 @@ TEST(RequestQueueTest, OrderKeysDoNotCollideAcrossClasses) {
   // Priority task: step 1, seq 5. Old packed key: (1 << 44) | 5.
   q.SetNextSeqForTest(5);
   q.Push(VertexTask{/*travel=*/1, /*step=*/1, /*vid=*/7, /*exec=*/11,
-                    /*is_owner=*/true, /*sync=*/false},
+                    /*is_owner=*/true},
          /*priority=*/true, /*mergeable=*/true);
 
   // FIFO task whose raw seq equals that packed value. Old key: (1 << 44) + 5
   // — identical, so the emplace was a silent no-op and this task vanished.
   q.SetNextSeqForTest((1ULL << 44) + 5);
   q.Push(VertexTask{/*travel=*/2, /*step=*/0, /*vid=*/9, /*exec=*/22,
-                    /*is_owner=*/true, /*sync=*/false},
+                    /*is_owner=*/true},
          /*priority=*/false, /*mergeable=*/false);
 
   EXPECT_EQ(q.size(), 2u);
@@ -79,12 +79,12 @@ TEST(RequestQueueTest, EraseTravelDrainsQueuedTasks) {
   RequestQueue q;
   for (uint32_t i = 0; i < 8; i++) {
     q.Push(VertexTask{/*travel=*/100, /*step=*/i % 3, /*vid=*/i, /*exec=*/i,
-                      /*is_owner=*/true, /*sync=*/false},
+                      /*is_owner=*/true},
            /*priority=*/(i % 2) == 0, /*mergeable=*/(i % 2) == 0);
   }
   for (uint32_t i = 0; i < 3; i++) {
     q.Push(VertexTask{/*travel=*/200, /*step=*/0, /*vid=*/50 + i, /*exec=*/i,
-                      /*is_owner=*/true, /*sync=*/false},
+                      /*is_owner=*/true},
            /*priority=*/false, /*mergeable=*/false);
   }
   ASSERT_EQ(q.size(), 11u);
@@ -115,8 +115,7 @@ TEST(RequestQueueTest, PopBatchTakesOneGroupOrItsShareOfTheQueue) {
   auto fill = [](RequestQueue* q, graph::VertexId vertices) {
     for (uint32_t step = 0; step < 3; step++) {
       for (graph::VertexId vid = 1; vid <= vertices; vid++) {
-        q->Push(VertexTask{/*travel=*/7, step, vid, /*exec=*/vid, /*is_owner=*/true,
-                           /*sync=*/false},
+        q->Push(VertexTask{/*travel=*/7, step, vid, /*exec=*/vid, /*is_owner=*/true},
                 /*priority=*/true, /*mergeable=*/true);
       }
     }
