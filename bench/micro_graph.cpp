@@ -83,7 +83,7 @@ void BM_GraphScanEdgesByType(benchmark::State& state) {
   Rng rng(1);
   for (auto _ : state) {
     int count = 0;
-    store->ScanEdges(rng.Uniform(256), 1, [&](VertexId, const PropMap&) {
+    store->ScanEdges(rng.Uniform(256), 1, [&](VertexId, std::string_view) {
       count++;
       return true;
     }).ok();
@@ -115,7 +115,7 @@ void BM_GraphScanEdgesCached(benchmark::State& state) {
   Rng rng(1);
   for (auto _ : state) {
     int count = 0;
-    store->ScanEdges(rng.Uniform(256), 1, [&](VertexId, const PropMap&) {
+    store->ScanEdges(rng.Uniform(256), 1, [&](VertexId, std::string_view) {
       count++;
       return true;
     }).ok();

@@ -51,11 +51,12 @@ ctest --test-dir build --output-on-failure --no-tests=error \
 # a travel's frames leave a server (on local quiescence, one step-3 frame
 # for two batches) on both result protocols, and so do the Sync-GT
 # barrier tests (no step starts before every server drained the last; a
-# frame that arrives after its step's release starts at once).
+# frame that arrives after its step's release starts at once), and so do
+# the travel-cache unit tests (owner/waiter records the answer flow rests on).
 step "cross-engine differential harness (test_engine_differential)"
 ctest --test-dir build --output-on-failure --no-tests=error \
   --repeat until-fail:3 \
-  -R 'EngineDifferentialTest|EngineFeatureTest\.(FramesWaitForLocalQuiescence|SyncHoldsNextStepUntilEveryServerDrains|SyncStartsFramesThatArriveAfterTheirRelease)'
+  -R 'EngineDifferentialTest|TravelCache|EngineFeatureTest\.(FramesWaitForLocalQuiescence|SyncHoldsNextStepUntilEveryServerDrains|SyncStartsFramesThatArriveAfterTheirRelease)'
 
 # GTravel language + planner gate: plan codec round-trip/validation, the
 # GTravel builder, the reference evaluator, and the statistics-driven
@@ -74,12 +75,13 @@ ctest --test-dir build --output-on-failure --no-tests=error -L bench_smoke
 
 # I/O-path ablation gate: the adjacency cache must stay toggleable (the
 # ablation binary runs with it on and off), and the cache's unit +
-# differential coverage must run.
+# differential coverage must run, with the graph-store tests (the edge
+# scans' corrupt-value check on the cold and cached paths).
 # Explicit -R for the same reason as the sweeps above: a label or discovery
 # problem must not silently drop them.
 step "I/O-path ablation smoke + adjacency-cache tests"
 ctest --test-dir build --output-on-failure --no-tests=error \
-  -R 'bench_smoke_ablation_optimizations|AdjacencyCacheTest'
+  -R 'bench_smoke_ablation_optimizations|AdjacencyCacheTest|GraphStoreTest'
 
 # Travel-lifecycle gate: queue-key collision regression, cancellation
 # reclaim, admission control, deadline enforcement and completion with the

@@ -77,8 +77,9 @@ struct StepOutcome {
 // The step evaluator: applies step `step` of `plan` to one vertex record
 // (null = vertex missing). Only a passing, non-final vertex reads its hop's
 // edges, through `scan_hop_edges(label, visit)`, which calls
-// visit(dst, props) per out-edge with that label, from the edges the
-// worker batch read.
+// visit(dst, value) per out-edge with that label, from the edges the
+// worker batch read; `value` is the edge's encoded (store-checked) value,
+// decoded only when the hop filters on edge properties.
 template <typename ScanHopEdges>
 StepOutcome EvaluateStep(const lang::TraversalPlan& plan, graph::Catalog::Id type_key,
                          const graph::Catalog& catalog,
@@ -111,10 +112,14 @@ StepOutcome EvaluateStep(const lang::TraversalPlan& plan, graph::Catalog::Id typ
     return out;
   }
   const lang::Hop& hop = plan.hops[step];
-  scan_hop_edges(hop.edge_label, [&](graph::VertexId dst, const graph::PropMap& props) {
-    if (lang::MatchesAll(hop.edge_filters, props)) {
-      out.targets.emplace_back(partitioner.ServerFor(dst), dst);
+  scan_hop_edges(hop.edge_label, [&](graph::VertexId dst, std::string_view value) {
+    if (!hop.edge_filters.empty()) {
+      graph::PropMap props;
+      if (!graph::DecodeEdgeValue(value, &props) || !lang::MatchesAll(hop.edge_filters, props)) {
+        return;
+      }
     }
+    out.targets.emplace_back(partitioner.ServerFor(dst), dst);
   });
   return out;
 }
@@ -1039,56 +1044,62 @@ void BackendServer::StartExecLocked(const TraversePayload& req, const CompiledPl
   }
 
   // One memo probe per arrival decides owner vs redundant. A redundant
-  // arrival on the attribution protocol takes the owner's verdict, now or
-  // through a waiter.
-  auto classify = [&](graph::VertexId vid) {
+  // arrival on the attribution protocol (`v` non-null) takes the owner's
+  // verdict, now or through a waiter record.
+  auto classify = [&](graph::VertexId vid, ExecState::EntryVertex* v) {
     const TravelCache::LookupResult lr = cache_.LookupOrInsertPending(ex.travel, ex.step, vid);
     if (lr.state == TravelCache::State::kMiss) {
-      if (attribution) ex.owned.insert(vid);
+      if (v != nullptr) v->owned = true;
       push_task(vid, /*owner=*/true);
       return;
     }
     visit_stats_.redundant.fetch_add(1);
     if (!absorb) push_task(vid, /*owner=*/false);  // pays its read, applies nothing
-    if (!attribution) return;
+    if (v == nullptr) return;
     if (lr.state == TravelCache::State::kResolved) {
       ResolveVertexLocked(ex, vid, lr.reach, /*from_owner=*/false);
-      return;
+    } else {
+      cache_.AddWaiter(ex.travel, ex.step, vid, TravelCache::Waiter{ex.id, vid});
     }
-    const ExecId waiter_exec = ex.id;
-    cache_.AddWaiter(ex.travel, ex.step, vid, [this, waiter_exec, vid](bool reach) {
-      mu_.AssertHeld();  // waiters fire under the engine lock (Resolve sites)
-      auto it = execs_.find(waiter_exec);
-      if (it == execs_.end()) return;
-      ResolveVertexLocked(*it->second, vid, reach, /*from_owner=*/false);
-      TryAnswerLocked(*it->second);
-    });
   };
 
   if (attribution) {
-    // Deduplicate, keeping every vertex's parents for the answer flow.
-    for (auto vid : scan_entries) {
-      ex.entry_parents.emplace(vid, std::vector<graph::VertexId>{});
+    // The vertex table: one record per distinct vertex, its parents from
+    // every wire entry naming it as one run of the flat parents array.
+    constexpr uint32_t kScanRoot = UINT32_MAX;
+    std::vector<std::pair<graph::VertexId, uint32_t>> order;  // (vid, entry index)
+    order.reserve(req.entries.size() + scan_entries.size());
+    size_t num_parents = 0;
+    for (uint32_t i = 0; i < req.entries.size(); i++) {
+      order.emplace_back(req.entries[i].vid, i);
+      num_parents += req.entries[i].parents.size();
     }
-    for (const auto& e : req.entries) {
-      auto [it, inserted] = ex.entry_parents.emplace(e.vid, e.parents);
-      if (!inserted) {
-        it->second.insert(it->second.end(), e.parents.begin(), e.parents.end());
+    for (auto vid : scan_entries) order.emplace_back(vid, kScanRoot);
+    std::sort(order.begin(), order.end());
+    ex.parents.reserve(num_parents);
+    for (const auto& [vid, idx] : order) {
+      if (ex.vertices.empty() || ex.vertices.back().vid != vid) {
+        ExecState::EntryVertex v;
+        v.vid = vid;
+        v.parents_begin = static_cast<uint32_t>(ex.parents.size());
+        ex.vertices.push_back(v);
       }
+      if (idx != kScanRoot) {
+        const auto& parents = req.entries[idx].parents;
+        ex.parents.insert(ex.parents.end(), parents.begin(), parents.end());
+      }
+      ex.vertices.back().parents_end = static_cast<uint32_t>(ex.parents.size());
     }
-    ex.unresolved = ex.entry_parents.size();
-    visit_stats_.received.fetch_add(ex.entry_parents.size());
-    visit_stats_.AddStep(ex.step, ex.entry_parents.size());
-    for (const auto& [vid, parents] : ex.entry_parents) {
-      (void)parents;
-      classify(vid);
-    }
+    ex.unresolved = ex.vertices.size();
+    visit_stats_.received.fetch_add(ex.vertices.size());
+    visit_stats_.AddStep(ex.step, ex.vertices.size());
+    for (auto& v : ex.vertices) classify(v.vid, &v);
   } else {
     // Direct protocol: the wire entries as-is (senders already deduplicate).
     visit_stats_.received.fetch_add(req.entries.size() + scan_entries.size());
     visit_stats_.AddStep(ex.step, req.entries.size() + scan_entries.size());
-    for (const auto& e : req.entries) classify(e.vid);
-    for (auto vid : scan_entries) classify(vid);
+    for (const auto& e : req.entries) classify(e.vid, nullptr);
+    for (auto vid : scan_entries) classify(vid, nullptr);
   }
   AdmitExecLocked(ex, cplan);  // may erase ex
 }
@@ -1146,17 +1157,24 @@ void BackendServer::ProcessBatch(const std::vector<VertexTask>& batch) {
   const uint32_t num_steps = static_cast<uint32_t>(plan.num_steps());
 
   // --- I/O phase (no engine lock held) -------------------------------------
-  struct EdgeEntry {
+  // Every edge the batch reads is one record in `edges`, its encoded value
+  // a [offset, offset + length) run of `edge_bytes`; each vertex's edges
+  // are the run [edges_begin, edges_end) of `edges`.
+  struct EdgeRef {
     graph::LabelId label;
     graph::VertexId dst;
-    graph::PropMap props;
+    uint32_t offset;
+    uint32_t length;
   };
   struct VidData {
     bool exists = false;
     graph::VertexRecord rec;
-    std::vector<EdgeEntry> edges;
+    uint32_t edges_begin = 0;
+    uint32_t edges_end = 0;
   };
   std::vector<VidData> vid_data(vids.size());
+  std::vector<EdgeRef> edges;
+  std::string edge_bytes;
 
   // One MultiGet per step cohort (usually the whole batch) so straggler
   // rules still see the step each access belongs to.
@@ -1194,19 +1212,22 @@ void BackendServer::ProcessBatch(const std::vector<VertexTask>& batch) {
   for (size_t k = 0; k < batch.size(); k++) {
     if (batch[k].step < num_steps) need_edges[task_slot[k]] = true;
   }
+  auto keep = [&](graph::LabelId label, graph::VertexId dst, std::string_view value) {
+    edges.push_back({label, dst, static_cast<uint32_t>(edge_bytes.size()),
+                     static_cast<uint32_t>(value.size())});
+    edge_bytes.append(value);
+    return true;
+  };
   for (size_t i = 0; i < vids.size(); i++) {
     if (!vid_data[i].exists || !need_edges[i]) continue;
-    auto keep = [&](graph::LabelId label, graph::VertexId dst, const graph::PropMap& props) {
-      vid_data[i].edges.push_back({label, dst, props});
-      return true;
-    };
+    vid_data[i].edges_begin = static_cast<uint32_t>(edges.size());
     tls_current_step = static_cast<int>(vid_step[i]);
     if (hop_label_only) {
       const graph::LabelId label = plan.hops[vid_step[i]].edge_label;
       store_
           ->ScanEdges(vids[i], label,
-                      [&](graph::VertexId dst, const graph::PropMap& props) {
-                        return keep(label, dst, props);
+                      [&keep, label](graph::VertexId dst, std::string_view value) {
+                        return keep(label, dst, value);
                       },
                       warm[i], travel_snap.get())
           .ok();
@@ -1214,6 +1235,7 @@ void BackendServer::ProcessBatch(const std::vector<VertexTask>& batch) {
       store_->ScanAllEdges(vids[i], keep, warm[i], travel_snap.get()).ok();
     }
     tls_current_step = -1;
+    vid_data[i].edges_end = static_cast<uint32_t>(edges.size());
   }
 
   visit_stats_.real_io.fetch_add(vids.size());
@@ -1232,10 +1254,13 @@ void BackendServer::ProcessBatch(const std::vector<VertexTask>& batch) {
     outcomes[i] = EvaluateStep(
         plan, cplan->type_key, *catalog_, *partitioner_, t.step, vd.exists ? &vd.rec : nullptr,
         [&](graph::LabelId label, auto&& visit) {
+          const auto last = edges.begin() + vd.edges_end;
           auto eit = std::lower_bound(
-              vd.edges.begin(), vd.edges.end(), label,
-              [](const EdgeEntry& e, graph::LabelId l) { return e.label < l; });
-          for (; eit != vd.edges.end() && eit->label == label; ++eit) visit(eit->dst, eit->props);
+              edges.begin() + vd.edges_begin, last, label,
+              [](const EdgeRef& e, graph::LabelId l) { return e.label < l; });
+          for (; eit != last && eit->label == label; ++eit) {
+            visit(eit->dst, std::string_view(edge_bytes).substr(eit->offset, eit->length));
+          }
         });
   }
 
@@ -1302,7 +1327,7 @@ void BackendServer::ProcessBatch(const std::vector<VertexTask>& batch) {
     } else if (!out.passed || out.targets.empty()) {
       ResolveVertexLocked(exec, t.vid, false, /*from_owner=*/true);
     } else {
-      exec.awaiting_children.insert(t.vid);
+      exec.FindVertex(t.vid)->awaiting = true;
       for (auto& [server, dst] : out.targets) {
         PendingFrame& f = frame_to(server);
         f.targets.emplace_back(dst, t.vid);
@@ -1327,13 +1352,15 @@ void BackendServer::ProcessBatch(const std::vector<VertexTask>& batch) {
 void BackendServer::ResolveVertexLocked(ExecState& exec, graph::VertexId vid, bool reach,
                                         bool from_owner) {
   if (exec.answered) return;
-  if (!exec.resolved.insert(vid).second) return;  // already decided
+  ExecState::EntryVertex* v = exec.FindVertex(vid);
+  if (v == nullptr || v->resolved) return;  // not an entry, or already decided
+  v->resolved = true;
+  v->awaiting = false;
   exec.unresolved--;
-  exec.awaiting_children.erase(vid);
   if (reach) {
-    exec.reached.insert(vid);
+    v->reached = true;
     // rtn()/final-result emission happens exactly once, at the owner.
-    if (exec.owned.count(vid) != 0) {
+    if (v->owned) {
       const auto pit = plans_.find(exec.travel);
       if (pit != plans_.end()) {
         const lang::TraversalPlan& plan = pit->second->plan;
@@ -1344,9 +1371,14 @@ void BackendServer::ResolveVertexLocked(ExecState& exec, graph::VertexId vid, bo
       }
     }
   }
-  if (from_owner && exec.owned.count(vid) != 0) {
-    auto waiters = cache_.Resolve(exec.travel, exec.step, vid, reach);
-    for (auto& w : waiters) w(reach);
+  if (!from_owner || !v->owned) return;
+  // The redundant arrivals waiting on this vertex take its verdict; each
+  // belongs to another execution, which may now answer.
+  for (const TravelCache::Waiter& w : cache_.Resolve(exec.travel, exec.step, vid, reach)) {
+    auto it = execs_.find(w.exec);
+    if (it == execs_.end()) continue;
+    ResolveVertexLocked(*it->second, w.vid, reach, /*from_owner=*/false);
+    TryAnswerLocked(*it->second);
   }
 }
 
@@ -1447,9 +1479,11 @@ void BackendServer::SettleExecLocked(ExecState& exec, const CompiledPlan& cplan)
 
 void BackendServer::ResolveUnreachedLocked(ExecState& exec) {
   if (!exec.dispatched || exec.children_outstanding > 0) return;
-  std::vector<graph::VertexId> dead(exec.awaiting_children.begin(),
-                                    exec.awaiting_children.end());
-  for (auto vid : dead) ResolveVertexLocked(exec, vid, false, /*from_owner=*/true);
+  for (size_t i = 0; i < exec.vertices.size(); i++) {
+    if (exec.vertices[i].awaiting) {
+      ResolveVertexLocked(exec, exec.vertices[i].vid, false, /*from_owner=*/true);
+    }
+  }
 }
 
 void BackendServer::TryAnswerLocked(ExecState& exec) {
@@ -1463,13 +1497,15 @@ void BackendServer::TryAnswerLocked(ExecState& exec) {
   ans.travel_id = exec.travel;
   ans.exec_id = exec.id;
   ans.parent_exec = exec.parent_exec;
-  std::unordered_set<graph::VertexId> reached_parents;
-  for (auto vid : exec.reached) {
-    const auto it = exec.entry_parents.find(vid);
-    if (it == exec.entry_parents.end()) continue;
-    reached_parents.insert(it->second.begin(), it->second.end());
+  auto& reached_parents = ans.reached_parents;
+  for (const ExecState::EntryVertex& v : exec.vertices) {
+    if (!v.reached) continue;
+    reached_parents.insert(reached_parents.end(), exec.parents.begin() + v.parents_begin,
+                           exec.parents.begin() + v.parents_end);
   }
-  ans.reached_parents.assign(reached_parents.begin(), reached_parents.end());
+  std::sort(reached_parents.begin(), reached_parents.end());
+  reached_parents.erase(std::unique(reached_parents.begin(), reached_parents.end()),
+                        reached_parents.end());
   ans.result_vids = std::move(exec.results);
   QueueSendLocked(rpc::MsgType::kReturnVertices, exec.parent_server, ans.Encode());
   execs_.erase(exec.id);  // exec is dangling after this line

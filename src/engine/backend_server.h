@@ -19,6 +19,7 @@
 //                drain and broadcasts the step's release
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <deque>
 #include <map>
@@ -184,19 +185,32 @@ class BackendServer {
     // coordinator's travel-level accounting.
     ExecId parent_exec = 0;
 
-    // Per distinct vertex: previous-step parents (for the answer upward).
-    std::unordered_map<graph::VertexId, std::vector<graph::VertexId>> entry_parents;
-    // Vertices this execution owns (it performs their I/O + expansion).
-    std::unordered_set<graph::VertexId> owned;
+    // Attribution protocol: the execution's vertex table, one record per
+    // distinct entry vertex, vid-sorted and built once at the start. Each
+    // record's previous-step parents (for the answer upward) are
+    // parents[parents_begin, parents_end).
+    struct EntryVertex {
+      graph::VertexId vid = 0;
+      uint32_t parents_begin = 0;
+      uint32_t parents_end = 0;
+      bool owned = false;     // this execution performs its I/O + expansion
+      bool awaiting = false;  // owned, reach awaits child answers
+      bool resolved = false;  // reach decided
+      bool reached = false;   // decided true
+    };
+    std::vector<EntryVertex> vertices;
+    std::vector<graph::VertexId> parents;
+    // The vertex's record, or null when it is not an entry of this execution.
+    EntryVertex* FindVertex(graph::VertexId vid) {
+      auto it = std::lower_bound(
+          vertices.begin(), vertices.end(), vid,
+          [](const EntryVertex& v, graph::VertexId x) { return v.vid < x; });
+      return it != vertices.end() && it->vid == vid ? &*it : nullptr;
+    }
     // Vertices not yet resolved to reach/no-reach.
     size_t unresolved = 0;
     // Queued tasks (owner and Async-GT I/O-only) not yet processed.
     size_t owned_unprocessed = 0;
-    // Owner vertices whose reach awaits child answers.
-    std::unordered_set<graph::VertexId> awaiting_children;
-    // Vertices with a decided reach value / the subset decided true.
-    std::unordered_set<graph::VertexId> resolved;
-    std::unordered_set<graph::VertexId> reached;
 
     // Set once the termination was reported: after the last task ran and
     // the travel's frames left, or on arrival when no task was queued.

@@ -5,8 +5,8 @@
 // triple and records whether that vertex's traversal subtree reaches the
 // end of the call chain (`reach`). A first arrival inserts a *pending*
 // entry and owns the vertex's processing; subsequent arrivals are redundant
-// visits — GraphTrek absorbs them without I/O and registers a waiter that
-// is answered when the owner resolves the entry.
+// visits — GraphTrek absorbs them without I/O and registers a waiter record
+// that the owner's Resolve hands back, for the caller to answer inline.
 //
 // Replacement follows the paper's time-based strategy: the triples with the
 // smallest step ids are substituted first (the presence of larger step ids
@@ -14,11 +14,10 @@
 // evictable; pending entries pin protocol state.
 //
 // Not internally synchronized: the owning BackendServer serializes access
-// under its engine mutex, and waiter callbacks fire under that same mutex.
+// under its engine mutex and resolves the returned waiters under it.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <set>
 #include <unordered_map>
@@ -40,6 +39,13 @@ class TravelCache {
     bool reach = false;  // valid when kResolved
   };
 
+  // A redundant arrival waiting on a pending entry: the execution that
+  // absorbed it and the vertex it takes the owner's verdict for.
+  struct Waiter {
+    ExecId exec = 0;
+    graph::VertexId vid = 0;
+  };
+
   // Looks up {travel, step, vid}; on miss inserts a pending entry (the
   // caller becomes the owner responsible for resolving it).
   LookupResult LookupOrInsertPending(TravelId travel, uint32_t step, graph::VertexId vid) {
@@ -58,17 +64,16 @@ class TravelCache {
     return LookupResult{State::kMiss, false};
   }
 
-  // Registers a callback fired (under the server engine lock) when the
-  // pending entry resolves. REQUIRES: entry exists and is pending.
-  void AddWaiter(TravelId travel, uint32_t step, graph::VertexId vid,
-                 std::function<void(bool)> waiter) {
-    entries_.at(Key{travel, step, vid}).waiters.push_back(std::move(waiter));
+  // Registers a waiter that Resolve returns once the pending entry
+  // resolves. REQUIRES: entry exists and is pending.
+  void AddWaiter(TravelId travel, uint32_t step, graph::VertexId vid, Waiter waiter) {
+    entries_.at(Key{travel, step, vid}).waiters.push_back(waiter);
   }
 
-  // Resolves a pending entry and returns the waiters to fire. REQUIRES:
-  // entry exists and is pending.
-  std::vector<std::function<void(bool)>> Resolve(TravelId travel, uint32_t step,
-                                                 graph::VertexId vid, bool reach) {
+  // Resolves a pending entry and returns its waiters in registration order.
+  // REQUIRES: entry exists and is pending.
+  std::vector<Waiter> Resolve(TravelId travel, uint32_t step, graph::VertexId vid,
+                              bool reach) {
     const Key key{travel, step, vid};
     Entry& e = entries_.at(key);
     e.resolved = true;
@@ -124,7 +129,7 @@ class TravelCache {
     bool resolved = false;
     bool reach = false;
     uint64_t seq = 0;
-    std::vector<std::function<void(bool)>> waiters;
+    std::vector<Waiter> waiters;
   };
   // Eviction order: smallest step first, then oldest insertion.
   struct EvictKey {

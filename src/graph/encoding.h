@@ -137,4 +137,11 @@ inline bool DecodeEdgeValue(std::string_view value, PropMap* props) {
   return PropMap::DecodeFrom(&dec, props);
 }
 
+// True exactly when DecodeEdgeValue accepts `value`; allocates nothing. The
+// edge scans check every value with it before handing the encoded bytes on.
+inline bool ValidEdgeValue(std::string_view value) {
+  CheckedReader dec(value);
+  return PropMap::SkipFrom(&dec);
+}
+
 }  // namespace gt::graph

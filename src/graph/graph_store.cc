@@ -187,62 +187,47 @@ static bool RowVisibleAt(const AdjacencyRow& row,
   return snap == nullptr || row.build_seq() <= snap->sequence();
 }
 
-Status GraphStore::ScanEdgesUncached(
-    VertexId src, LabelId label,
-    const std::function<bool(VertexId, const PropMap&)>& fn, bool warm,
-    const ReadSnapshot* snap) {
+// Serves every edge of a cached row to `fn`, each value checked first.
+static Status ServeRow(const AdjacencyRow& row, const GraphStore::LabeledEdgeFn& fn) {
+  for (uint32_t i = 0; i < row.size(); ++i) {
+    if (!ValidEdgeValue(row.props_at(i))) return Status::Corruption("bad cached edge value");
+    if (!fn(row.label_at(i), row.dst_at(i), row.props_at(i))) break;
+  }
+  return Status::OK();
+}
+
+Status GraphStore::ScanEdgesUncached(VertexId src, LabelId label, const LabeledEdgeFn& fn,
+                                     bool warm, const ReadSnapshot* snap) {
   uint64_t bytes = 0;
   Status inner = Status::OK();
-  Status s = db_->ScanPrefix(EdgePrefix(src, label), [&](kv::Slice key, kv::Slice value) {
+  const std::string prefix = label == AdjacencyCache::kAllLabels ? EdgePrefixAllLabels(src)
+                                                                 : EdgePrefix(src, label);
+  Status s = db_->ScanPrefix(prefix, [&](kv::Slice key, kv::Slice value) {
     VertexId esrc, edst;
     LabelId elabel;
     if (!ParseEdgeKey(key.view(), &esrc, &elabel, &edst)) {
       inner = Status::Corruption("bad edge key");
       return false;
     }
-    PropMap props;
-    if (!DecodeEdgeValue(value.view(), &props)) {
+    if (!ValidEdgeValue(value.view())) {
       inner = Status::Corruption("bad edge value");
       return false;
     }
     bytes += key.size() + value.size();
-    return fn(edst, props);
+    return fn(elabel, edst, value.view());
   }, snap);
   ChargeAccess(src, bytes, warm);
   if (!inner.ok()) return inner;
   return s;
 }
 
-Status GraphStore::ScanAllEdgesUncached(
-    VertexId src, const std::function<bool(LabelId, VertexId, const PropMap&)>& fn,
-    bool warm, const ReadSnapshot* snap) {
-  uint64_t bytes = 0;
-  Status inner = Status::OK();
-  Status s = db_->ScanPrefix(EdgePrefixAllLabels(src), [&](kv::Slice key, kv::Slice value) {
-    VertexId esrc, edst;
-    LabelId elabel;
-    if (!ParseEdgeKey(key.view(), &esrc, &elabel, &edst)) {
-      inner = Status::Corruption("bad edge key");
-      return false;
-    }
-    PropMap props;
-    if (!DecodeEdgeValue(value.view(), &props)) {
-      inner = Status::Corruption("bad edge value");
-      return false;
-    }
-    bytes += key.size() + value.size();
-    return fn(elabel, edst, props);
-  }, snap);
-  ChargeAccess(src, bytes, warm);
-  if (!inner.ok()) return inner;
-  return s;
-}
-
-Status GraphStore::ScanEdges(VertexId src, LabelId label,
-                             const std::function<bool(VertexId, const PropMap&)>& fn,
-                             bool warm, const ReadSnapshot* snap) {
+Status GraphStore::ScanEdges(VertexId src, LabelId label, const EdgeFn& fn, bool warm,
+                             const ReadSnapshot* snap) {
+  const LabeledEdgeFn labeled = [&fn](LabelId, VertexId dst, std::string_view value) {
+    return fn(dst, value);
+  };
   if (adj_cache_ == nullptr) {
-    return ScanEdgesUncached(src, label, fn, warm, snap);
+    return ScanEdgesUncached(src, label, labeled, warm, snap);
   }
 
   // Prefer the exact (src, label) row; fall back to slicing a resident
@@ -260,12 +245,11 @@ Status GraphStore::ScanEdges(VertexId src, LabelId label,
       for (uint32_t i = 0; i < all->size(); ++i) {
         if (all->label_at(i) != label) continue;
         bytes += kEdgeKeyBytes + all->props_at(i).size();
-        PropMap props;
-        if (!DecodeEdgeValue(all->props_at(i), &props)) {
+        if (!ValidEdgeValue(all->props_at(i))) {
           serve = Status::Corruption("bad cached edge value");
           break;
         }
-        if (!fn(all->dst_at(i), props)) break;
+        if (!fn(all->dst_at(i), all->props_at(i))) break;
       }
       ChargeAccess(src, bytes, /*warm=*/true);
       return serve;
@@ -282,28 +266,20 @@ Status GraphStore::ScanEdges(VertexId src, LabelId label,
       return built.status();
     }
     if (!RowVisibleAt(**built, snap)) {
-      return ScanEdgesUncached(src, label, fn, warm, snap);
+      return ScanEdgesUncached(src, label, labeled, warm, snap);
     }
     row = *built;
   }
   // A fresh build charges at the caller's cold/warm rate (the bytes really
   // came off the device); a cache hit always charges warm.
   ChargeAccess(src, row->source_bytes(), hit ? true : warm);
-  for (uint32_t i = 0; i < row->size(); ++i) {
-    PropMap props;
-    if (!DecodeEdgeValue(row->props_at(i), &props)) {
-      return Status::Corruption("bad cached edge value");
-    }
-    if (!fn(row->dst_at(i), props)) break;
-  }
-  return Status::OK();
+  return ServeRow(*row, labeled);
 }
 
-Status GraphStore::ScanAllEdges(
-    VertexId src, const std::function<bool(LabelId, VertexId, const PropMap&)>& fn,
-    bool warm, const ReadSnapshot* snap) {
+Status GraphStore::ScanAllEdges(VertexId src, const LabeledEdgeFn& fn, bool warm,
+                                const ReadSnapshot* snap) {
   if (adj_cache_ == nullptr) {
-    return ScanAllEdgesUncached(src, fn, warm, snap);
+    return ScanEdgesUncached(src, AdjacencyCache::kAllLabels, fn, warm, snap);
   }
 
   auto row = adj_cache_->Lookup(src, AdjacencyCache::kAllLabels);
@@ -316,19 +292,12 @@ Status GraphStore::ScanAllEdges(
       return built.status();
     }
     if (!RowVisibleAt(**built, snap)) {
-      return ScanAllEdgesUncached(src, fn, warm, snap);
+      return ScanEdgesUncached(src, AdjacencyCache::kAllLabels, fn, warm, snap);
     }
     row = *built;
   }
   ChargeAccess(src, row->source_bytes(), hit ? true : warm);
-  for (uint32_t i = 0; i < row->size(); ++i) {
-    PropMap props;
-    if (!DecodeEdgeValue(row->props_at(i), &props)) {
-      return Status::Corruption("bad cached edge value");
-    }
-    if (!fn(row->label_at(i), row->dst_at(i), props)) break;
-  }
-  return Status::OK();
+  return ServeRow(*row, fn);
 }
 
 Status GraphStore::WarmAdjacency() {

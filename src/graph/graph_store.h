@@ -11,6 +11,7 @@
 #include <atomic>
 #include <functional>
 #include <memory>
+#include <string_view>
 
 #include "src/common/device_model.h"
 #include "src/common/status.h"
@@ -85,6 +86,14 @@ class GraphStore {
   Status MultiGetVertices(std::vector<VertexLookup>* lookups,
                           const ReadSnapshot* snap = nullptr);
 
+  // Edge visitors get each edge's encoded value (DecodeEdgeValue), valid
+  // for the call only; returning false stops the scan. Every value is
+  // checked with ValidEdgeValue before it is passed on, so a corrupt one
+  // ends the scan with Corruption on every path (uncached, fresh build,
+  // cache hit).
+  using EdgeFn = std::function<bool(VertexId dst, std::string_view value)>;
+  using LabeledEdgeFn = std::function<bool(LabelId, VertexId dst, std::string_view value)>;
+
   // Iterates out-edges of `src` with type `label` in dst order. Served from
   // the adjacency cache when resident ((src,label) row, or a (src,all) row
   // filtered down); a miss scans the KV prefix once, building and caching
@@ -92,16 +101,13 @@ class GraphStore {
   // original byte count at the warm (cache-hit) rate regardless of `warm` —
   // the row IS the cached copy — while misses charge cold/warm exactly as
   // before.
-  Status ScanEdges(VertexId src, LabelId label,
-                   const std::function<bool(VertexId dst, const PropMap&)>& fn,
-                   bool warm = false, const ReadSnapshot* snap = nullptr);
+  Status ScanEdges(VertexId src, LabelId label, const EdgeFn& fn, bool warm = false,
+                   const ReadSnapshot* snap = nullptr);
 
   // Iterates all out-edges of `src` grouped by type. Same caching and
   // charging policy as ScanEdges, keyed on the (src, all-labels) row.
-  Status ScanAllEdges(
-      VertexId src,
-      const std::function<bool(LabelId, VertexId dst, const PropMap&)>& fn,
-      bool warm = false, const ReadSnapshot* snap = nullptr);
+  Status ScanAllEdges(VertexId src, const LabeledEdgeFn& fn, bool warm = false,
+                      const ReadSnapshot* snap = nullptr);
 
   // Eagerly builds an all-labels adjacency row for every vertex on this
   // shard from one bulk edge sweep (ingest/benchmark warm-up path; charges
@@ -162,15 +168,11 @@ class GraphStore {
   // Charges one logical access of `bytes` bytes rooted at `vid`.
   void ChargeAccess(VertexId vid, uint64_t bytes, bool warm);
 
-  // Cache-free KV prefix scans: the adjacency_cache_bytes == 0 path, and
-  // the fallback when a snapshot read cannot be served by any cached row.
-  Status ScanEdgesUncached(VertexId src, LabelId label,
-                           const std::function<bool(VertexId, const PropMap&)>& fn,
-                           bool warm, const ReadSnapshot* snap);
-  Status ScanAllEdgesUncached(
-      VertexId src,
-      const std::function<bool(LabelId, VertexId, const PropMap&)>& fn, bool warm,
-      const ReadSnapshot* snap);
+  // Cache-free KV prefix scan of the (src, label) edges (label ==
+  // kAllLabels: every label): the adjacency_cache_bytes == 0 path, and the
+  // fallback when a snapshot read cannot be served by any cached row.
+  Status ScanEdgesUncached(VertexId src, LabelId label, const LabeledEdgeFn& fn, bool warm,
+                           const ReadSnapshot* snap);
 
   // Scans the (src, label) KV prefix (label == kAllLabels: every label),
   // builds the CSR row, and inserts it into the cache. Never serves the

@@ -138,6 +138,22 @@ class PropValue {
     return false;
   }
 
+  // Walks one encoded value without materializing it: accepts exactly the
+  // inputs DecodeFrom accepts.
+  static bool SkipFrom(CheckedReader* dec) {
+    uint8_t tag = 0;
+    if (!dec->GetByte(&tag)) return false;
+    std::string_view s;
+    int64_t v;
+    switch (static_cast<Kind>(tag)) {
+      case Kind::kInt: return dec->GetVarSigned64(&v);
+      case Kind::kDouble: return dec->Skip(8);
+      case Kind::kString:
+      case Kind::kBytes: return dec->GetLengthPrefixed(&s);
+    }
+    return false;
+  }
+
   std::string ToString() const {
     switch (kind()) {
       case Kind::kInt: return std::to_string(as_int());
@@ -201,6 +217,18 @@ class PropMap {
       PropValue value;
       if (!dec->GetVarint32(&key) || !PropValue::DecodeFrom(dec, &value)) return false;
       out->entries_.emplace_back(key, std::move(value));
+    }
+    return true;
+  }
+
+  // Walks one encoded map without materializing it (no allocation):
+  // accepts exactly the inputs DecodeFrom accepts.
+  static bool SkipFrom(CheckedReader* dec) {
+    uint32_t n;
+    if (!dec->GetCount(&n, 2)) return false;
+    for (uint32_t i = 0; i < n; i++) {
+      uint32_t key;
+      if (!dec->GetVarint32(&key) || !PropValue::SkipFrom(dec)) return false;
     }
     return true;
   }

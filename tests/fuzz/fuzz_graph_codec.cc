@@ -1,6 +1,7 @@
 // Fuzzes the property-graph storage codec: KV key parsers (vertex, edge,
-// type-index), the vertex/edge value decoders, and the PropMap/PropValue
-// wire format they share with the RPC payloads.
+// type-index), the vertex/edge value decoders (and the edge-value validator
+// the edge scans use, which must accept exactly what the decoder accepts),
+// and the PropMap/PropValue wire format they share with the RPC payloads.
 #include <string>
 #include <string_view>
 
@@ -33,9 +34,11 @@ GT_FUZZ_HARNESS(FuzzGraphCodec) {
       }
       break;
     }
-    case 2: {  // edge value: bare props
+    case 2: {  // edge value: bare props; the allocation-free validator agrees
       gt::graph::PropMap props;
-      if (gt::graph::DecodeEdgeValue(input, &props)) {
+      const bool decoded = gt::graph::DecodeEdgeValue(input, &props);
+      if (decoded != gt::graph::ValidEdgeValue(input)) __builtin_trap();
+      if (decoded) {
         const std::string wire = gt::graph::EncodeEdgeValue(props);
         gt::graph::PropMap props2;
         if (!gt::graph::DecodeEdgeValue(wire, &props2)) __builtin_trap();

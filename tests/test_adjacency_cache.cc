@@ -57,6 +57,14 @@ class AdjacencyCacheTest : public ::testing::Test {
     return e;
   }
 
+  // The weight property of an encoded edge value, or -1 when absent.
+  static int64_t Weight(std::string_view value) {
+    PropMap props;
+    EXPECT_TRUE(DecodeEdgeValue(value, &props));
+    const PropValue* w = props.Find(kWeightKey);
+    return w != nullptr ? w->as_int() : -1;
+  }
+
   // Out-edges of (src, label) as the store reports them.
   static EdgeList Scan(GraphStore* store, VertexId src, LabelId label,
                        const GraphStore::ReadSnapshot* snap = nullptr) {
@@ -64,9 +72,8 @@ class AdjacencyCacheTest : public ::testing::Test {
     store
         ->ScanEdges(
             src, label,
-            [&](VertexId dst, const PropMap& props) {
-              const PropValue* w = props.Find(kWeightKey);
-              out.emplace_back(dst, w != nullptr ? w->as_int() : -1);
+            [&](VertexId dst, std::string_view value) {
+              out.emplace_back(dst, Weight(value));
               return true;
             },
             /*warm=*/false, snap)
@@ -80,9 +87,8 @@ class AdjacencyCacheTest : public ::testing::Test {
     store
         ->ScanAllEdges(
             src,
-            [&](LabelId label, VertexId dst, const PropMap& props) {
-              const PropValue* w = props.Find(kWeightKey);
-              out.emplace_back(dst * 1000 + label, w != nullptr ? w->as_int() : -1);
+            [&](LabelId label, VertexId dst, std::string_view value) {
+              out.emplace_back(dst * 1000 + label, Weight(value));
               return true;
             },
             /*warm=*/false, snap)

@@ -38,12 +38,15 @@ TEST(TravelCacheTest, KeyIsTravelStepVertexTriple) {
 TEST(TravelCacheTest, ResolveFiresWaitersWithReachValue) {
   TravelCache cache(100);
   cache.LookupOrInsertPending(1, 2, 7);
-  std::vector<bool> fired;
-  cache.AddWaiter(1, 2, 7, [&](bool reach) { fired.push_back(reach); });
-  cache.AddWaiter(1, 2, 7, [&](bool reach) { fired.push_back(reach); });
-  auto waiters = cache.Resolve(1, 2, 7, true);
-  for (auto& w : waiters) w(true);
-  EXPECT_EQ(fired, (std::vector<bool>{true, true}));
+  cache.AddWaiter(1, 2, 7, TravelCache::Waiter{/*exec=*/11, /*vid=*/7});
+  cache.AddWaiter(1, 2, 7, TravelCache::Waiter{/*exec=*/12, /*vid=*/7});
+  // Resolve hands back both waiters, in registration order.
+  const auto waiters = cache.Resolve(1, 2, 7, true);
+  ASSERT_EQ(waiters.size(), 2u);
+  EXPECT_EQ(waiters[0].exec, 11u);
+  EXPECT_EQ(waiters[0].vid, 7u);
+  EXPECT_EQ(waiters[1].exec, 12u);
+  EXPECT_EQ(waiters[1].vid, 7u);
   // Subsequent lookups see the resolved value.
   auto r = cache.LookupOrInsertPending(1, 2, 7);
   EXPECT_EQ(r.state, TravelCache::State::kResolved);
@@ -86,6 +89,16 @@ TEST(TravelCacheTest, EraseTravelDropsOnlyThatTravel) {
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_EQ(cache.LookupOrInsertPending(1, 0, 1).state, TravelCache::State::kMiss);
   EXPECT_EQ(cache.LookupOrInsertPending(2, 0, 1).state, TravelCache::State::kResolved);
+}
+
+TEST(TravelCacheTest, EraseTravelDropsPendingEntryWithWaiters) {
+  TravelCache cache(100);
+  cache.LookupOrInsertPending(1, 0, 5);
+  cache.AddWaiter(1, 0, 5, TravelCache::Waiter{/*exec=*/21, /*vid=*/5});
+  ASSERT_TRUE(cache.HasTravel(1));
+  cache.EraseTravel(1);
+  EXPECT_FALSE(cache.HasTravel(1));
+  EXPECT_EQ(cache.size(), 0u);
 }
 
 // --- RequestQueue ---------------------------------------------------------------

@@ -345,7 +345,7 @@ TEST_F(GraphStoreTest, ScanEdgesFiltersByLabel) {
     ASSERT_TRUE(store->PutEdge(e).ok());
   }
   std::vector<VertexId> dsts;
-  ASSERT_TRUE(store->ScanEdges(1, 1, [&](VertexId dst, const PropMap&) {
+  ASSERT_TRUE(store->ScanEdges(1, 1, [&](VertexId dst, std::string_view) {
                   dsts.push_back(dst);
                   return true;
                 }).ok());
@@ -362,11 +362,64 @@ TEST_F(GraphStoreTest, ScanAllEdgesGroupsByLabel) {
     ASSERT_TRUE(store->PutEdge(e).ok());
   }
   std::vector<LabelId> labels;
-  ASSERT_TRUE(store->ScanAllEdges(9, [&](LabelId l, VertexId, const PropMap&) {
+  ASSERT_TRUE(store->ScanAllEdges(9, [&](LabelId l, VertexId, std::string_view) {
                   labels.push_back(l);
                   return true;
                 }).ok());
   EXPECT_EQ(labels, (std::vector<LabelId>{1, 2, 3}));  // key order groups labels
+}
+
+// A malformed value stored under a real edge key fails both edge scans with
+// Corruption on every path, and the visitor never sees it: cold (the
+// uncached KV scan, or the row build) and again with the row cached (the
+// (src, label) row, the all-labels row, and a label slice of the latter).
+TEST_F(GraphStoreTest, CorruptEdgeValueFailsScan) {
+  for (size_t cache_bytes : {size_t{0}, size_t{1} << 20}) {
+    SCOPED_TRACE("adjacency_cache_bytes=" + std::to_string(cache_bytes));
+    GraphStoreOptions opts;
+    opts.adjacency_cache_bytes = cache_bytes;
+    auto opened = GraphStore::Open(dir_.sub("corrupt" + std::to_string(cache_bytes)), opts);
+    ASSERT_TRUE(opened.ok());
+    GraphStore* store = opened->get();
+    // Two sources, each with one edge whose stored string value is cut
+    // short: its count and length prefix still parse, its bytes run out.
+    for (VertexId src : {1u, 4u}) {
+      EdgeRecord e;
+      e.src = src;
+      e.label = 2;
+      e.dst = 3;
+      e.props.Set(1, PropValue("weight"));
+      ASSERT_TRUE(store->PutEdge(e).ok());
+      std::string bad = EncodeEdgeValue(e.props);
+      bad.resize(bad.size() - 2);
+      ASSERT_TRUE(store->db()->Put(EdgeKey(src, 2, 3), bad).ok());
+    }
+    const uint64_t hits_before =
+        store->adjacency_cache() != nullptr ? store->adjacency_cache()->hits() : 0;
+
+    int visits = 0;
+    auto scan = [&](VertexId src) {
+      return store->ScanEdges(src, 2, [&](VertexId, std::string_view) {
+        visits++;
+        return true;
+      });
+    };
+    auto scan_all = [&](VertexId src) {
+      return store->ScanAllEdges(src, [&](LabelId, VertexId, std::string_view) {
+        visits++;
+        return true;
+      });
+    };
+    EXPECT_TRUE(scan(1).IsCorruption());      // cold: (1, 2) row build
+    EXPECT_TRUE(scan(1).IsCorruption());      // (1, 2) row cached
+    EXPECT_TRUE(scan_all(4).IsCorruption());  // cold: all-labels row build
+    EXPECT_TRUE(scan_all(4).IsCorruption());  // all-labels row cached
+    EXPECT_TRUE(scan(4).IsCorruption());      // label slice of the cached row
+    EXPECT_EQ(visits, 0);
+    if (store->adjacency_cache() != nullptr) {
+      EXPECT_EQ(store->adjacency_cache()->hits() - hits_before, 3u);
+    }
+  }
 }
 
 TEST_F(GraphStoreTest, TypeIndexScan) {
@@ -409,7 +462,7 @@ TEST_F(GraphStoreTest, AccessesChargeDeviceModel) {
   v.label = 0;
   ASSERT_TRUE(store->PutVertex(v).ok());
   ASSERT_TRUE(store->GetVertex(1).ok());
-  ASSERT_TRUE(store->ScanEdges(1, 0, [](VertexId, const PropMap&) { return true; }).ok());
+  ASSERT_TRUE(store->ScanEdges(1, 0, [](VertexId, std::string_view) { return true; }).ok());
   EXPECT_EQ(device.total_accesses(), 2u);
   EXPECT_EQ(store->vertex_accesses(), 2u);
 }
@@ -451,7 +504,7 @@ TEST_F(GraphStoreTest, PersistsAcrossReopen) {
   ASSERT_TRUE(v.ok());
   EXPECT_EQ(v->props.Find(1)->as_int(), 99);
   int edges = 0;
-  ASSERT_TRUE(store->ScanEdges(11, 1, [&](VertexId, const PropMap&) {
+  ASSERT_TRUE(store->ScanEdges(11, 1, [&](VertexId, std::string_view) {
                   edges++;
                   return true;
                 }).ok());

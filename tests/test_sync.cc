@@ -222,16 +222,15 @@ TEST(TravelCacheConcurrencyTest, OwnerWaiterProtocolUnderSharedLock) {
         MutexLock lk(&mu);
         auto r = cache.LookupOrInsertPending(/*travel=*/1, /*step=*/0, vid);
         if (r.state == engine::TravelCache::State::kMiss) {
-          // We are the owner: resolve immediately and fire waiters, exactly
-          // like a worker that finished the vertex I/O.
+          // We are the owner: resolve immediately and take the waiters,
+          // exactly like a worker that finished the vertex I/O.
           owners++;
-          auto fired = cache.Resolve(1, 0, vid, /*reach=*/true);
-          for (auto& w : fired) w(true);
-        } else if (r.state == engine::TravelCache::State::kPending) {
-          cache.AddWaiter(1, 0, vid, [&waiters_fired](bool reach) {
-            EXPECT_TRUE(reach);
+          for (const auto& w : cache.Resolve(1, 0, vid, /*reach=*/true)) {
+            EXPECT_EQ(w.vid, vid);
             waiters_fired++;
-          });
+          }
+        } else if (r.state == engine::TravelCache::State::kPending) {
+          cache.AddWaiter(1, 0, vid, engine::TravelCache::Waiter{/*exec=*/1, vid});
         } else {
           EXPECT_TRUE(r.reach);
         }
