@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <ctime>
 #include <map>
 #include <memory>
 #include <string>
@@ -58,6 +59,11 @@ struct BenchConfig {
 // harness itself cannot silently rot.
 inline bool g_smoke = false;
 
+// Set by ParseBenchArgs when the binary runs with --cpu-only: device and
+// network latency are 0, so elapsed time is engine cost alone, and benches
+// that support it also report process CPU per travel.
+inline bool g_cpu_only = false;
+
 inline void ParseBenchArgs(int argc, char** argv, BenchConfig* cfg) {
   for (int i = 1; i < argc; i++) {
     const std::string_view arg = argv[i];
@@ -70,12 +76,29 @@ inline void ParseBenchArgs(int argc, char** argv, BenchConfig* cfg) {
       cfg->per_kib_us = 0;
       cfg->tail_prob = 0.0;
       cfg->net_latency_us = 5;
+    } else if (arg == "--cpu-only") {
+      g_cpu_only = true;
     } else {
-      std::fprintf(stderr, "bench: unknown flag '%s' (supported: --smoke)\n",
+      std::fprintf(stderr,
+                   "bench: unknown flag '%s' (supported: --smoke, --cpu-only)\n",
                    argv[i]);
       std::exit(2);
     }
   }
+  if (g_cpu_only) {  // whatever the flag order, after --smoke's settings
+    cfg->access_latency_us = 0;
+    cfg->warm_latency_us = 0;
+    cfg->per_kib_us = 0;
+    cfg->tail_prob = 0.0;
+    cfg->net_latency_us = 0;
+  }
+}
+
+// Process CPU time (user + system, every thread) in milliseconds.
+inline double ProcessCpuMs() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) * 1e3 + static_cast<double>(ts.tv_nsec) / 1e6;
 }
 
 // Sweep/size helpers honouring --smoke.
