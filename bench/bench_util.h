@@ -46,11 +46,6 @@ struct BenchConfig {
   // then configures per-link faults via cluster->fault_transport().
   bool net_faults = false;
   uint64_t net_fault_seed = 42;
-
-  // Enable the statistics-driven plan rewriter on every coordinator (see
-  // src/lang/planner.h). Off by default so existing benches keep measuring
-  // the unrewritten plans; table3_planner stands up one cluster each way.
-  bool planner = false;
 };
 
 // Set by ParseBenchArgs when the binary runs with --smoke: shrink the
@@ -193,7 +188,6 @@ class BenchCluster {
     ccfg.net.latency_us = cfg.net_latency_us;
     ccfg.net_faults = cfg.net_faults;
     ccfg.net_fault_seed = cfg.net_fault_seed;
-    ccfg.planner = cfg.planner;
     ccfg.exec_timeout_ms = 600000;  // benches must never trip failure detection
     auto cluster = engine::Cluster::Create(ccfg);
     if (!cluster.ok()) {

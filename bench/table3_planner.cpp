@@ -1,16 +1,17 @@
-// Planner ablation on Table III-style Darshan audit queries (PR 10): the
-// suspicious-user audits rewritten with the extended GTravel steps
-// (count/group/path/branch/until) and run twice — once against a cluster
-// with the statistics-driven planner off, once with it on — on all three
+// Table III-style Darshan audit queries under the statistics-driven planner
+// (which every coordinator runs on every travel): the suspicious-user
+// audits rewritten with the extended GTravel steps
+// (count/group/path/branch/until) and run on one cluster with all three
 // engines. The planner's rewrites (selectivity-ordered filter lists and
 // type-scan predicate pushdown) are result-identical by construction, so
-// the bench doubles as a cheap correctness gate: any on/off result
-// divergence fails the run.
+// the bench doubles as a correctness gate: every engine's answer must equal
+// the reference evaluator's, or the run fails.
 //
-// Reported per query and engine: planner-off ms, planner-on ms, speedup.
-// The headline number is the filter-heavy scan-start query, where pushdown
-// keeps non-matching vertices from ever becoming root executions.
-// Persists BENCH_10.json.
+// Reported per query and engine: ms per query (mean of BenchConfig::runs
+// repetitions after one untimed checked run). The filter-heavy scan-start
+// queries are where pushdown reads the candidate records in one sequential
+// run instead of a random point read per root execution. Persists
+// BENCH_19.json.
 //
 //   table3_planner [--smoke] [--json FILE]
 #include <cstdio>
@@ -20,6 +21,7 @@
 
 #include "bench/bench_util.h"
 #include "src/gen/darshan.h"
+#include "src/lang/gtravel.h"
 
 namespace gt::bench {
 namespace {
@@ -46,9 +48,9 @@ std::vector<QueryCase> BuildQueries(graph::Catalog* catalog,
   std::vector<QueryCase> queries;
 
   // Filter-heavy scan start: "how many executions read a large file?"
-  // Planner-on pushes the size predicate into the type-index scan, so only
-  // matching files become root execs; planner-off roots every File vertex
-  // and filters at processing time.
+  // The planner pushes the size predicate into the type-index scan, so only
+  // matching files become root execs; unpushed, every File vertex would
+  // root an exec and pay a random read to be filtered at processing time.
   queries.push_back(
       {"big_files_readby_count",
        MustBuild(lang::GTravel(catalog)
@@ -112,17 +114,17 @@ std::vector<QueryCase> BuildQueries(graph::Catalog* catalog,
   return queries;
 }
 
-bool SameResult(const lang::TraversalPlan& plan, const engine::TraversalResult& a,
-                const engine::TraversalResult& b) {
+bool MatchesOracle(const lang::TraversalPlan& plan, const engine::TraversalResult& r,
+                   const lang::RefEvalResult& oracle) {
   switch (plan.result_mode) {
     case lang::ResultMode::kCount:
-      return a.count == b.count;
+      return r.count == oracle.count;
     case lang::ResultMode::kGroup:
-      return a.groups == b.groups;
+      return r.groups == oracle.groups;
     case lang::ResultMode::kPaths:
-      return a.paths == b.paths;
+      return r.paths == oracle.paths;
     case lang::ResultMode::kVertices:
-      return a.vids == b.vids;
+      return r.vids == oracle.vids;
   }
   return false;
 }
@@ -135,7 +137,7 @@ int main(int argc, char** argv) {
   using namespace gt::bench;
 
   // Peel off --json before the shared parser (it rejects unknown flags).
-  std::string json_path = "BENCH_10.json";
+  std::string json_path = "BENCH_19.json";
   std::vector<char*> rest = {argv[0]};
   for (int i = 1; i < argc; i++) {
     if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
@@ -147,10 +149,9 @@ int main(int argc, char** argv) {
   BenchConfig cfg;
   ParseBenchArgs(static_cast<int>(rest.size()), rest.data(), &cfg);
 
-  PrintHeader("table3_planner: Darshan audit queries, planner off vs on",
+  PrintHeader("table3_planner: Darshan audit queries under the planner",
               "extended-GTravel audits (count/until/path/branch+group) on all "
-              "three engines; the statistics-driven rewriter must be "
-              "result-identical and faster on the filter-heavy scans");
+              "three engines; every answer must equal the reference evaluator's");
 
   graph::Catalog catalog;
   gen::DarshanConfig dcfg;
@@ -164,12 +165,7 @@ int main(int argc, char** argv) {
   std::printf("graph: %zu vertices, %zu edges\n\n", g.num_vertices(), g.num_edges());
 
   const uint32_t servers = ServersOrSmoke(8);
-  BenchConfig cfg_off = cfg;
-  cfg_off.planner = false;
-  BenchConfig cfg_on = cfg;
-  cfg_on.planner = true;
-  BenchCluster off(servers, cfg_off, &catalog, g);
-  BenchCluster on(servers, cfg_on, &catalog, g);
+  BenchCluster cluster(servers, cfg, &catalog, g);
 
   const std::vector<QueryCase> queries = BuildQueries(&catalog, generator);
   constexpr engine::EngineMode kModes[] = {engine::EngineMode::kSync,
@@ -179,44 +175,37 @@ int main(int argc, char** argv) {
   struct Row {
     std::string query;
     const char* engine;
-    double off_ms;
-    double on_ms;
+    double ms;
     bool match;
   };
   std::vector<Row> rows;
   bool all_match = true;
 
-  std::printf("%-26s %-10s %12s %12s %9s\n", "query", "engine", "planner off",
-              "planner on", "speedup");
+  std::printf("%-26s %-10s %12s\n", "query", "engine", "ms/query");
   for (const QueryCase& q : queries) {
+    const lang::RefEvalResult oracle = lang::EvaluatePlanExtOnRefGraph(q.plan, g, catalog);
     for (engine::EngineMode mode : kModes) {
-      // One untimed run each way for the equality gate (and cache warmup),
-      // then the timed repetitions.
-      auto off_result = off.get()->Run(q.plan, mode);
-      auto on_result = on.get()->Run(q.plan, mode);
-      if (!off_result.ok() || !on_result.ok()) {
-        std::fprintf(stderr, "table3_planner: %s on %s failed: %s\n",
-                     q.name.c_str(), engine::EngineModeName(mode),
-                     (!off_result.ok() ? off_result.status() : on_result.status())
-                         .ToString()
-                         .c_str());
+      // One untimed run for the oracle gate (and cache warmup), then the
+      // timed repetitions.
+      auto result = cluster.get()->Run(q.plan, mode);
+      if (!result.ok()) {
+        std::fprintf(stderr, "table3_planner: %s on %s failed: %s\n", q.name.c_str(),
+                     engine::EngineModeName(mode), result.status().ToString().c_str());
         return 1;
       }
-      const bool match = SameResult(q.plan, *off_result, *on_result);
+      const bool match = MatchesOracle(q.plan, *result, oracle);
       if (!match) {
         std::fprintf(stderr,
-                     "table3_planner: RESULT DIVERGENCE on %s (%s): planner "
-                     "on/off disagree\n",
+                     "table3_planner: RESULT DIVERGENCE on %s (%s): engine and "
+                     "reference evaluator disagree\n",
                      q.name.c_str(), engine::EngineModeName(mode));
         all_match = false;
       }
-      const double off_ms = off.RunAveraged(q.plan, mode, cfg.runs);
-      const double on_ms = on.RunAveraged(q.plan, mode, cfg.runs);
-      std::printf("%-26s %-10s %9.1f ms %9.1f ms %8.2fx%s\n", q.name.c_str(),
-                  engine::EngineModeName(mode), off_ms, on_ms,
-                  on_ms > 0 ? off_ms / on_ms : 0.0, match ? "" : "  MISMATCH");
+      const double ms = cluster.RunAveraged(q.plan, mode, cfg.runs);
+      std::printf("%-26s %-10s %9.1f ms%s\n", q.name.c_str(), engine::EngineModeName(mode),
+                  ms, match ? "" : "  MISMATCH");
       std::fflush(stdout);
-      rows.push_back({q.name, engine::EngineModeName(mode), off_ms, on_ms, match});
+      rows.push_back({q.name, engine::EngineModeName(mode), ms, match});
     }
   }
   std::printf("\n");
@@ -234,12 +223,10 @@ int main(int argc, char** argv) {
     for (size_t i = 0; i < rows.size(); i++) {
       const Row& r = rows[i];
       std::fprintf(f,
-                   "    {\"query\": \"%s\", \"engine\": \"%s\", "
-                   "\"planner_off_ms\": %.3f, \"planner_on_ms\": %.3f, "
-                   "\"speedup\": %.3f, \"match\": %s}%s\n",
-                   r.query.c_str(), r.engine, r.off_ms, r.on_ms,
-                   r.on_ms > 0 ? r.off_ms / r.on_ms : 0.0,
-                   r.match ? "true" : "false", i + 1 < rows.size() ? "," : "");
+                   "    {\"query\": \"%s\", \"engine\": \"%s\", \"ms\": %.3f, "
+                   "\"match\": %s}%s\n",
+                   r.query.c_str(), r.engine, r.ms, r.match ? "true" : "false",
+                   i + 1 < rows.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");
     std::fclose(f);
@@ -249,9 +236,9 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // The smoke gate is the planner's result-identity contract.
+  // The smoke gate: every engine agrees with the reference evaluator.
   if (!all_match) {
-    std::fprintf(stderr, "table3_planner: planner identity gate FAILED\n");
+    std::fprintf(stderr, "table3_planner: oracle gate FAILED\n");
     return 1;
   }
   return 0;

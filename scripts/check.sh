@@ -59,13 +59,14 @@ ctest --test-dir build --output-on-failure --no-tests=error \
   -R 'EngineDifferentialTest|TravelCache|EngineFeatureTest\.(FramesWaitForLocalQuiescence|SyncHoldsNextStepUntilEveryServerDrains|SyncStartsFramesThatArriveAfterTheirRelease)'
 
 # GTravel language + planner gate: plan codec round-trip/validation, the
-# GTravel builder, the reference evaluator, and the statistics-driven
-# planner goldens. Planner-on/off result identity itself rides in the
-# differential harness above; this gate keeps the unit-level coverage from
-# silently dropping out of discovery.
+# GTravel builder, the reference evaluator, the statistics-driven planner
+# goldens, and the two pushdown gates: every engine on pushed-down scan
+# starts against the reference evaluator (PushedDownScanStartsMatchOracle)
+# and the Darshan audit queries against it (bench_smoke_table3_planner).
+# Naming them here keeps them from silently dropping out of discovery.
 step "GTravel language + planner tests"
 ctest --test-dir build --output-on-failure --no-tests=error \
-  -R 'PlanTest|FilterTest|GTravelTest|EvaluatorTest|PlannerTest'
+  -R 'PlanTest|FilterTest|GTravelTest|EvaluatorTest|PlannerTest|PushedDownScanStartsMatchOracle|bench_smoke_table3_planner'
 
 # Bench smoke gate: every figure/table/ablation binary must still run end to
 # end at --smoke size (they read the metrics registry, so a renamed series

@@ -38,8 +38,9 @@ MICRO_BENCHES=(micro_kv micro_graph micro_rpc_engine)
 FIG_BENCHES=(fig8_2step fig9_4step)
 # Load benches with structured self-reports: each emits a JSON summary that
 # is folded verbatim into the snapshot's "after" section (load_mutate = the
-# mixed read/write ingest-vs-audit workload, table3_planner = the Darshan
-# audit queries with the statistics-driven planner off vs on).
+# mixed read/write ingest-vs-audit workload, table3_planner = each
+# engine's ms per Darshan audit query under the statistics-driven planner,
+# gated on the reference evaluator).
 LOAD_BENCHES=(load_mutate table3_planner)
 
 cmake --build build -j "${JOBS:-$(nproc 2>/dev/null || echo 2)}" \

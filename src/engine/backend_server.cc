@@ -536,12 +536,8 @@ Status BackendServer::SubmitLocked(const rpc::Message& msg) {
 
   // Statistics-driven rewrite (result-identical; see src/lang/planner.h).
   // Runs before expansion so hand-offs forward the rewritten compact form.
-  std::string plan_bytes = submit->plan;
-  if (cfg_.planner) {
-    *plan = lang::RewritePlan(*plan, PlanStatsLocked(), *catalog_,
-                              catalog_->Intern("type"));
-    plan_bytes = plan->Encode();
-  }
+  *plan = lang::RewritePlan(*plan, PlanStatsLocked(), *catalog_, catalog_->Intern("type"));
+  const std::string plan_bytes = plan->Encode();
 
   // Expand to the executable form up front so oversized repeat chains
   // reject before admission. A branch plan flattens into one linear

@@ -84,13 +84,6 @@ struct ServerConfig {
   // exact pinned view a finished travel saw (Cluster::DumpAtTravelPin).
   // Callers must drain via DropRetainedSnapshotsForTest.
   bool retain_snapshots_for_test = false;
-
-  // Statistics-driven planner (coordinator role): rewrite each submitted
-  // plan (selectivity-ordered filter lists, start-filter pushdown) against
-  // statistics collected once from the local shard. Every rewrite is
-  // result-identical by construction; the differential harness asserts
-  // planner-on == planner-off on randomized plans.
-  bool planner = false;
 };
 
 class BackendServer {
@@ -526,9 +519,9 @@ class BackendServer {
   std::deque<TravelId> aborted_order_ GT_GUARDED_BY(mu_);  // bounds the tombstone set
   uint64_t next_exec_seq_ GT_GUARDED_BY(mu_) = 1;
   uint64_t next_travel_seq_ GT_GUARDED_BY(mu_) = 1;
-  // Planner statistics, built once from this shard on first planner-enabled
-  // submit (under hash partitioning the local shard is a representative
-  // sample of global selectivities; rewrites only need relative order).
+  // Planner statistics, built once from this shard on the first submit
+  // (under hash partitioning the local shard is a representative sample of
+  // global selectivities; rewrites only need relative order).
   bool plan_stats_ready_ GT_GUARDED_BY(mu_) = false;
   lang::PlanStats plan_stats_ GT_GUARDED_BY(mu_);
   // Live coordinated travels per priority class (admission accounting;

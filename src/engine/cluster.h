@@ -38,11 +38,6 @@ struct ClusterConfig {
   bool graphtrek_merging = true;
   bool graphtrek_priority_sched = true;
 
-  // Statistics-driven plan rewriting at each coordinator (see
-  // ServerConfig::planner). Off by default: the differential harness
-  // compares planner-on vs planner-off clusters for result identity.
-  bool planner = false;
-
   // CSR adjacency cache per server (see DESIGN.md "Adjacency cache &
   // frontier I/O"); 0 disables it.
   size_t adjacency_cache_bytes = 16 << 20;

@@ -140,12 +140,12 @@ class GraphStore {
   // each candidate's record is read and handed to `pred`, and only passing
   // vertices reach `fn`. Charges one scan access for the index walk (like
   // ScanVerticesByType); the record reads are one sequential run over the
-  // record keyspace when the candidates are dense there (a single access
+  // record keyspace when there are more than 16 candidates (a single access
   // covering the run's bytes — the pushdown's actual win: sequential scan
   // cost where a non-pushdown start pays a random point-read per root exec
   // at task time), or one batched MultiGet with ordinary per-vertex
-  // accounting when they are sparse. Like the index walk, the sequential
-  // run is not vertex-rooted, so it bypasses the per-vertex interceptor.
+  // accounting otherwise. Like the index walk, the sequential run is not
+  // vertex-rooted, so it bypasses the per-vertex interceptor.
   Status ScanVerticesByTypeFiltered(
       LabelId label, const std::function<bool(const VertexRecord&)>& pred,
       const std::function<bool(VertexId)>& fn, bool warm = false,

@@ -10,8 +10,10 @@
 //      root execs. Engines re-apply the filters at processing time
 //      (idempotent), so this is result-identical by construction.
 //
-// The differential harness enforces planner-on == planner-off equality on
-// randomized plans; test_planner.cc pins the rewrite goldens.
+// Every coordinator rewrites every submitted plan. test_planner.cc pins the
+// rewrite goldens and checks rewritten == original under the reference
+// evaluator; the differential harness runs pushed-down scan starts on all
+// three engines against that evaluator.
 #pragma once
 
 #include <cstdint>

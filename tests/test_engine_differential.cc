@@ -315,63 +315,112 @@ TEST(EngineDifferentialTest, AllEnginesMatchOracleOnRandomWorkloads) {
   }
 }
 
-// Planner equality leg: the statistics-driven rewrites must be result-
-// identical. Two clusters over the same graph — one with the coordinator
-// planner on, one off — run the same randomized extended plans on all
-// three engines; both must agree with the reference evaluator (and hence
-// each other) for every result mode.
-TEST(EngineDifferentialTest, PlannerOnMatchesPlannerOff) {
+// Scan-start plan over BuildRandomGraph whose start carries a "w" range
+// filter beyond its type anchor, so the coordinator's planner always sets
+// push_start_filters and every server reads its candidates through
+// GraphStore::ScanVerticesByTypeFiltered. 1-3 hops with optional edge and
+// vertex filters, then a random result mode.
+lang::TraversalPlan BuildPushedDownScanPlan(Catalog* catalog, Rng* rng, const char* type) {
+  GTravel travel(catalog);
+  const int64_t lo = static_cast<int64_t>(rng->Uniform(50));
+  travel.v()
+      .va("type", FilterOp::kEq, {PropValue(type)})
+      .va("w", FilterOp::kRange, {PropValue(lo), PropValue(lo + 45)});
+  const uint32_t mode = rng->Uniform(4);  // vertices, count, group, path
+  if (mode == 0 && rng->Bernoulli(0.2)) travel.rtn();
+  const uint32_t hops = 1 + static_cast<uint32_t>(rng->Uniform(3));
+  for (uint32_t h = 0; h < hops; h++) {
+    travel.e(rng->Bernoulli(0.5) ? "x" : "y");
+    if (rng->Bernoulli(0.25)) {
+      const int64_t p_lo = static_cast<int64_t>(rng->Uniform(40));
+      travel.ea("p", FilterOp::kRange, {PropValue(p_lo), PropValue(p_lo + 55)});
+    }
+    if (rng->Bernoulli(0.2)) {
+      travel.va("w", FilterOp::kRange, {PropValue(int64_t{0}), PropValue(int64_t{85})});
+    }
+    if (mode == 0 && rng->Bernoulli(0.3)) travel.rtn();
+  }
+  switch (mode) {
+    case 1:
+      travel.count();
+      break;
+    case 2:
+      travel.group(rng->Bernoulli(0.5) ? "w" : "type");
+      break;
+    case 3:
+      travel.path();
+      break;
+    default:
+      break;
+  }
+  auto plan = travel.Build();
+  EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+  return *plan;
+}
+
+// Pushdown leg: every coordinator plans every travel, so a filtered scan
+// start reads its candidates inside the type-index scan — as one sequential
+// run when a server holds more than 16 of them, as one MultiGet otherwise.
+// Graph sizes alternate between small (every server at or under the cutoff)
+// and large (over it), and the sweep asserts that both branches ran; all
+// three engines must agree with the reference evaluator in every mode.
+TEST(EngineDifferentialTest, PushedDownScanStartsMatchOracle) {
 #if defined(GT_UNDER_TSAN)
-  const uint64_t seeds = 3;
+  const uint64_t seeds = 2;
 #else
   const uint64_t seeds = 8;
 #endif
+  constexpr uint64_t kPointReadCutoff = 16;  // GraphStore::ScanVerticesByTypeFiltered
+  uint32_t point_branch_scans = 0;
+  uint32_t run_branch_scans = 0;
   for (uint64_t seed = 1; seed <= seeds; seed++) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     Rng rng(seed * 15485863);
-    ClusterConfig cfg_off;
-    cfg_off.num_servers = 3;
-    ClusterConfig cfg_on = cfg_off;
-    cfg_on.planner = true;
-    auto off = Cluster::Create(cfg_off);
-    ASSERT_TRUE(off.ok());
-    auto on = Cluster::Create(cfg_on);
-    ASSERT_TRUE(on.ok());
-    // One interning authority: clusters share no catalog state otherwise.
-    Catalog* catalog = (*off)->catalog();
+    ClusterConfig cfg;
+    cfg.num_servers = 3;
+    auto cluster = Cluster::Create(cfg);
+    ASSERT_TRUE(cluster.ok());
+    Catalog* catalog = (*cluster)->catalog();
 
-    const uint32_t n = 50 + static_cast<uint32_t>(rng.Uniform(50));
+    // ~10 type-A vertices per server on small graphs, ~50 on large ones.
+    const bool large = seed % 2 == 0;
+    const uint32_t n = large ? 240 + static_cast<uint32_t>(rng.Uniform(40))
+                             : 40 + static_cast<uint32_t>(rng.Uniform(10));
     RefGraph g = BuildRandomGraph(catalog, &rng, n);
-    ASSERT_TRUE((*off)->Load(g).ok());
-    // Replay the same interned names into the planner cluster's catalog so
-    // label/property ids line up across both deployments.
-    for (graph::Catalog::Id id = 0; id < catalog->size(); id++) {
-      auto name = catalog->Name(id);
-      ASSERT_TRUE(name.ok());
-      ASSERT_EQ((*on)->catalog()->Intern(*name), id);
-    }
-    ASSERT_TRUE((*on)->Load(g).ok());
+    ASSERT_TRUE((*cluster)->Load(g).ok());
 
     for (int q = 0; q < 4; q++) {
       SCOPED_TRACE("query=" + std::to_string(q));
-      const lang::TraversalPlan plan = BuildRandomExtPlan(catalog, &rng, n);
-      const lang::RefEvalResult oracle =
-          lang::EvaluatePlanExtOnRefGraph(plan, g, *catalog);
+      const char* type = rng.Bernoulli(0.5) ? "A" : "B";
+      for (uint32_t s = 0; s < cfg.num_servers; s++) {
+        uint64_t candidates = 0;
+        ASSERT_TRUE((*cluster)
+                        ->store(s)
+                        ->ScanVerticesByType(catalog->Intern(type),
+                                             [&](VertexId) {
+                                               candidates++;
+                                               return true;
+                                             })
+                        .ok());
+        if (candidates > kPointReadCutoff) {
+          run_branch_scans++;
+        } else if (candidates > 0) {
+          point_branch_scans++;
+        }
+      }
+      const lang::TraversalPlan plan = BuildPushedDownScanPlan(catalog, &rng, type);
+      const lang::RefEvalResult oracle = lang::EvaluatePlanExtOnRefGraph(plan, g, *catalog);
       for (EngineMode mode : kAllModes) {
         SCOPED_TRACE(EngineModeName(mode));
-        auto r_off = (*off)->Run(plan, mode);
-        ASSERT_TRUE(r_off.ok()) << r_off.status().ToString();
-        auto r_on = (*on)->Run(plan, mode);
-        ASSERT_TRUE(r_on.ok()) << r_on.status().ToString();
-        ExpectMatchesRefEval(plan, *r_off, oracle);
-        ExpectMatchesRefEval(plan, *r_on, oracle);
-        EXPECT_EQ(r_on->vids, r_off->vids);
-        EXPECT_EQ(r_on->count, r_off->count);
-        EXPECT_EQ(r_on->groups, r_off->groups);
-        EXPECT_EQ(r_on->paths, r_off->paths);
+        const ServerId coordinator = static_cast<ServerId>(rng.Uniform(cfg.num_servers));
+        auto result = (*cluster)->Run(plan, mode, coordinator);
+        ASSERT_TRUE(result.ok()) << result.status().ToString();
+        ExpectMatchesRefEval(plan, *result, oracle);
       }
     }
   }
+  EXPECT_GT(point_branch_scans, 0u);
+  EXPECT_GT(run_branch_scans, 0u);
 }
 
 TEST(EngineDifferentialTest, EnginesMatchOracleUnderDuplicationAndDrops) {

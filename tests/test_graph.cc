@@ -467,6 +467,82 @@ TEST_F(GraphStoreTest, AccessesChargeDeviceModel) {
   EXPECT_EQ(store->vertex_accesses(), 2u);
 }
 
+// The pushed-down type scan reads the candidate records itself: one
+// sequential run charged as a single access when a store holds more than 16
+// candidates, one MultiGet with a per-vertex charge otherwise. Both yield
+// exactly the index ids whose decoded record passes the predicate, and a
+// malformed record fails the scan with Corruption.
+TEST_F(GraphStoreTest, FilteredTypeScanSequentialAndPointPaths) {
+  DeviceModel device(DeviceModelConfig{.access_latency_us = 0, .per_kib_us = 0});
+  auto store = OpenStore(&device);
+  constexpr LabelId kFew = 1;   // 10 candidates: the point (MultiGet) branch
+  constexpr LabelId kMany = 2;  // 30 candidates: the sequential-run branch
+  constexpr PropMap::KeyId kWeight = 7;
+  for (VertexId v = 0; v < 40; v++) {
+    VertexRecord rec;
+    rec.id = v;
+    rec.label = v % 4 == 0 ? kFew : kMany;
+    rec.props.Set(kWeight, PropValue(static_cast<int64_t>(v * 7 % 10)));
+    ASSERT_TRUE(store->PutVertex(rec).ok());
+  }
+  auto pred = [&](const VertexRecord& rec) {
+    const PropValue* w = rec.props.Find(kWeight);
+    return w != nullptr && w->as_int() < 5;
+  };
+  auto expected = [&](LabelId label) {
+    std::vector<VertexId> ids;
+    EXPECT_TRUE(store->ScanVerticesByType(label, [&](VertexId v) {
+                       ids.push_back(v);
+                       return true;
+                     }).ok());
+    std::vector<VertexId> passing;
+    for (VertexId v : ids) {
+      auto rec = store->GetVertex(v);
+      EXPECT_TRUE(rec.ok());
+      if (rec.ok() && pred(*rec)) passing.push_back(v);
+    }
+    return passing;
+  };
+  auto filtered = [&](LabelId label, std::vector<VertexId>* out) {
+    return store->ScanVerticesByTypeFiltered(label, pred, [&](VertexId v) {
+      out->push_back(v);
+      return true;
+    });
+  };
+
+  for (LabelId label : {kFew, kMany}) {
+    SCOPED_TRACE("label=" + std::to_string(label));
+    const std::vector<VertexId> want = expected(label);
+    ASSERT_FALSE(want.empty());
+    device.ResetStats();
+    store->ResetAccessCount();
+    std::vector<VertexId> got;
+    ASSERT_TRUE(filtered(label, &got).ok());
+    EXPECT_EQ(got, want);
+    if (label == kMany) {
+      // Index walk plus one run; the run is not vertex-rooted.
+      EXPECT_EQ(device.total_accesses(), 2u);
+      EXPECT_EQ(store->vertex_accesses(), 0u);
+    } else {
+      // Index walk plus one point read per candidate.
+      EXPECT_EQ(device.total_accesses(), 1u + 10u);
+      EXPECT_EQ(store->vertex_accesses(), 10u);
+    }
+  }
+
+  // A truncated record under one candidate's key, on each branch.
+  for (VertexId bad_vid : {VertexId{5}, VertexId{8}}) {  // kMany, kFew
+    PropMap props;
+    props.Set(kWeight, PropValue(int64_t{1}));
+    std::string bad = EncodeVertexValue(bad_vid % 4 == 0 ? kFew : kMany, props);
+    bad.resize(bad.size() - 2);
+    ASSERT_TRUE(store->db()->Put(VertexKey(bad_vid), bad).ok());
+  }
+  std::vector<VertexId> ignored;
+  EXPECT_TRUE(filtered(kMany, &ignored).IsCorruption());
+  EXPECT_TRUE(filtered(kFew, &ignored).IsCorruption());
+}
+
 TEST_F(GraphStoreTest, InterceptorSeesEveryAccess) {
   class CountingInterceptor : public AccessInterceptor {
    public:

@@ -1,9 +1,9 @@
 // Planner tests: golden plan-rewrite expectations (filter reordering and
 // predicate pushdown) plus a property test that
 // every rewrite is result-identical under the extended reference evaluator
-// on seeded random graphs. The cross-engine planner-on/planner-off leg
-// lives in test_engine_differential.cc; this file pins the rewrite logic
-// itself, with no cluster in the loop.
+// on seeded random graphs. The cross-engine leg over pushed-down scan
+// starts lives in test_engine_differential.cc; this file pins the rewrite
+// logic itself, with no cluster in the loop.
 #include <gtest/gtest.h>
 
 #include <string>
