@@ -10,8 +10,9 @@
 // Reported per query and engine: ms per query (mean of BenchConfig::runs
 // repetitions after one untimed checked run). The filter-heavy scan-start
 // queries are where pushdown reads the candidate records in one sequential
-// run instead of a random point read per root execution. Persists
-// BENCH_19.json.
+// run instead of a random point read per root execution, and hands the
+// passing records to the root tasks, which skip their own point reads.
+// Persists BENCH_20.json.
 //
 //   table3_planner [--smoke] [--json FILE]
 #include <cstdio>
@@ -137,7 +138,7 @@ int main(int argc, char** argv) {
   using namespace gt::bench;
 
   // Peel off --json before the shared parser (it rejects unknown flags).
-  std::string json_path = "BENCH_19.json";
+  std::string json_path = "BENCH_20.json";
   std::vector<char*> rest = {argv[0]};
   for (int i = 1; i < argc; i++) {
     if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {

@@ -60,13 +60,15 @@ ctest --test-dir build --output-on-failure --no-tests=error \
 
 # GTravel language + planner gate: plan codec round-trip/validation, the
 # GTravel builder, the reference evaluator, the statistics-driven planner
-# goldens, and the two pushdown gates: every engine on pushed-down scan
-# starts against the reference evaluator (PushedDownScanStartsMatchOracle)
-# and the Darshan audit queries against it (bench_smoke_table3_planner).
-# Naming them here keeps them from silently dropping out of discovery.
+# goldens, and the three pushdown gates: every engine on pushed-down scan
+# starts against the reference evaluator (PushedDownScanStartsMatchOracle),
+# each scan-start root read once, inside the scan, on both of its read
+# branches (ScanStartRootsAreReadOnce), and the Darshan audit queries
+# against the reference evaluator (bench_smoke_table3_planner). Naming them
+# here keeps them from silently dropping out of discovery.
 step "GTravel language + planner tests"
 ctest --test-dir build --output-on-failure --no-tests=error \
-  -R 'PlanTest|FilterTest|GTravelTest|EvaluatorTest|PlannerTest|PushedDownScanStartsMatchOracle|bench_smoke_table3_planner'
+  -R 'PlanTest|FilterTest|GTravelTest|EvaluatorTest|PlannerTest|PushedDownScanStartsMatchOracle|ScanStartRootsAreReadOnce|bench_smoke_table3_planner'
 
 # Bench smoke gate: every figure/table/ablation binary must still run end to
 # end at --smoke size (they read the metrics registry, so a renamed series
@@ -134,9 +136,9 @@ if [[ "$FAST" == 0 ]]; then
   step "cross-engine differential harness under TSan"
   ctest --test-dir build-tsan --output-on-failure --no-tests=error \
     -R 'EngineDifferentialTest'
-  step "planner goldens + fuzz-corpus replay under TSan"
+  step "planner goldens + scan-start record hand-off + fuzz-corpus replay under TSan"
   ctest --test-dir build-tsan --output-on-failure --no-tests=error \
-    -R 'PlannerTest|CorpusReplayTest'
+    -R 'PlannerTest|ScanStartRootsAreReadOnce|CorpusReplayTest'
   step "adjacency-cache tests under TSan (mutate-while-traversing)"
   ctest --test-dir build-tsan --output-on-failure --no-tests=error \
     -R 'AdjacencyCacheTest'

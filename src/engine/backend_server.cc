@@ -672,31 +672,36 @@ std::shared_ptr<BackendServer::CompiledPlan> BackendServer::FindPlanLocked(
   return it == plans_.end() ? nullptr : it->second;
 }
 
-std::vector<graph::VertexId> BackendServer::ScanStartLocked(TravelId travel,
-                                                           const CompiledPlan& cplan) {
+std::vector<graph::VertexId> BackendServer::ScanStartLocked(
+    TravelId travel, const CompiledPlan& cplan, std::vector<graph::VertexRecord>* records) {
   std::vector<graph::VertexId> roots;
   const graph::LabelId label = ScanLabelFor(cplan.plan, catalog_);
   if (label == graph::Catalog::kInvalidId) return roots;
   const bool warm = !scanned_types_[travel].insert(label).second;
   const auto snap = TravelSnapLocked(travel);
-  auto collect = [&](graph::VertexId vid) {
-    roots.push_back(vid);
-    return true;
-  };
   if (cplan.plan.push_start_filters) {
     // Planner pushdown: apply every start filter inside the index scan so
-    // non-matching vertices never become tasks. The engines re-apply the
-    // filters at processing time (idempotent), so this is result-identical
-    // with the unpushed path.
+    // non-matching vertices never become tasks, and keep the records the
+    // scan read so the roots' tasks skip their point reads. The engines
+    // re-apply the filters at processing time (idempotent), so this is
+    // result-identical with the unpushed path.
     const auto& sf = cplan.plan.start_vertex_filters;
     store_->ScanVerticesByTypeFiltered(
         label,
         [&](const graph::VertexRecord& rec) {
           return lang::VertexMatchesAll(sf, rec, *catalog_, cplan.type_key);
         },
-        collect, warm, snap.get()).ok();
+        [&](graph::VertexRecord&& rec) {
+          roots.push_back(rec.id);
+          records->push_back(std::move(rec));
+          return true;
+        },
+        warm, snap.get()).ok();
   } else {
-    store_->ScanVerticesByType(label, collect, warm, snap.get()).ok();
+    store_->ScanVerticesByType(label, [&](graph::VertexId vid) {
+      roots.push_back(vid);
+      return true;
+    }, warm, snap.get()).ok();
   }
   return roots;
 }
@@ -992,15 +997,16 @@ void BackendServer::HandleTraverse(rpc::Message&& msg) {
 }
 
 void BackendServer::StartExecLocked(const TraversePayload& req, const CompiledPlan& cplan) {
-  std::vector<graph::VertexId> scan_entries;
-  if (req.scan_start != 0) scan_entries = ScanStartLocked(req.travel_id, cplan);
-
   ExecState& ex = *(execs_[req.exec_id] = std::make_unique<ExecState>());
   ex.travel = req.travel_id;
   ex.id = req.exec_id;
   ex.step = req.step;
   ex.parent_server = req.parent_server;
   ex.parent_exec = req.parent_exec;
+  std::vector<graph::VertexId> scan_entries;
+  if (req.scan_start != 0) {
+    scan_entries = ScanStartLocked(req.travel_id, cplan, &ex.root_records);
+  }
 
   // The engines differ here only in policy: GraphTrek and Sync-GT absorb
   // redundant arrivals without I/O, Async-GT queues a task for every
@@ -1135,6 +1141,17 @@ void BackendServer::ProcessBatch(const std::vector<VertexTask>& batch) {
     task_slot.push_back(slot);
   }
 
+  // Each distinct vertex's record, once read or taken (`fetched`), and its
+  // edges (see `edges` below).
+  struct VidData {
+    bool exists = false;
+    graph::VertexRecord rec;
+    uint32_t edges_begin = 0;
+    uint32_t edges_end = 0;
+  };
+  std::vector<VidData> vid_data(vids.size());
+  std::vector<bool> fetched(vids.size(), false);
+
   std::shared_ptr<CompiledPlan> cplan;
   std::shared_ptr<const graph::GraphStore::ReadSnapshot> travel_snap;
   std::vector<bool> warm(vids.size(), false);
@@ -1148,6 +1165,18 @@ void BackendServer::ProcessBatch(const std::vector<VertexTask>& batch) {
     // Re-reads within a travel hit the storage engine's block cache.
     auto& acc = accessed_[travel];
     for (size_t i = 0; i < vids.size(); i++) warm[i] = !acc.insert(vids[i]).second;
+    // A pushed-down scan root starts with the record its scan read, at the
+    // same pinned view: it needs no point read of its own, and, being in
+    // `acc` now, later re-reads of it in this travel stay warm.
+    for (size_t k = 0; k < batch.size(); k++) {
+      const size_t slot = task_slot[k];
+      if (batch[k].step != 0 || fetched[slot]) continue;
+      auto eit = execs_.find(batch[k].exec);
+      if (eit != execs_.end() &&
+          eit->second->TakeRootRecord(batch[k].vid, &vid_data[slot].rec)) {
+        fetched[slot] = vid_data[slot].exists = true;
+      }
+    }
   }
   const lang::TraversalPlan& plan = cplan->plan;
   const uint32_t num_steps = static_cast<uint32_t>(plan.num_steps());
@@ -1162,19 +1191,11 @@ void BackendServer::ProcessBatch(const std::vector<VertexTask>& batch) {
     uint32_t offset;
     uint32_t length;
   };
-  struct VidData {
-    bool exists = false;
-    graph::VertexRecord rec;
-    uint32_t edges_begin = 0;
-    uint32_t edges_end = 0;
-  };
-  std::vector<VidData> vid_data(vids.size());
   std::vector<EdgeRef> edges;
   std::string edge_bytes;
 
   // One MultiGet per step cohort (usually the whole batch) so straggler
   // rules still see the step each access belongs to.
-  std::vector<bool> fetched(vids.size(), false);
   for (size_t lo = 0; lo < vids.size(); lo++) {
     if (fetched[lo]) continue;
     const uint32_t step = vid_step[lo];

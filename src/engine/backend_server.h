@@ -200,6 +200,20 @@ class BackendServer {
           [](const EntryVertex& v, graph::VertexId x) { return v.vid < x; });
       return it != vertices.end() && it->vid == vid ? &*it : nullptr;
     }
+    // Scan-start roots' records as the pushed-down scan read them,
+    // vid-sorted; each root's task moves its record out instead of reading
+    // the vertex again (ProcessBatch). Empty on every other execution.
+    std::vector<graph::VertexRecord> root_records;
+    // Moves the held record of `vid` into `rec`; false when none is held.
+    // A root has exactly one task, so each record is taken at most once.
+    bool TakeRootRecord(graph::VertexId vid, graph::VertexRecord* rec) {
+      auto it = std::lower_bound(
+          root_records.begin(), root_records.end(), vid,
+          [](const graph::VertexRecord& r, graph::VertexId x) { return r.id < x; });
+      if (it == root_records.end() || it->id != vid) return false;
+      *rec = std::move(*it);
+      return true;
+    }
     // Vertices not yet resolved to reach/no-reach.
     size_t unresolved = 0;
     // Queued tasks (owner and Async-GT I/O-only) not yet processed.
@@ -386,8 +400,11 @@ class BackendServer {
   std::shared_ptr<CompiledPlan> FindPlanLocked(TravelId travel) const GT_REQUIRES(mu_);
   // Scan-start roots on this server: the type index of the plan's anchor
   // type, with the planner's pushed-down start filters applied inside the
-  // scan. A re-scan within a travel charges the warm device cost.
-  std::vector<graph::VertexId> ScanStartLocked(TravelId travel, const CompiledPlan& cplan)
+  // scan. A pushed-down scan also moves each passing root's record into
+  // `records` (vid-sorted), so the root's task need not read it again. A
+  // re-scan within a travel charges the warm device cost.
+  std::vector<graph::VertexId> ScanStartLocked(TravelId travel, const CompiledPlan& cplan,
+                                               std::vector<graph::VertexRecord>* records)
       GT_REQUIRES(mu_);
 
   // --- executor -------------------------------------------------------------

@@ -399,7 +399,7 @@ Status GraphStore::ScanVerticesByType(LabelId label,
 
 Status GraphStore::ScanVerticesByTypeFiltered(
     LabelId label, const std::function<bool(const VertexRecord&)>& pred,
-    const std::function<bool(VertexId)>& fn, bool warm, const ReadSnapshot* snap) {
+    const std::function<bool(VertexRecord&&)>& fn, bool warm, const ReadSnapshot* snap) {
   // The index walk charges once, as in ScanVerticesByType, and yields the
   // candidates in ascending vid order (index keys are label + vid-BE).
   std::vector<VertexId> candidates;
@@ -412,16 +412,18 @@ Status GraphStore::ScanVerticesByTypeFiltered(
       warm, snap));
   if (candidates.empty()) return Status::OK();
 
-  // The pushed-down predicate reads the candidate records here instead of
-  // once per root exec at task time, as one sequential run over the record
-  // keyspace charged like the index walk — a single access covering the
-  // run's bytes — which is the point of the pushdown: sequential scan cost
-  // instead of a random point-read per candidate. The run only touches
-  // shard-resident keys in [first, last], and ingest assigns type runs
-  // contiguously, so the candidates are locally dense even though their
-  // global vid span is ~num_servers× wider than any one shard's share.
-  // Only a handful of candidates is cheaper as point reads (one batched
-  // MultiGet with ordinary per-vertex accounting).
+  // The pushed-down predicate reads the candidate records here, and the
+  // passing ones go to the caller whole: the engine keeps them with its
+  // root execution, so no root pays a point-read of its own at task time.
+  // The read is one sequential run over the record keyspace charged like
+  // the index walk — a single access covering the run's bytes — which is
+  // the point of the pushdown: sequential scan cost instead of a random
+  // point-read per candidate. The run only touches shard-resident keys in
+  // [first, last], and ingest assigns type runs contiguously, so the
+  // candidates are locally dense even though their global vid span is
+  // ~num_servers× wider than any one shard's share. Only a handful of
+  // candidates is cheaper as point reads (one batched MultiGet with
+  // ordinary per-vertex accounting).
   constexpr size_t kPointReadCutoff = 16;
   if (candidates.size() > kPointReadCutoff) {
     auto it = db_->NewIterator(snap);
@@ -445,7 +447,7 @@ Status GraphStore::ScanVerticesByTypeFiltered(
         break;
       }
       if (!pred(rec)) continue;
-      if (!fn(vid)) break;
+      if (!fn(std::move(rec))) break;
     }
     if (opts_.device != nullptr) opts_.device->ChargeAccess(bytes, warm);
     GT_RETURN_IF_ERROR(inner);
@@ -458,10 +460,10 @@ Status GraphStore::ScanVerticesByTypeFiltered(
     lookups[i].warm = warm;
   }
   GT_RETURN_IF_ERROR(MultiGetVertices(&lookups, snap));
-  for (const VertexLookup& lk : lookups) {
+  for (VertexLookup& lk : lookups) {
     if (!lk.found) continue;  // deleted between index walk and read
     if (!pred(lk.rec)) continue;
-    if (!fn(lk.vid)) break;
+    if (!fn(std::move(lk.rec))) break;
   }
   return Status::OK();
 }

@@ -8,6 +8,7 @@
 #include <functional>
 #include <memory>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -442,6 +443,86 @@ TEST(EngineFeatureTest, AsyncPlainPaysOneReadPerArrival) {
   EXPECT_EQ(sync.real_io, distinct_visits);
   EXPECT_EQ(sync.received - sync.redundant, distinct_visits);
   EXPECT_EQ(sync.combined, 0u);
+}
+
+// A pushed-down scan start hands each passing root's record to the root's
+// task, so the travel reads each root's record exactly once: inside the
+// scan. A plan needs at least one hop, so the travel takes one along a label
+// no vertex has: each root then costs one edge scan (a vertex access, no kv
+// get) and nothing else is read. Each server's point reads are the scan's
+// own: none on the sequential-run branch (more than 16 candidates), one per
+// candidate on the MultiGet branch (16 or fewer). A task that re-read its
+// root would add one vertex access and one kv get per passing root.
+TEST(EngineFeatureTest, ScanStartRootsAreReadOnce) {
+  ClusterConfig cfg;
+  cfg.num_servers = 3;
+  cfg.device.access_latency_us = 0;
+  auto cluster = Cluster::Create(cfg);
+  ASSERT_TRUE(cluster.ok());
+  Catalog* catalog = (*cluster)->catalog();
+  const auto many = catalog->Intern("Many");  // ~40 per server: the run branch
+  const auto few = catalog->Intern("Few");    // ~8 per server: the MultiGet branch
+  const auto w = catalog->Intern("w");
+  RefGraph g;
+  for (VertexId v = 0; v < 144; v++) {
+    VertexRecord rec;
+    rec.id = v;
+    rec.label = v % 6 == 0 ? few : many;
+    rec.props.Set(w, PropValue(static_cast<int64_t>(v * 37 % 100)));
+    g.AddVertex(rec);
+  }
+  ASSERT_TRUE((*cluster)->Load(g).ok());
+
+  constexpr uint64_t kPointReadCutoff = 16;  // GraphStore::ScanVerticesByTypeFiltered
+  constexpr int64_t kLo = 20;
+  constexpr int64_t kHi = 69;
+  for (const char* type : {"Many", "Few"}) {
+    SCOPED_TRACE(type);
+    const bool run_branch = std::string(type) == "Many";
+    std::vector<uint64_t> candidates(cfg.num_servers, 0);
+    std::vector<uint64_t> passing(cfg.num_servers, 0);
+    for (VertexId vid : g.VerticesByType(catalog->Lookup(type))) {
+      const uint32_t s = (*cluster)->partitioner()->ServerFor(vid);
+      candidates[s]++;
+      const int64_t wv = g.FindVertex(vid)->props.Find(w)->as_int();
+      if (wv >= kLo && wv <= kHi) passing[s]++;
+    }
+    for (uint32_t s = 0; s < cfg.num_servers; s++) {
+      ASSERT_EQ(candidates[s] > kPointReadCutoff, run_branch) << "server " << s;
+      ASSERT_GT(passing[s], 0u) << "server " << s;
+    }
+    auto plan = GTravel(catalog)
+                    .v()
+                    .va("type", FilterOp::kEq, {PropValue(type)})
+                    .va("w", FilterOp::kRange, {PropValue(kLo), PropValue(kHi)})
+                    .e("no_such_label")
+                    .count()
+                    .Build();
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    const lang::RefEvalResult oracle = lang::EvaluatePlanExtOnRefGraph(*plan, g, *catalog);
+
+    for (EngineMode mode :
+         {EngineMode::kSync, EngineMode::kAsyncPlain, EngineMode::kGraphTrek}) {
+      SCOPED_TRACE(EngineModeName(mode));
+      (*cluster)->ResetStats();
+      std::vector<uint64_t> gets_before(cfg.num_servers);
+      for (uint32_t s = 0; s < cfg.num_servers; s++) {
+        gets_before[s] = (*cluster)->store(s)->db()->stats().gets.load();
+      }
+      auto result = (*cluster)->Run(*plan, mode);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      EXPECT_EQ(result->count, oracle.count);
+      for (uint32_t s = 0; s < cfg.num_servers; s++) {
+        SCOPED_TRACE("server " + std::to_string(s));
+        graph::GraphStore* store = (*cluster)->store(s);
+        const uint64_t scan_reads = run_branch ? 0 : candidates[s];
+        // The roots are exactly the vertices passing the start filters.
+        EXPECT_EQ((*cluster)->server(s)->visit_stats().Read().per_step[0], passing[s]);
+        EXPECT_EQ(store->db()->stats().gets.load() - gets_before[s], scan_reads);
+        EXPECT_EQ(store->vertex_accesses(), scan_reads + passing[s]);  // + edge scans
+      }
+    }
+  }
 }
 
 // --- outbound frames ----------------------------------------------------------------

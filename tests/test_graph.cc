@@ -469,9 +469,10 @@ TEST_F(GraphStoreTest, AccessesChargeDeviceModel) {
 
 // The pushed-down type scan reads the candidate records itself: one
 // sequential run charged as a single access when a store holds more than 16
-// candidates, one MultiGet with a per-vertex charge otherwise. Both yield
-// exactly the index ids whose decoded record passes the predicate, and a
-// malformed record fails the scan with Corruption.
+// candidates, one MultiGet with a per-vertex charge otherwise. Both hand
+// over exactly the records of the index ids whose decoded record passes the
+// predicate, each equal to a point read of its vertex, and a malformed
+// record fails the scan with Corruption.
 TEST_F(GraphStoreTest, FilteredTypeScanSequentialAndPointPaths) {
   DeviceModel device(DeviceModelConfig{.access_latency_us = 0, .per_kib_us = 0});
   auto store = OpenStore(&device);
@@ -503,9 +504,9 @@ TEST_F(GraphStoreTest, FilteredTypeScanSequentialAndPointPaths) {
     }
     return passing;
   };
-  auto filtered = [&](LabelId label, std::vector<VertexId>* out) {
-    return store->ScanVerticesByTypeFiltered(label, pred, [&](VertexId v) {
-      out->push_back(v);
+  auto filtered = [&](LabelId label, std::vector<VertexRecord>* out) {
+    return store->ScanVerticesByTypeFiltered(label, pred, [&](VertexRecord&& rec) {
+      out->push_back(std::move(rec));
       return true;
     });
   };
@@ -516,17 +517,27 @@ TEST_F(GraphStoreTest, FilteredTypeScanSequentialAndPointPaths) {
     ASSERT_FALSE(want.empty());
     device.ResetStats();
     store->ResetAccessCount();
-    std::vector<VertexId> got;
+    std::vector<VertexRecord> got;
     ASSERT_TRUE(filtered(label, &got).ok());
-    EXPECT_EQ(got, want);
+    const uint64_t scan_accesses = device.total_accesses();
+    const uint64_t scan_vertex_accesses = store->vertex_accesses();
+    std::vector<VertexId> got_ids;
+    for (const VertexRecord& rec : got) {
+      got_ids.push_back(rec.id);
+      auto point = store->GetVertex(rec.id);
+      ASSERT_TRUE(point.ok());
+      EXPECT_EQ(rec.label, point->label) << "vid " << rec.id;
+      EXPECT_EQ(rec.props, point->props) << "vid " << rec.id;
+    }
+    EXPECT_EQ(got_ids, want);
     if (label == kMany) {
       // Index walk plus one run; the run is not vertex-rooted.
-      EXPECT_EQ(device.total_accesses(), 2u);
-      EXPECT_EQ(store->vertex_accesses(), 0u);
+      EXPECT_EQ(scan_accesses, 2u);
+      EXPECT_EQ(scan_vertex_accesses, 0u);
     } else {
       // Index walk plus one point read per candidate.
-      EXPECT_EQ(device.total_accesses(), 1u + 10u);
-      EXPECT_EQ(store->vertex_accesses(), 10u);
+      EXPECT_EQ(scan_accesses, 1u + 10u);
+      EXPECT_EQ(scan_vertex_accesses, 10u);
     }
   }
 
@@ -538,7 +549,7 @@ TEST_F(GraphStoreTest, FilteredTypeScanSequentialAndPointPaths) {
     bad.resize(bad.size() - 2);
     ASSERT_TRUE(store->db()->Put(VertexKey(bad_vid), bad).ok());
   }
-  std::vector<VertexId> ignored;
+  std::vector<VertexRecord> ignored;
   EXPECT_TRUE(filtered(kMany, &ignored).IsCorruption());
   EXPECT_TRUE(filtered(kFew, &ignored).IsCorruption());
 }

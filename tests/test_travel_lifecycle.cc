@@ -154,16 +154,19 @@ TEST(RequestQueueTest, PopBatchTakesOneGroupOrItsShareOfTheQueue) {
 // leaves. A two-hop travel from the root keeps hundreds of vertex tasks in
 // flight, which (with a slow device model) pins the travel in the server
 // queues long enough to observe admission rejections and cancellation.
+// Every vertex carries w = vid % 10 for filtered scan starts.
 RefGraph FanoutGraph(Catalog* catalog, uint32_t fan1, uint32_t fan2) {
   RefGraph g;
   const auto t = catalog->Intern("N");
   const auto out = catalog->Intern("out");
+  const auto w = catalog->Intern("w");
   const VertexId leaves_base = 1 + fan1;
   const VertexId total = leaves_base + fan1 * fan2;
   for (VertexId v = 0; v < total; v++) {
     VertexRecord rec;
     rec.id = v;
     rec.label = t;
+    rec.props.Set(w, graph::PropValue(static_cast<int64_t>(v % 10)));
     g.AddVertex(rec);
   }
   for (VertexId mid = 1; mid <= fan1; mid++) {
@@ -247,6 +250,9 @@ TEST(TravelLifecycleTest, AdmissionLimitRejectsThenBackoffRetrySucceeds) {
   EXPECT_GE(MetricSum("gt_travel_admitted_total"), admitted_before + 4);
 }
 
+// Cancellation reclaims an anchored travel and a filtered scan start alike.
+// The scan start's roots are cancelled while queued, holding the records
+// their pushed-down scan read; those leave with the root execution.
 TEST(TravelLifecycleTest, CancelledTravelIsFullyReclaimedOnEveryServer) {
   ClusterConfig cfg;
   cfg.num_servers = 3;
@@ -256,43 +262,67 @@ TEST(TravelLifecycleTest, CancelledTravelIsFullyReclaimedOnEveryServer) {
   ASSERT_TRUE(cluster.ok());
   Catalog* catalog = (*cluster)->catalog();
   ASSERT_TRUE((*cluster)->Load(FanoutGraph(catalog, 30, 12)).ok());
-  auto plan = TwoHopPlan(catalog);
+  // ~350 roots pass the start filters, each a 20ms edge scan at step 0.
+  auto scan_start = GTravel(catalog)
+                        .v()
+                        .va("type", lang::FilterOp::kEq, {graph::PropValue("N")})
+                        .va("w", lang::FilterOp::kRange,
+                            {graph::PropValue(int64_t{0}), graph::PropValue(int64_t{8})})
+                        .e("out")
+                        .e("out")
+                        .Build();
+  ASSERT_TRUE(scan_start.ok());
 
   const double cancelled_before = MetricSum("gt_travel_cancelled_total");
-
-  // ~390 vertex accesses at 20ms across 3 servers x 2 workers: the travel
-  // runs for seconds unless cancellation reclaims it.
   auto client = (*cluster)->NewClient();
-  RunOptions opts;
-  auto travel = client->Submit(plan, opts);
-  ASSERT_TRUE(travel.ok());
+  for (const auto& [name, plan] :
+       {std::pair{"anchored", TwoHopPlan(catalog)}, std::pair{"scan start", *scan_start}}) {
+    SCOPED_TRACE(name);
+    // Hundreds of vertex accesses at 20ms across 3 servers x 2 workers:
+    // either travel runs for seconds unless cancellation reclaims it.
+    RunOptions opts;
+    auto travel = client->Submit(plan, opts);
+    ASSERT_TRUE(travel.ok());
 
-  // Give up after 50ms; Await cancels the travel at its coordinator, which
-  // fans kAbortTraversal out to every server.
-  auto result = client->Await(*travel, 50);
-  ASSERT_FALSE(result.ok());
-  EXPECT_TRUE(result.status().IsTimeout()) << result.status().ToString();
-
-  // Every server must drain the travel's queued tasks and drop its state
-  // (plans, execs, memo entries, cache residue, trace buffers).
-  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
-  bool reclaimed = false;
-  while (std::chrono::steady_clock::now() < deadline) {
-    reclaimed = true;
-    for (uint32_t s = 0; s < cfg.num_servers; s++) {
-      BackendServer* server = (*cluster)->server(s);
-      if (server->queue_depth() != 0 || server->HasTravelResidue(*travel)) {
-        reclaimed = false;
-        break;
+    // Cancel only once the travel's tasks are queued somewhere.
+    bool queued = false;
+    const auto queue_deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (!queued && std::chrono::steady_clock::now() < queue_deadline) {
+      for (uint32_t s = 0; s < cfg.num_servers; s++) {
+        queued = queued || (*cluster)->server(s)->queue_depth() != 0;
       }
+      if (!queued) std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
-    if (reclaimed) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
-  EXPECT_TRUE(reclaimed) << "travel state not reclaimed within 20s";
-  EXPECT_GE(MetricSum("gt_travel_cancelled_total"), cancelled_before + 1);
+    EXPECT_TRUE(queued) << "no task queued within 5s";
 
-  // The cluster keeps serving after the cancellation.
+    // Give up after 50ms; Await cancels the travel at its coordinator, which
+    // fans kAbortTraversal out to every server.
+    auto result = client->Await(*travel, 50);
+    ASSERT_FALSE(result.ok());
+    EXPECT_TRUE(result.status().IsTimeout()) << result.status().ToString();
+
+    // Every server must drain the travel's queued tasks and drop its state
+    // (plans, execs with their held root records, memo entries, cache
+    // residue, trace buffers).
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    bool reclaimed = false;
+    while (std::chrono::steady_clock::now() < deadline) {
+      reclaimed = true;
+      for (uint32_t s = 0; s < cfg.num_servers; s++) {
+        BackendServer* server = (*cluster)->server(s);
+        if (server->queue_depth() != 0 || server->HasTravelResidue(*travel)) {
+          reclaimed = false;
+          break;
+        }
+      }
+      if (reclaimed) break;
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+    EXPECT_TRUE(reclaimed) << "travel state not reclaimed within 20s";
+  }
+  EXPECT_GE(MetricSum("gt_travel_cancelled_total"), cancelled_before + 2);
+
+  // The cluster keeps serving after the cancellations.
   auto after = (*cluster)->Run(TwoHopPlan(catalog), EngineMode::kGraphTrek);
   ASSERT_TRUE(after.ok()) << after.status().ToString();
   EXPECT_EQ(after->vids.size(), 360u);
