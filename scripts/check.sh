@@ -58,17 +58,17 @@ ctest --test-dir build --output-on-failure --no-tests=error \
   --repeat until-fail:3 \
   -R 'EngineDifferentialTest|TravelCache|EngineFeatureTest\.(FramesWaitForLocalQuiescence|SyncHoldsNextStepUntilEveryServerDrains|SyncStartsFramesThatArriveAfterTheirRelease)'
 
-# GTravel language + planner gate: plan codec round-trip/validation, the
-# GTravel builder, the reference evaluator, the statistics-driven planner
-# goldens, and the three pushdown gates: every engine on pushed-down scan
-# starts against the reference evaluator (PushedDownScanStartsMatchOracle),
-# each scan-start root read once, inside the scan, on both of its read
-# branches (ScanStartRootsAreReadOnce), and the Darshan audit queries
-# against the reference evaluator (bench_smoke_table3_planner). Naming them
-# here keeps them from silently dropping out of discovery.
-step "GTravel language + planner tests"
+# GTravel language + scan-start gate: plan codec round-trip/validation, the
+# GTravel builder, the reference evaluator, and the three scan-start gates:
+# every engine on bare and filtered type-index starts against the reference
+# evaluator (ScanStartsMatchOracle), each scan-start root read once, inside
+# the scan, on both of its read branches and with or without start filters
+# (ScanStartRootsAreReadOnce), and the Darshan audit queries against the
+# reference evaluator (bench_smoke_table3_planner). Naming them here keeps
+# them from silently dropping out of discovery.
+step "GTravel language + scan-start tests"
 ctest --test-dir build --output-on-failure --no-tests=error \
-  -R 'PlanTest|FilterTest|GTravelTest|EvaluatorTest|PlannerTest|PushedDownScanStartsMatchOracle|ScanStartRootsAreReadOnce|bench_smoke_table3_planner'
+  -R 'PlanTest|FilterTest|GTravelTest|EvaluatorTest|ScanStartsMatchOracle|ScanStartRootsAreReadOnce|bench_smoke_table3_planner'
 
 # Bench smoke gate: every figure/table/ablation binary must still run end to
 # end at --smoke size (they read the metrics registry, so a renamed series
@@ -136,9 +136,9 @@ if [[ "$FAST" == 0 ]]; then
   step "cross-engine differential harness under TSan"
   ctest --test-dir build-tsan --output-on-failure --no-tests=error \
     -R 'EngineDifferentialTest'
-  step "planner goldens + scan-start record hand-off + fuzz-corpus replay under TSan"
+  step "scan-start record hand-off + fuzz-corpus replay under TSan"
   ctest --test-dir build-tsan --output-on-failure --no-tests=error \
-    -R 'PlannerTest|ScanStartRootsAreReadOnce|CorpusReplayTest'
+    -R 'ScanStartRootsAreReadOnce|CorpusReplayTest'
   step "adjacency-cache tests under TSan (mutate-while-traversing)"
   ctest --test-dir build-tsan --output-on-failure --no-tests=error \
     -R 'AdjacencyCacheTest'

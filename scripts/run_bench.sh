@@ -39,9 +39,8 @@ FIG_BENCHES=(fig8_2step fig9_4step)
 # Load benches with structured self-reports: each emits a JSON summary that
 # is folded verbatim into the snapshot's "after" section (load_mutate = the
 # mixed read/write ingest-vs-audit workload, table3_planner = each
-# engine's ms per Darshan audit query under the statistics-driven planner,
-# whose filtered scan starts hand their records to the root tasks, gated on
-# the reference evaluator).
+# engine's ms per Darshan audit query, whose type-index scan starts hand
+# their records to the root tasks, gated on the reference evaluator).
 LOAD_BENCHES=(load_mutate table3_planner)
 
 cmake --build build -j "${JOBS:-$(nproc 2>/dev/null || echo 2)}" \

@@ -136,17 +136,17 @@ std::vector<std::vector<FrontierEntry>> StartEntriesByServer(
   return per_server;
 }
 
-// Resolves the type-index label for an unanchored v() start (the validator
-// guarantees a type EQ filter exists).
-graph::LabelId ScanLabelFor(const lang::TraversalPlan& plan, graph::Catalog* catalog) {
-  const graph::Catalog::Id type_key = catalog->Intern("type");
-  for (const auto& f : plan.start_vertex_filters) {
-    if (f.key == type_key && f.op == lang::FilterOp::kEq && !f.values.empty() &&
-        f.values[0].is_string()) {
-      return catalog->Intern(f.values[0].as_string());
+// Position of the type anchor of an unanchored v() start: its first type EQ
+// filter naming a type (the validator guarantees one exists), or npos.
+size_t ScanAnchorFor(const lang::TraversalPlan& plan, graph::Catalog::Id type_key) {
+  const auto& sf = plan.start_vertex_filters;
+  for (size_t i = 0; i < sf.size(); i++) {
+    if (sf[i].key == type_key && sf[i].op == lang::FilterOp::kEq && !sf[i].values.empty() &&
+        sf[i].values[0].is_string()) {
+      return i;
     }
   }
-  return graph::Catalog::kInvalidId;
+  return std::string::npos;
 }
 
 }  // namespace
@@ -534,9 +534,6 @@ Status BackendServer::SubmitLocked(const rpc::Message& msg) {
   // semantic rules (scan anchor, until/branch/paths restrictions, caps).
   GT_RETURN_IF_ERROR(plan->Validate());
 
-  // Statistics-driven rewrite (result-identical; see src/lang/planner.h).
-  // Runs before expansion so hand-offs forward the rewritten compact form.
-  *plan = lang::RewritePlan(*plan, PlanStatsLocked(), *catalog_, catalog_->Intern("type"));
   const std::string plan_bytes = plan->Encode();
 
   // Expand to the executable form up front so oversized repeat chains
@@ -672,38 +669,33 @@ std::shared_ptr<BackendServer::CompiledPlan> BackendServer::FindPlanLocked(
   return it == plans_.end() ? nullptr : it->second;
 }
 
-std::vector<graph::VertexId> BackendServer::ScanStartLocked(
-    TravelId travel, const CompiledPlan& cplan, std::vector<graph::VertexRecord>* records) {
-  std::vector<graph::VertexId> roots;
-  const graph::LabelId label = ScanLabelFor(cplan.plan, catalog_);
-  if (label == graph::Catalog::kInvalidId) return roots;
+void BackendServer::ScanStartLocked(TravelId travel, const CompiledPlan& cplan,
+                                    std::vector<graph::VertexRecord>* records) {
+  const auto& sf = cplan.plan.start_vertex_filters;
+  const size_t anchor = ScanAnchorFor(cplan.plan, cplan.type_key);
+  if (anchor == std::string::npos) return;
+  const graph::LabelId label = catalog_->Intern(sf[anchor].values[0].as_string());
   const bool warm = !scanned_types_[travel].insert(label).second;
   const auto snap = TravelSnapLocked(travel);
-  if (cplan.plan.push_start_filters) {
-    // Planner pushdown: apply every start filter inside the index scan so
-    // non-matching vertices never become tasks, and keep the records the
-    // scan read so the roots' tasks skip their point reads. The engines
-    // re-apply the filters at processing time (idempotent), so this is
-    // result-identical with the unpushed path.
-    const auto& sf = cplan.plan.start_vertex_filters;
-    store_->ScanVerticesByTypeFiltered(
-        label,
-        [&](const graph::VertexRecord& rec) {
-          return lang::VertexMatchesAll(sf, rec, *catalog_, cplan.type_key);
-        },
-        [&](graph::VertexRecord&& rec) {
-          roots.push_back(rec.id);
-          records->push_back(std::move(rec));
-          return true;
-        },
-        warm, snap.get()).ok();
-  } else {
-    store_->ScanVerticesByType(label, [&](graph::VertexId vid) {
-      roots.push_back(vid);
-      return true;
-    }, warm, snap.get()).ok();
-  }
-  return roots;
+  // The scan applies every start filter but the anchor, which each
+  // candidate from the anchor's index matches by construction (and whose
+  // pseudo-property is the costly one to evaluate). The engines re-apply
+  // all of them at step 0, so this only decides which vertices root tasks.
+  store_->ScanVerticesByTypeFiltered(
+      label,
+      [&](const graph::VertexRecord& rec) {
+        for (size_t i = 0; i < sf.size(); i++) {
+          if (i != anchor && !lang::VertexMatches(sf[i], rec, *catalog_, cplan.type_key)) {
+            return false;
+          }
+        }
+        return true;
+      },
+      [&](graph::VertexRecord&& rec) {
+        records->push_back(std::move(rec));
+        return true;
+      },
+      warm, snap.get()).ok();
 }
 
 void BackendServer::StartRootExecsLocked(TravelState& ts) {
@@ -1003,10 +995,8 @@ void BackendServer::StartExecLocked(const TraversePayload& req, const CompiledPl
   ex.step = req.step;
   ex.parent_server = req.parent_server;
   ex.parent_exec = req.parent_exec;
-  std::vector<graph::VertexId> scan_entries;
-  if (req.scan_start != 0) {
-    scan_entries = ScanStartLocked(req.travel_id, cplan, &ex.root_records);
-  }
+  if (req.scan_start != 0) ScanStartLocked(req.travel_id, cplan, &ex.root_records);
+  const std::vector<graph::VertexRecord>& scan_roots = ex.root_records;
 
   // The engines differ here only in policy: GraphTrek and Sync-GT absorb
   // redundant arrivals without I/O, Async-GT queues a task for every
@@ -1034,7 +1024,7 @@ void BackendServer::StartExecLocked(const TraversePayload& req, const CompiledPl
       }
     };
     for (const auto& e : req.entries) add_entry(e.vid, e.parents);
-    for (auto vid : scan_entries) add_entry(vid, std::vector<graph::VertexId>{});
+    for (const auto& rec : scan_roots) add_entry(rec.id, std::vector<graph::VertexId>{});
     visit_stats_.received.fetch_add(ex.path_prefixes.size());
     visit_stats_.AddStep(ex.step, ex.path_prefixes.size());
     for (const auto& [vid, prefixes] : ex.path_prefixes) {
@@ -1070,13 +1060,13 @@ void BackendServer::StartExecLocked(const TraversePayload& req, const CompiledPl
     // every wire entry naming it as one run of the flat parents array.
     constexpr uint32_t kScanRoot = UINT32_MAX;
     std::vector<std::pair<graph::VertexId, uint32_t>> order;  // (vid, entry index)
-    order.reserve(req.entries.size() + scan_entries.size());
+    order.reserve(req.entries.size() + scan_roots.size());
     size_t num_parents = 0;
     for (uint32_t i = 0; i < req.entries.size(); i++) {
       order.emplace_back(req.entries[i].vid, i);
       num_parents += req.entries[i].parents.size();
     }
-    for (auto vid : scan_entries) order.emplace_back(vid, kScanRoot);
+    for (const auto& rec : scan_roots) order.emplace_back(rec.id, kScanRoot);
     std::sort(order.begin(), order.end());
     ex.parents.reserve(num_parents);
     for (const auto& [vid, idx] : order) {
@@ -1098,10 +1088,10 @@ void BackendServer::StartExecLocked(const TraversePayload& req, const CompiledPl
     for (auto& v : ex.vertices) classify(v.vid, &v);
   } else {
     // Direct protocol: the wire entries as-is (senders already deduplicate).
-    visit_stats_.received.fetch_add(req.entries.size() + scan_entries.size());
-    visit_stats_.AddStep(ex.step, req.entries.size() + scan_entries.size());
+    visit_stats_.received.fetch_add(req.entries.size() + scan_roots.size());
+    visit_stats_.AddStep(ex.step, req.entries.size() + scan_roots.size());
     for (const auto& e : req.entries) classify(e.vid, nullptr);
-    for (auto vid : scan_entries) classify(vid, nullptr);
+    for (const auto& rec : scan_roots) classify(rec.id, nullptr);
   }
   AdmitExecLocked(ex, cplan);  // may erase ex
 }
@@ -1165,7 +1155,7 @@ void BackendServer::ProcessBatch(const std::vector<VertexTask>& batch) {
     // Re-reads within a travel hit the storage engine's block cache.
     auto& acc = accessed_[travel];
     for (size_t i = 0; i < vids.size(); i++) warm[i] = !acc.insert(vids[i]).second;
-    // A pushed-down scan root starts with the record its scan read, at the
+    // A scan-start root starts with the record its scan read, at the
     // same pinned view: it needs no point read of its own, and, being in
     // `acc` now, later re-reads of it in this travel stay warm.
     for (size_t k = 0; k < batch.size(); k++) {
@@ -1944,21 +1934,6 @@ void BackendServer::MaintenanceLoop() {
     }
     DrainOutbox();  // completions staged under mu_
   }
-}
-
-const lang::PlanStats& BackendServer::PlanStatsLocked() {
-  if (plan_stats_ready_) return plan_stats_;
-  plan_stats_ready_ = true;
-  // Statistics from this coordinator's local shard. Hash partitioning
-  // spreads every type/label roughly evenly, so shard-local counts are a
-  // representative sample for selectivity *ordering* — the only thing the
-  // planner consumes. Maintenance-path scans: no device charges.
-  store_->ScanAllVertices([&](const graph::VertexRecord& rec) {
-    plan_stats_.total_vertices++;
-    plan_stats_.vertices_per_type[rec.label]++;
-    return true;
-  }).ok();
-  return plan_stats_;
 }
 
 }  // namespace gt::engine

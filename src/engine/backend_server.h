@@ -43,7 +43,6 @@
 #include "src/graph/graph_store.h"
 #include "src/graph/partitioner.h"
 #include "src/lang/gtravel.h"
-#include "src/lang/planner.h"
 #include "src/rpc/transport.h"
 
 namespace gt::engine {
@@ -200,9 +199,9 @@ class BackendServer {
           [](const EntryVertex& v, graph::VertexId x) { return v.vid < x; });
       return it != vertices.end() && it->vid == vid ? &*it : nullptr;
     }
-    // Scan-start roots' records as the pushed-down scan read them,
-    // vid-sorted; each root's task moves its record out instead of reading
-    // the vertex again (ProcessBatch). Empty on every other execution.
+    // Scan-start roots' records as the scan start read them, vid-sorted;
+    // each root's task moves its record out instead of reading the vertex
+    // again (ProcessBatch). Empty on every other execution.
     std::vector<graph::VertexRecord> root_records;
     // Moves the held record of `vid` into `rec`; false when none is held.
     // A root has exactly one task, so each record is taken at most once.
@@ -351,17 +350,13 @@ class BackendServer {
   // --- coordinator ------------------------------------------------------------
 
   // All Locked methods require mu_.
-  // Decodes, rewrites and admits a submitted travel, then launches it; a
+  // Decodes, validates and admits a submitted travel, then launches it; a
   // non-OK status is the client's failed-submit reply.
   Status SubmitLocked(const rpc::Message& msg) GT_REQUIRES(mu_);
   // Launches an admitted travel: one root execution per start server.
   void StartRootExecsLocked(TravelState& ts) GT_REQUIRES(mu_);
   // Pins `travel` here and broadcasts the pin to every other server.
   void PinEverywhereLocked(TravelId travel) GT_REQUIRES(mu_);
-  // Lazily collects planner statistics from the local shard (once per
-  // server; guarded by plan_stats_ready_). Maintenance-path scans only — no
-  // device charges.
-  const lang::PlanStats& PlanStatsLocked() GT_REQUIRES(mu_);
   // Folds one batch of results (values parallel to vids, or empty) into
   // the travel — a branch child's into its parent — and fails that travel
   // once its paths exceed the coordinator cap. Returns false when `ts`
@@ -398,14 +393,14 @@ class BackendServer {
       GT_REQUIRES(mu_);
   // The registered plan, or null (never seen here, or already cleaned up).
   std::shared_ptr<CompiledPlan> FindPlanLocked(TravelId travel) const GT_REQUIRES(mu_);
-  // Scan-start roots on this server: the type index of the plan's anchor
-  // type, with the planner's pushed-down start filters applied inside the
-  // scan. A pushed-down scan also moves each passing root's record into
-  // `records` (vid-sorted), so the root's task need not read it again. A
-  // re-scan within a travel charges the warm device cost.
-  std::vector<graph::VertexId> ScanStartLocked(TravelId travel, const CompiledPlan& cplan,
-                                               std::vector<graph::VertexRecord>* records)
-      GT_REQUIRES(mu_);
+  // Scan-start roots on this server: one filtered scan of the anchor
+  // type's index, which applies every start filter but the anchor and
+  // moves each passing root's record into `records` (vid-sorted), so the
+  // root's task need not read it again. A start with no filter besides
+  // the anchor roots every vertex of the type. A re-scan within a travel
+  // charges the warm device cost.
+  void ScanStartLocked(TravelId travel, const CompiledPlan& cplan,
+                       std::vector<graph::VertexRecord>* records) GT_REQUIRES(mu_);
 
   // --- executor -------------------------------------------------------------
 
@@ -536,11 +531,6 @@ class BackendServer {
   std::deque<TravelId> aborted_order_ GT_GUARDED_BY(mu_);  // bounds the tombstone set
   uint64_t next_exec_seq_ GT_GUARDED_BY(mu_) = 1;
   uint64_t next_travel_seq_ GT_GUARDED_BY(mu_) = 1;
-  // Planner statistics, built once from this shard on the first submit
-  // (under hash partitioning the local shard is a representative sample of
-  // global selectivities; rewrites only need relative order).
-  bool plan_stats_ready_ GT_GUARDED_BY(mu_) = false;
-  lang::PlanStats plan_stats_ GT_GUARDED_BY(mu_);
   // Live coordinated travels per priority class (admission accounting;
   // incremented on admit, decremented in CompleteTravelLocked).
   std::array<uint32_t, kNumTravelClasses> inflight_per_class_ GT_GUARDED_BY(mu_) = {{0, 0, 0}};

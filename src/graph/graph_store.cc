@@ -412,13 +412,13 @@ Status GraphStore::ScanVerticesByTypeFiltered(
       warm, snap));
   if (candidates.empty()) return Status::OK();
 
-  // The pushed-down predicate reads the candidate records here, and the
-  // passing ones go to the caller whole: the engine keeps them with its
-  // root execution, so no root pays a point-read of its own at task time.
-  // The read is one sequential run over the record keyspace charged like
-  // the index walk — a single access covering the run's bytes — which is
-  // the point of the pushdown: sequential scan cost instead of a random
-  // point-read per candidate. The run only touches shard-resident keys in
+  // The candidate records are read here, and the ones passing `pred` go to
+  // the caller whole: the engine keeps them with its root execution, so no
+  // root pays a point-read of its own at task time. The read is one
+  // sequential run over the record keyspace charged like the index walk —
+  // a single access covering the run's bytes — which is the point of
+  // reading here: sequential scan cost instead of a random point-read per
+  // candidate. The run only touches shard-resident keys in
   // [first, last], and ingest assigns type runs contiguously, so the
   // candidates are locally dense even though their global vid span is
   // ~num_servers× wider than any one shard's share. Only a handful of

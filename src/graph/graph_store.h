@@ -135,19 +135,18 @@ class GraphStore {
   Status ScanVerticesByType(LabelId label, const std::function<bool(VertexId)>& fn,
                             bool warm = false, const ReadSnapshot* snap = nullptr);
 
-  // Type-index scan with a predicate pushed down over the vertex records
-  // (planner pushdown: push_start_filters). The index yields candidate ids;
-  // each candidate's record is read and handed to `pred`, and every passing
-  // record is moved into `fn`, in ascending vid order, so the caller starts
-  // from the records themselves and need not read them again. Charges one
-  // scan access for the index walk (like ScanVerticesByType); the record
-  // reads are one sequential run over the record keyspace when there are
-  // more than 16 candidates (a single access covering the run's bytes — the
-  // pushdown's actual win: sequential scan cost where an unpushed start
-  // pays a random point-read per candidate), or one batched MultiGet with
-  // ordinary per-vertex accounting otherwise. Like the index walk, the
-  // sequential run is not vertex-rooted, so it bypasses the per-vertex
-  // interceptor.
+  // Type-index scan that yields records: the engine's one scan start. The
+  // index yields candidate ids; each candidate's record is read and handed
+  // to `pred` (the start filters; always true for a start with none), and
+  // every passing record is moved into `fn`, in ascending vid order, so the
+  // caller starts from the records themselves and need not read them
+  // again. Charges one scan access for the index walk (like
+  // ScanVerticesByType); the record reads are one sequential run over the
+  // record keyspace when there are more than 16 candidates (a single access
+  // covering the run's bytes, where reading the roots one by one would pay
+  // a random point-read each), or one batched MultiGet with ordinary
+  // per-vertex accounting otherwise. Like the index walk, the sequential
+  // run is not vertex-rooted, so it bypasses the per-vertex interceptor.
   Status ScanVerticesByTypeFiltered(
       LabelId label, const std::function<bool(const VertexRecord&)>& pred,
       const std::function<bool(VertexRecord&&)>& fn, bool warm = false,

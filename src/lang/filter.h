@@ -88,21 +88,26 @@ inline bool MatchesAll(const std::vector<Filter>& filters, const graph::PropMap&
 // filter keyed on "type" matches against the vertex's label name rather
 // than a stored property. `type_key` is catalog id of "type" (or
 // kInvalidId to disable the pseudo-property).
+inline bool VertexMatches(const Filter& f, const graph::VertexRecord& rec,
+                          const graph::Catalog& catalog, graph::Catalog::Id type_key) {
+  if (f.key == type_key && type_key != graph::Catalog::kInvalidId &&
+      rec.props.Find(f.key) == nullptr) {
+    auto name = catalog.Name(rec.label);
+    if (!name.ok()) return false;
+    graph::PropMap synthetic;
+    synthetic.Set(f.key, graph::PropValue(*name));
+    return f.Matches(synthetic);
+  }
+  return f.Matches(rec.props);
+}
+
+// AND-composition of VertexMatches (empty list matches everything).
 inline bool VertexMatchesAll(const std::vector<Filter>& filters,
                              const graph::VertexRecord& rec,
                              const graph::Catalog& catalog,
                              graph::Catalog::Id type_key) {
   for (const auto& f : filters) {
-    if (f.key == type_key && type_key != graph::Catalog::kInvalidId &&
-        rec.props.Find(f.key) == nullptr) {
-      auto name = catalog.Name(rec.label);
-      if (!name.ok()) return false;
-      graph::PropMap synthetic;
-      synthetic.Set(f.key, graph::PropValue(*name));
-      if (!f.Matches(synthetic)) return false;
-    } else if (!f.Matches(rec.props)) {
-      return false;
-    }
+    if (!VertexMatches(f, rec, catalog, type_key)) return false;
   }
   return true;
 }

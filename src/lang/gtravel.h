@@ -16,7 +16,7 @@
 //   rtn()    - mark the current working set for return; returned vertices
 //              are those whose traversals reach the end of the chain
 //
-// Language extensions (see DESIGN.md "GTravel language & planner"):
+// Language extensions (see DESIGN.md "GTravel language & scan starts"):
 //   repeat(n)   - execute the most recent e() step n times in sequence
 //   until(...)  - with repeat on the final step: vertices matching the
 //                 filter at any iteration become terminal results

@@ -7,9 +7,6 @@ namespace gt::lang {
 namespace {
 
 constexpr uint8_t kPlanExtVersion = 1;
-constexpr uint8_t kExtFlagPushdown = 1u << 0;
-// Bits 1+ must be zero (canonical encoding).
-constexpr uint8_t kExtKnownFlags = kExtFlagPushdown;
 
 bool HopsHaveExt(const std::vector<Hop>& hs) {
   for (const auto& h : hs) {
@@ -21,8 +18,8 @@ bool HopsHaveExt(const std::vector<Hop>& hs) {
 }  // namespace
 
 bool TraversalPlan::has_ext() const {
-  return result_mode != ResultMode::kVertices || group_key != 0 || push_start_filters ||
-         !branch_alts.empty() || !branch_tail.empty() || HopsHaveExt(hops);
+  return result_mode != ResultMode::kVertices || group_key != 0 || !branch_alts.empty() ||
+         !branch_tail.empty() || HopsHaveExt(hops);
 }
 
 void TraversalPlan::EncodeFilters(std::string* out, const std::vector<Filter>& filters) {
@@ -89,7 +86,7 @@ std::string TraversalPlan::Encode() const {
   out.push_back(static_cast<char>(kPlanExtVersion));
   out.push_back(static_cast<char>(result_mode));
   PutVarint32(&out, group_key);
-  out.push_back(static_cast<char>(push_start_filters ? kExtFlagPushdown : 0));
+  out.push_back(0);  // flags: no bits defined
   // Per-hop extensions, one entry per legacy hop (count re-stated so a
   // truncated tail cannot silently drop entries).
   PutVarint32(&out, static_cast<uint32_t>(hops.size()));
@@ -122,8 +119,7 @@ Status TraversalPlan::DecodeExtTail(CheckedReader* dec) {
   if (!dec->GetVarint32(&group_key)) return Status::Corruption("plan: ext group key");
   uint8_t flags = 0;
   if (!dec->GetByte(&flags)) return Status::Corruption("plan: ext flags");
-  if ((flags & ~kExtKnownFlags) != 0) return Status::Corruption("plan: unknown ext flags");
-  push_start_filters = (flags & kExtFlagPushdown) != 0;
+  if (flags != 0) return Status::Corruption("plan: unknown ext flags");
 
   uint32_t n = 0;
   // 2 = minimum per-hop extension (repeat varint + empty until list).

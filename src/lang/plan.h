@@ -10,7 +10,7 @@
 // Language extensions beyond the paper's v/e/va/ea/rtn surface ride in a
 // versioned tail appended after the legacy encoding (absent tail = legacy
 // defaults, truncated tail = error; see DESIGN.md "GTravel language &
-// planner"):
+// scan starts"):
 //   - repeat(n)/until(filter): a hop may carry a repeat count (unrolled
 //     server-side into ordinary hop cohorts by Unrolled()) and an until
 //     filter set checked at each iteration boundary; matches are terminal
@@ -19,9 +19,6 @@
 //   - branch: the working set forks across alternative hop chains after the
 //     `hops` prefix and merges (union) before `branch_tail`; executed as
 //     one flattened linear sub-plan per alternative (FlattenBranches()).
-//   - planner hint: push_start_filters (apply start filters inside the
-//     type-index scan); it never changes results, only how the engines
-//     execute.
 #pragma once
 
 #include <string>
@@ -84,11 +81,6 @@ struct TraversalPlan {
   ResultMode result_mode = ResultMode::kVertices;
   graph::Catalog::Id group_key = 0;  // property key for ResultMode::kGroup
 
-  // Planner hint: the scan-start applies every start vertex filter inside
-  // the type-index scan, so only matching vertices become root execs.
-  // Result-identical by construction.
-  bool push_start_filters = false;
-
   // Branch/union step: when branch_alts is non-empty (>= 2 alternatives),
   // the chain is `hops` (prefix), then a fork across the alternatives, then
   // a union-merge, then `branch_tail`. Executed via FlattenBranches().
@@ -147,8 +139,8 @@ struct TraversalPlan {
   bool operator==(const TraversalPlan& o) const {
     return start_ids == o.start_ids && start_vertex_filters == o.start_vertex_filters &&
            start_rtn == o.start_rtn && hops == o.hops && result_mode == o.result_mode &&
-           group_key == o.group_key && push_start_filters == o.push_start_filters &&
-           branch_alts == o.branch_alts && branch_tail == o.branch_tail;
+           group_key == o.group_key && branch_alts == o.branch_alts &&
+           branch_tail == o.branch_tail;
   }
 
   std::string Encode() const;
@@ -167,10 +159,10 @@ struct TraversalPlan {
   Result<TraversalPlan> Unrolled() const;
 
   // Branch execution: one linear sub-plan per alternative
-  // (prefix + alternative + tail), each preserving start, filters, result
-  // mode and planner hints. Returns {*this} for non-branch plans. The union
-  // of the sub-plans' results is exactly the branch semantics because hops
-  // and filters distribute over union.
+  // (prefix + alternative + tail), each preserving start, filters and
+  // result mode. Returns {*this} for non-branch plans. The union of the
+  // sub-plans' results is exactly the branch semantics because hops and
+  // filters distribute over union.
   std::vector<TraversalPlan> FlattenBranches() const;
 
  private:

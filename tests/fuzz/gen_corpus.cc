@@ -97,7 +97,6 @@ gt::lang::TraversalPlan BranchGroupPlan() {
   plan.branch_tail = {tail};
   plan.result_mode = gt::lang::ResultMode::kGroup;
   plan.group_key = 9;
-  plan.push_start_filters = true;
   return plan;
 }
 

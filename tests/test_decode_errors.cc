@@ -89,7 +89,6 @@ lang::TraversalPlan BranchSamplePlan() {
   plan.branch_tail = {tail_hop};
   plan.result_mode = lang::ResultMode::kGroup;
   plan.group_key = 7;
-  plan.push_start_filters = true;
   return plan;
 }
 
@@ -100,7 +99,6 @@ void StripExt(lang::TraversalPlan* plan) {
   }
   plan->result_mode = lang::ResultMode::kVertices;
   plan->group_key = 0;
-  plan->push_start_filters = false;
   plan->branch_alts.clear();
   plan->branch_tail.clear();
 }
@@ -173,8 +171,8 @@ std::vector<Surface> AllSurfaces() {
         }});
   }
 
-  // Branch plan: alternatives + tail + group mode + planner flags, so the
-  // bit-flip sweep walks every branch row and the flags byte.
+  // Branch plan: alternatives + tail + group mode, so the bit-flip sweep
+  // walks every branch row and the (all-zero) flags byte.
   {
     lang::TraversalPlan plan = BranchSamplePlan();
     lang::TraversalPlan legacy = plan;
@@ -552,11 +550,13 @@ TEST(DecodeErrorsTest, ExtPlanTailSemanticRows) {
     bad[ext_at + 3] = static_cast<char>(0x80);
     EXPECT_FALSE(lang::TraversalPlan::Decode(bad).ok());
   }
-  {  // Bits 1-2 once carried a frontier-fetch hint; they are unknown now.
-    for (const uint8_t bit : {uint8_t{0x02}, uint8_t{0x04}}) {
+  {  // Bit 0 once carried a scan-pushdown hint and bits 1-2 a frontier-fetch
+     // hint; no flag bit is defined now.
+    for (const uint8_t bit : {uint8_t{0x01}, uint8_t{0x02}, uint8_t{0x04}}) {
       std::string bad = valid;
       bad[ext_at + 3] = static_cast<char>(bad[ext_at + 3] | bit);
-      EXPECT_FALSE(lang::TraversalPlan::Decode(bad).ok()) << "flag bit " << int{bit};
+      EXPECT_TRUE(lang::TraversalPlan::Decode(bad).status().IsCorruption())
+          << "flag bit " << int{bit};
     }
   }
   {  // Bad result mode.

@@ -315,17 +315,41 @@ TEST(EngineDifferentialTest, AllEnginesMatchOracleOnRandomWorkloads) {
   }
 }
 
-// Scan-start plan over BuildRandomGraph whose start carries a "w" range
-// filter beyond its type anchor, so the coordinator's planner always sets
-// push_start_filters and every server reads its candidates through
-// GraphStore::ScanVerticesByTypeFiltered. 1-3 hops with optional edge and
-// vertex filters, then a random result mode.
-lang::TraversalPlan BuildPushedDownScanPlan(Catalog* catalog, Rng* rng, const char* type) {
+// What a scan-start plan's start step carries beyond its type anchor.
+struct ScanStartShape {
+  bool filtered = false;      // a "w" range filter
+  bool second_type = false;   // a second type filter (IN {A, B})
+  bool contradicts = false;   // a second type filter naming the other type
+};
+
+// Scan-start plan over BuildRandomGraph: every server reads its candidates
+// through GraphStore::ScanVerticesByTypeFiltered. Half the starts carry a
+// "w" range filter beyond the type anchor. Some also carry a second type
+// filter, which the scan must evaluate (only the anchor is skipped): IN
+// {A, B} keeps every candidate, EQ on the other type keeps none. 1-3 hops
+// with optional edge and vertex filters, then a random result mode.
+lang::TraversalPlan BuildScanStartPlan(Catalog* catalog, Rng* rng, const char* type,
+                                       ScanStartShape* shape) {
   GTravel travel(catalog);
-  const int64_t lo = static_cast<int64_t>(rng->Uniform(50));
-  travel.v()
-      .va("type", FilterOp::kEq, {PropValue(type)})
-      .va("w", FilterOp::kRange, {PropValue(lo), PropValue(lo + 45)});
+  travel.v().va("type", FilterOp::kEq, {PropValue(type)});
+  *shape = ScanStartShape();
+  if (rng->Bernoulli(0.5)) {
+    shape->filtered = true;
+    const int64_t lo = static_cast<int64_t>(rng->Uniform(50));
+    travel.va("w", FilterOp::kRange, {PropValue(lo), PropValue(lo + 45)});
+  }
+  switch (rng->Uniform(5)) {
+    case 0:
+      shape->second_type = true;
+      travel.va("type", FilterOp::kIn, {PropValue("A"), PropValue("B")});
+      break;
+    case 1:
+      shape->second_type = shape->contradicts = true;
+      travel.va("type", FilterOp::kEq, {PropValue(std::string(type) == "A" ? "B" : "A")});
+      break;
+    default:
+      break;
+  }
   const uint32_t mode = rng->Uniform(4);  // vertices, count, group, path
   if (mode == 0 && rng->Bernoulli(0.2)) travel.rtn();
   const uint32_t hops = 1 + static_cast<uint32_t>(rng->Uniform(3));
@@ -358,13 +382,14 @@ lang::TraversalPlan BuildPushedDownScanPlan(Catalog* catalog, Rng* rng, const ch
   return *plan;
 }
 
-// Pushdown leg: every coordinator plans every travel, so a filtered scan
-// start reads its candidates inside the type-index scan — as one sequential
-// run when a server holds more than 16 of them, as one MultiGet otherwise.
+// Scan-start leg: every type-index start reads its candidates inside the
+// scan — as one sequential run when a server holds more than 16 of them, as
+// one MultiGet otherwise — and hands the passing records to its roots.
 // Graph sizes alternate between small (every server at or under the cutoff)
-// and large (over it), and the sweep asserts that both branches ran; all
-// three engines must agree with the reference evaluator in every mode.
-TEST(EngineDifferentialTest, PushedDownScanStartsMatchOracle) {
+// and large (over it), and the sweep asserts that both branches, bare and
+// filtered starts, and both kinds of second type filter all ran; all three
+// engines must agree with the reference evaluator in every mode.
+TEST(EngineDifferentialTest, ScanStartsMatchOracle) {
 #if defined(GT_UNDER_TSAN)
   const uint64_t seeds = 2;
 #else
@@ -373,6 +398,10 @@ TEST(EngineDifferentialTest, PushedDownScanStartsMatchOracle) {
   constexpr uint64_t kPointReadCutoff = 16;  // GraphStore::ScanVerticesByTypeFiltered
   uint32_t point_branch_scans = 0;
   uint32_t run_branch_scans = 0;
+  uint32_t bare_starts = 0;
+  uint32_t filtered_starts = 0;
+  uint32_t second_type_starts = 0;
+  uint32_t contradicting_starts = 0;
   for (uint64_t seed = 1; seed <= seeds; seed++) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     Rng rng(seed * 15485863);
@@ -408,8 +437,15 @@ TEST(EngineDifferentialTest, PushedDownScanStartsMatchOracle) {
           point_branch_scans++;
         }
       }
-      const lang::TraversalPlan plan = BuildPushedDownScanPlan(catalog, &rng, type);
+      ScanStartShape shape;
+      const lang::TraversalPlan plan = BuildScanStartPlan(catalog, &rng, type, &shape);
+      (shape.filtered ? filtered_starts : bare_starts)++;
+      if (shape.second_type) second_type_starts++;
       const lang::RefEvalResult oracle = lang::EvaluatePlanExtOnRefGraph(plan, g, *catalog);
+      if (shape.contradicts) {
+        contradicting_starts++;
+        EXPECT_EQ(oracle.count, 0u);
+      }
       for (EngineMode mode : kAllModes) {
         SCOPED_TRACE(EngineModeName(mode));
         const ServerId coordinator = static_cast<ServerId>(rng.Uniform(cfg.num_servers));
@@ -421,6 +457,10 @@ TEST(EngineDifferentialTest, PushedDownScanStartsMatchOracle) {
   }
   EXPECT_GT(point_branch_scans, 0u);
   EXPECT_GT(run_branch_scans, 0u);
+  EXPECT_GT(bare_starts, 0u);
+  EXPECT_GT(filtered_starts, 0u);
+  EXPECT_GT(second_type_starts, contradicting_starts);
+  EXPECT_GT(contradicting_starts, 0u);
 }
 
 TEST(EngineDifferentialTest, EnginesMatchOracleUnderDuplicationAndDrops) {

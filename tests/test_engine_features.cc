@@ -24,6 +24,7 @@
 
 #include "src/common/sync.h"
 #include "src/engine/cluster.h"
+#include "src/engine/straggler.h"
 #include "src/gen/rmat.h"
 #include "src/lang/gtravel.h"
 
@@ -445,14 +446,32 @@ TEST(EngineFeatureTest, AsyncPlainPaysOneReadPerArrival) {
   EXPECT_EQ(sync.combined, 0u);
 }
 
-// A pushed-down scan start hands each passing root's record to the root's
-// task, so the travel reads each root's record exactly once: inside the
-// scan. A plan needs at least one hop, so the travel takes one along a label
+// Counts, per server, the vertex accesses made by tasks (the engine
+// publishes the step being processed; the scan start runs outside any).
+class TaskAccessCounter final : public graph::AccessInterceptor {
+ public:
+  void OnVertexAccess(uint32_t server_id, VertexId) override {
+    if (engine::tls_current_step >= 0) counts_[server_id].fetch_add(1);
+  }
+  uint64_t count(uint32_t server_id) const { return counts_[server_id].load(); }
+  void Reset() {
+    for (auto& c : counts_) c.store(0);
+  }
+
+ private:
+  std::atomic<uint64_t> counts_[3] = {};
+};
+
+// A scan start hands each passing root's record to the root's task, so the
+// travel reads each root's record exactly once: inside the scan. That holds
+// for a start filtered beyond its type anchor and for a bare type start
+// alike. A plan needs at least one hop, so the travel takes one along a label
 // no vertex has: each root then costs one edge scan (a vertex access, no kv
 // get) and nothing else is read. Each server's point reads are the scan's
 // own: none on the sequential-run branch (more than 16 candidates), one per
 // candidate on the MultiGet branch (16 or fewer). A task that re-read its
-// root would add one vertex access and one kv get per passing root.
+// root would add one task-time vertex access and one kv get per passing
+// root (on the MultiGet branch only the former tells the read's place).
 TEST(EngineFeatureTest, ScanStartRootsAreReadOnce) {
   ClusterConfig cfg;
   cfg.num_servers = 3;
@@ -472,57 +491,63 @@ TEST(EngineFeatureTest, ScanStartRootsAreReadOnce) {
     g.AddVertex(rec);
   }
   ASSERT_TRUE((*cluster)->Load(g).ok());
+  TaskAccessCounter task_accesses;
+  for (uint32_t s = 0; s < cfg.num_servers; s++) {
+    (*cluster)->store(s)->SetInterceptor(&task_accesses);
+  }
 
   constexpr uint64_t kPointReadCutoff = 16;  // GraphStore::ScanVerticesByTypeFiltered
   constexpr int64_t kLo = 20;
   constexpr int64_t kHi = 69;
-  for (const char* type : {"Many", "Few"}) {
-    SCOPED_TRACE(type);
-    const bool run_branch = std::string(type) == "Many";
-    std::vector<uint64_t> candidates(cfg.num_servers, 0);
-    std::vector<uint64_t> passing(cfg.num_servers, 0);
-    for (VertexId vid : g.VerticesByType(catalog->Lookup(type))) {
-      const uint32_t s = (*cluster)->partitioner()->ServerFor(vid);
-      candidates[s]++;
-      const int64_t wv = g.FindVertex(vid)->props.Find(w)->as_int();
-      if (wv >= kLo && wv <= kHi) passing[s]++;
-    }
-    for (uint32_t s = 0; s < cfg.num_servers; s++) {
-      ASSERT_EQ(candidates[s] > kPointReadCutoff, run_branch) << "server " << s;
-      ASSERT_GT(passing[s], 0u) << "server " << s;
-    }
-    auto plan = GTravel(catalog)
-                    .v()
-                    .va("type", FilterOp::kEq, {PropValue(type)})
-                    .va("w", FilterOp::kRange, {PropValue(kLo), PropValue(kHi)})
-                    .e("no_such_label")
-                    .count()
-                    .Build();
-    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-    const lang::RefEvalResult oracle = lang::EvaluatePlanExtOnRefGraph(*plan, g, *catalog);
-
-    for (EngineMode mode :
-         {EngineMode::kSync, EngineMode::kAsyncPlain, EngineMode::kGraphTrek}) {
-      SCOPED_TRACE(EngineModeName(mode));
-      (*cluster)->ResetStats();
-      std::vector<uint64_t> gets_before(cfg.num_servers);
-      for (uint32_t s = 0; s < cfg.num_servers; s++) {
-        gets_before[s] = (*cluster)->store(s)->db()->stats().gets.load();
+  for (const bool filtered : {true, false}) {
+    for (const char* type : {"Many", "Few"}) {
+      SCOPED_TRACE(std::string(type) + (filtered ? " filtered" : " unfiltered"));
+      const bool run_branch = std::string(type) == "Many";
+      std::vector<uint64_t> candidates(cfg.num_servers, 0);
+      std::vector<uint64_t> passing(cfg.num_servers, 0);
+      for (VertexId vid : g.VerticesByType(catalog->Lookup(type))) {
+        const uint32_t s = (*cluster)->partitioner()->ServerFor(vid);
+        candidates[s]++;
+        const int64_t wv = g.FindVertex(vid)->props.Find(w)->as_int();
+        if (!filtered || (wv >= kLo && wv <= kHi)) passing[s]++;
       }
-      auto result = (*cluster)->Run(*plan, mode);
-      ASSERT_TRUE(result.ok()) << result.status().ToString();
-      EXPECT_EQ(result->count, oracle.count);
       for (uint32_t s = 0; s < cfg.num_servers; s++) {
-        SCOPED_TRACE("server " + std::to_string(s));
-        graph::GraphStore* store = (*cluster)->store(s);
-        const uint64_t scan_reads = run_branch ? 0 : candidates[s];
-        // The roots are exactly the vertices passing the start filters.
-        EXPECT_EQ((*cluster)->server(s)->visit_stats().Read().per_step[0], passing[s]);
-        EXPECT_EQ(store->db()->stats().gets.load() - gets_before[s], scan_reads);
-        EXPECT_EQ(store->vertex_accesses(), scan_reads + passing[s]);  // + edge scans
+        ASSERT_EQ(candidates[s] > kPointReadCutoff, run_branch) << "server " << s;
+        ASSERT_GT(passing[s], 0u) << "server " << s;
+      }
+      GTravel travel(catalog);
+      travel.v().va("type", FilterOp::kEq, {PropValue(type)});
+      if (filtered) travel.va("w", FilterOp::kRange, {PropValue(kLo), PropValue(kHi)});
+      auto plan = travel.e("no_such_label").count().Build();
+      ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+      const lang::RefEvalResult oracle = lang::EvaluatePlanExtOnRefGraph(*plan, g, *catalog);
+
+      for (EngineMode mode :
+           {EngineMode::kSync, EngineMode::kAsyncPlain, EngineMode::kGraphTrek}) {
+        SCOPED_TRACE(EngineModeName(mode));
+        (*cluster)->ResetStats();
+        task_accesses.Reset();
+        std::vector<uint64_t> gets_before(cfg.num_servers);
+        for (uint32_t s = 0; s < cfg.num_servers; s++) {
+          gets_before[s] = (*cluster)->store(s)->db()->stats().gets.load();
+        }
+        auto result = (*cluster)->Run(*plan, mode);
+        ASSERT_TRUE(result.ok()) << result.status().ToString();
+        EXPECT_EQ(result->count, oracle.count);
+        for (uint32_t s = 0; s < cfg.num_servers; s++) {
+          SCOPED_TRACE("server " + std::to_string(s));
+          graph::GraphStore* store = (*cluster)->store(s);
+          const uint64_t scan_reads = run_branch ? 0 : candidates[s];
+          // The roots are exactly the vertices passing the start filters.
+          EXPECT_EQ((*cluster)->server(s)->visit_stats().Read().per_step[0], passing[s]);
+          EXPECT_EQ(store->db()->stats().gets.load() - gets_before[s], scan_reads);
+          EXPECT_EQ(store->vertex_accesses(), scan_reads + passing[s]);  // + edge scans
+          EXPECT_EQ(task_accesses.count(s), passing[s]);  // the edge scans alone
+        }
       }
     }
   }
+  for (uint32_t s = 0; s < cfg.num_servers; s++) (*cluster)->store(s)->SetInterceptor(nullptr);
 }
 
 // --- outbound frames ----------------------------------------------------------------
