@@ -59,16 +59,18 @@ ctest --test-dir build --output-on-failure --no-tests=error \
   -R 'EngineDifferentialTest|TravelCache|EngineFeatureTest\.(FramesWaitForLocalQuiescence|SyncHoldsNextStepUntilEveryServerDrains|SyncStartsFramesThatArriveAfterTheirRelease)'
 
 # GTravel language + scan-start gate: plan codec round-trip/validation, the
-# GTravel builder, the reference evaluator, and the three scan-start gates:
+# GTravel builder, the reference evaluator, and the four scan-start gates:
 # every engine on bare and filtered type-index starts against the reference
 # evaluator (ScanStartsMatchOracle), each scan-start root read once, inside
 # the scan, on both of its read branches and with or without start filters
-# (ScanStartRootsAreReadOnce), and the Darshan audit queries against the
-# reference evaluator (bench_smoke_table3_planner). Naming them here keeps
-# them from silently dropping out of discovery.
+# (ScanStartRootsAreReadOnce), a corrupt record in the scan failing the
+# travel with Corruption on both read branches (CorruptScanStartRecordFailsTravel),
+# and the Darshan audit queries against the reference evaluator
+# (bench_smoke_table3_planner). Naming them here keeps them from silently
+# dropping out of discovery.
 step "GTravel language + scan-start tests"
 ctest --test-dir build --output-on-failure --no-tests=error \
-  -R 'PlanTest|FilterTest|GTravelTest|EvaluatorTest|ScanStartsMatchOracle|ScanStartRootsAreReadOnce|bench_smoke_table3_planner'
+  -R 'PlanTest|FilterTest|GTravelTest|EvaluatorTest|ScanStartsMatchOracle|ScanStartRootsAreReadOnce|CorruptScanStartRecordFailsTravel|bench_smoke_table3_planner'
 
 # Bench smoke gate: every figure/table/ablation binary must still run end to
 # end at --smoke size (they read the metrics registry, so a renamed series
@@ -87,14 +89,16 @@ ctest --test-dir build --output-on-failure --no-tests=error \
   -R 'bench_smoke_ablation_optimizations|AdjacencyCacheTest|GraphStoreTest'
 
 # Travel-lifecycle gate: queue-key collision regression, cancellation
-# reclaim, admission control, deadline enforcement and completion with the
-# maintenance tick held off, plus the load generator that drives them at
-# --smoke size (TravelLifecycleTest matches the tick test,
-# PlainTravelCompletesWithoutMaintenanceTick). Explicit -R so a discovery
-# problem cannot silently drop the lifecycle coverage.
+# reclaim (alone and beside a live travel), admission control, deadline
+# enforcement and completion with the maintenance tick held off, plus the
+# load generator that drives them at --smoke size (TravelLifecycleTest
+# matches the tick test, PlainTravelCompletesWithoutMaintenanceTick, and
+# the concurrent cancel, CancelLeavesConcurrentTravelIntact, named here
+# too). Explicit -R so a discovery problem cannot silently drop the
+# lifecycle coverage.
 step "travel lifecycle tests + load-generator smoke"
 ctest --test-dir build --output-on-failure --no-tests=error \
-  -R 'RequestQueueTest|TravelLifecycleTest|bench_smoke_load_travels'
+  -R 'RequestQueueTest|TravelLifecycleTest|CancelLeavesConcurrentTravelIntact|bench_smoke_load_travels'
 
 # Decode-hardening gate: the table-driven malformed-input matrix, the replay
 # of every checked-in fuzz corpus seed through its harness, and the lint
@@ -138,13 +142,13 @@ if [[ "$FAST" == 0 ]]; then
     -R 'EngineDifferentialTest'
   step "scan-start record hand-off + fuzz-corpus replay under TSan"
   ctest --test-dir build-tsan --output-on-failure --no-tests=error \
-    -R 'ScanStartRootsAreReadOnce|CorpusReplayTest'
+    -R 'ScanStartRootsAreReadOnce|CorruptScanStartRecordFailsTravel|CorpusReplayTest'
   step "adjacency-cache tests under TSan (mutate-while-traversing)"
   ctest --test-dir build-tsan --output-on-failure --no-tests=error \
     -R 'AdjacencyCacheTest'
   step "travel lifecycle tests under TSan (cancel/admission races)"
   ctest --test-dir build-tsan --output-on-failure --no-tests=error \
-    -R 'RequestQueueTest|TravelLifecycleTest'
+    -R 'RequestQueueTest|TravelLifecycleTest|CancelLeavesConcurrentTravelIntact'
   step "snapshot-isolation racing legs under TSan"
   ctest --test-dir build-tsan --output-on-failure --no-tests=error \
     -R 'MutationsRacingTravelsMatchPinnedOracle|TornReadControlRequiresSnapshotIsolation|bench_smoke_load_mutate'

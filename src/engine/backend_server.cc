@@ -5,6 +5,7 @@
 #include <chrono>
 #include <iterator>
 #include <thread>
+#include <utility>
 
 #include "src/common/clock.h"
 #include "src/common/logging.h"
@@ -321,50 +322,32 @@ uint64_t BackendServer::cache_evictions() const {
 
 bool BackendServer::HasTravelResidue(TravelId travel) const {
   MutexLock lk(&mu_);
-  if (plans_.count(travel) != 0 || travels_.count(travel) != 0 ||
-      held_frames_.count(travel) != 0 || accessed_.count(travel) != 0 ||
-      local_work_.count(travel) != 0 || scanned_types_.count(travel) != 0 ||
-      travel_snaps_.count(travel) != 0 || cache_.HasTravel(travel)) {
-    return true;
-  }
-  for (const auto& [id, exec] : execs_) {
-    if (exec->travel == travel) return true;
-  }
-  for (const auto& [id, record] : dispatches_) {
-    if (record.travel == travel) return true;
-  }
-  for (const auto& [key, items] : trace_buffer_) {
-    if (key.second == travel && !items.empty()) return true;
-  }
-  return false;
+  return locals_.count(travel) != 0 || travels_.count(travel) != 0 || cache_.HasTravel(travel);
 }
 
-std::shared_ptr<const graph::GraphStore::ReadSnapshot>
-BackendServer::PinTravelSnapLocked(TravelId travel) {
-  if (!cfg_.snapshot_isolation) return nullptr;
-  auto it = travel_snaps_.find(travel);
-  if (it != travel_snaps_.end()) return it->second;
-  // Engine mu_ -> KV locks is a fresh lock order (the KV layer never calls
-  // back into the engine).
-  graph::GraphStore* store = store_;
-  std::shared_ptr<const graph::GraphStore::ReadSnapshot> snap(
-      store->GetSnapshot(),
-      [store](const graph::GraphStore::ReadSnapshot* s) { store->ReleaseSnapshot(s); });
-  travel_snaps_.emplace(travel, snap);
-  travel_snapshots_pinned_->Inc();
-  return snap;
-}
-
-std::shared_ptr<const graph::GraphStore::ReadSnapshot> BackendServer::TravelSnapLocked(
-    TravelId travel) const {
-  auto it = travel_snaps_.find(travel);
-  return it == travel_snaps_.end() ? nullptr : it->second;
+BackendServer::TravelLocal& BackendServer::LocalLocked(TravelId travel) {
+  auto [it, created] = locals_.try_emplace(travel);
+  TravelLocal& tl = it->second;
+  if (!created) return tl;
+  tl.id = travel;
+  if (cfg_.snapshot_isolation) {
+    // Engine mu_ -> KV locks is a fresh lock order (the KV layer never
+    // calls back into the engine).
+    graph::GraphStore* store = store_;
+    tl.snap.reset(store->GetSnapshot(), [store](const graph::GraphStore::ReadSnapshot* s) {
+      store->ReleaseSnapshot(s);
+    });
+    travel_snapshots_pinned_->Inc();
+  }
+  return tl;
 }
 
 std::shared_ptr<const graph::GraphStore::ReadSnapshot>
 BackendServer::TravelSnapshotForTest(TravelId travel) const {
   MutexLock lk(&mu_);
-  if (auto it = travel_snaps_.find(travel); it != travel_snaps_.end()) return it->second;
+  if (auto it = locals_.find(travel); it != locals_.end() && it->second.snap != nullptr) {
+    return it->second.snap;
+  }
   if (auto it = retained_snaps_.find(travel); it != retained_snaps_.end()) {
     return it->second;
   }
@@ -423,25 +406,21 @@ void BackendServer::DrainOutbox() {
 // ---------------------------------------------------------------------------
 
 // Status-tracing items (execution created / terminated) are buffered per
-// (coordinator, travel) and flushed at the travel's local quiescence, or
-// early by size, so one message carries many items. Buffer order is send
-// order: a frame's creation item is queued before any of its parents'
-// terminations.
-void BackendServer::QueueTraceItemLocked(ServerId coordinator, TravelId travel,
-                                         TraceItem item) {
-  auto& buf = trace_buffer_[{coordinator, travel}];
-  buf.push_back(item);
-  if (buf.size() >= 48) FlushTraceBufferLocked(coordinator, travel);
+// travel and flushed at the travel's local quiescence, or early by size, so
+// one message carries many items. Buffer order is send order: a frame's
+// creation item is queued before any of its parents' terminations.
+void BackendServer::QueueTraceItemLocked(TravelLocal& tl, TraceItem item) {
+  tl.trace.push_back(item);
+  if (tl.trace.size() >= 48) FlushTraceBufferLocked(tl);
 }
 
-void BackendServer::FlushTraceBufferLocked(ServerId coordinator, TravelId travel) {
-  auto it = trace_buffer_.find({coordinator, travel});
-  if (it == trace_buffer_.end() || it->second.empty()) return;
+void BackendServer::FlushTraceBufferLocked(TravelLocal& tl) {
+  if (tl.trace.empty()) return;
   TraceBatchPayload batch;
-  batch.travel_id = travel;
-  batch.items = std::move(it->second);
-  trace_buffer_.erase(it);
-  QueueSendLocked(rpc::MsgType::kTraceBatch, coordinator, batch.Encode());
+  batch.travel_id = tl.id;
+  batch.items = std::move(tl.trace);
+  tl.trace.clear();
+  QueueSendLocked(rpc::MsgType::kTraceBatch, tl.cplan->coordinator, batch.Encode());
 }
 
 // ---------------------------------------------------------------------------
@@ -507,7 +486,7 @@ void BackendServer::HandlePinTravel(rpc::Message&& msg) {
   }
   MutexLock lk(&mu_);
   if (aborted_travels_.count(*travel) != 0) return;  // raced with cleanup
-  PinTravelSnapLocked(*travel);
+  LocalLocked(*travel);
 }
 
 // ---------------------------------------------------------------------------
@@ -615,9 +594,9 @@ Status BackendServer::SubmitLocked(const rpc::Message& msg) {
     // are queued before the root frames, so on in-order transports every
     // participant pins before it sees any work for the travel; reordered
     // deliveries fall back to the lazy first-touch pin in HandleTraverse.
-    PinEverywhereLocked(run->id);
+    TravelLocal& tl = PinEverywhereLocked(run->id);
     run->unfinished_per_step.assign(expanded[a].num_steps() + 1, 0);
-    run->cplan = RegisterPlanLocked(run->id, std::move(expanded[a]),
+    run->cplan = RegisterPlanLocked(tl, std::move(expanded[a]),
                                     branch ? subs[a].Encode() : plan_bytes, run->mode,
                                     cfg_.id);
     StartRootExecsLocked(*run);
@@ -625,16 +604,17 @@ Status BackendServer::SubmitLocked(const rpc::Message& msg) {
   return Status::OK();
 }
 
-void BackendServer::PinEverywhereLocked(TravelId travel) {
-  PinTravelSnapLocked(travel);
-  if (!cfg_.snapshot_isolation) return;
+BackendServer::TravelLocal& BackendServer::PinEverywhereLocked(TravelId travel) {
+  TravelLocal& tl = LocalLocked(travel);
+  if (!cfg_.snapshot_isolation) return tl;
   for (ServerId s = 0; s < cfg_.num_servers; s++) {
     if (s != cfg_.id) QueueSendLocked(rpc::MsgType::kPinTravel, s, EncodeTravelId(travel));
   }
+  return tl;
 }
 
 std::shared_ptr<BackendServer::CompiledPlan> BackendServer::RegisterPlanLocked(
-    TravelId travel, lang::TraversalPlan plan, std::string_view plan_bytes, EngineMode mode,
+    TravelLocal& tl, lang::TraversalPlan plan, std::string_view plan_bytes, EngineMode mode,
     ServerId coordinator) {
   auto cplan = std::make_shared<CompiledPlan>();
   cplan->attribution = NeedsAttribution(plan);
@@ -647,41 +627,37 @@ std::shared_ptr<BackendServer::CompiledPlan> BackendServer::RegisterPlanLocked(
   // misses forever and every type filter would degrade to an ordinary prop
   // filter that no vertex carries.
   cplan->type_key = catalog_->Intern("type");
-  plans_[travel] = cplan;
+  tl.cplan = cplan;
   return cplan;
 }
 
-std::shared_ptr<BackendServer::CompiledPlan> BackendServer::PlanForLocked(
-    TravelId travel, std::string_view plan_bytes, EngineMode mode, ServerId coordinator) {
-  if (auto cplan = FindPlanLocked(travel)) return cplan;
+const BackendServer::CompiledPlan* BackendServer::PlanForLocked(TravelLocal& tl,
+                                                               std::string_view plan_bytes,
+                                                               EngineMode mode,
+                                                               ServerId coordinator) {
+  if (tl.cplan != nullptr) return tl.cplan.get();
   // The wire form is compact; execution uses the repeat-expanded chain so
   // step attribution and cohort numbering line up across servers.
   auto plan = lang::TraversalPlan::Decode(plan_bytes);
   if (!plan.ok()) return nullptr;
   auto unrolled = plan->Unrolled();
   if (!unrolled.ok()) return nullptr;
-  return RegisterPlanLocked(travel, std::move(*unrolled), plan_bytes, mode, coordinator);
+  return RegisterPlanLocked(tl, std::move(*unrolled), plan_bytes, mode, coordinator).get();
 }
 
-std::shared_ptr<BackendServer::CompiledPlan> BackendServer::FindPlanLocked(
-    TravelId travel) const {
-  auto it = plans_.find(travel);
-  return it == plans_.end() ? nullptr : it->second;
-}
-
-void BackendServer::ScanStartLocked(TravelId travel, const CompiledPlan& cplan,
-                                    std::vector<graph::VertexRecord>* records) {
+Status BackendServer::ScanStartLocked(TravelLocal& tl,
+                                      std::vector<graph::VertexRecord>* records) {
+  const CompiledPlan& cplan = *tl.cplan;
   const auto& sf = cplan.plan.start_vertex_filters;
   const size_t anchor = ScanAnchorFor(cplan.plan, cplan.type_key);
-  if (anchor == std::string::npos) return;
+  if (anchor == std::string::npos) return Status::OK();
   const graph::LabelId label = catalog_->Intern(sf[anchor].values[0].as_string());
-  const bool warm = !scanned_types_[travel].insert(label).second;
-  const auto snap = TravelSnapLocked(travel);
+  const bool warm = !tl.scanned_types.insert(label).second;
   // The scan applies every start filter but the anchor, which each
   // candidate from the anchor's index matches by construction (and whose
   // pseudo-property is the costly one to evaluate). The engines re-apply
   // all of them at step 0, so this only decides which vertices root tasks.
-  store_->ScanVerticesByTypeFiltered(
+  return store_->ScanVerticesByTypeFiltered(
       label,
       [&](const graph::VertexRecord& rec) {
         for (size_t i = 0; i < sf.size(); i++) {
@@ -695,7 +671,7 @@ void BackendServer::ScanStartLocked(TravelId travel, const CompiledPlan& cplan,
         records->push_back(std::move(rec));
         return true;
       },
-      warm, snap.get()).ok();
+      warm, tl.snap.get());
 }
 
 void BackendServer::StartRootExecsLocked(TravelState& ts) {
@@ -958,11 +934,11 @@ void BackendServer::HandleTraverse(rpc::Message&& msg) {
   MutexLock lk(&mu_);
   if (aborted_travels_.count(req->travel_id) != 0) return;
 
-  // Lazy first-touch pin: normally the kPinTravel broadcast got here first
-  // and this returns the existing pin.
-  PinTravelSnapLocked(req->travel_id);
-  auto cplan = PlanForLocked(req->travel_id, req->plan, static_cast<EngineMode>(req->mode),
-                             req->coordinator);
+  // Lazy first touch: normally the kPinTravel broadcast got here first and
+  // created (and pinned) the record.
+  TravelLocal& tl = LocalLocked(req->travel_id);
+  const CompiledPlan* cplan = PlanForLocked(tl, req->plan, static_cast<EngineMode>(req->mode),
+                                            req->coordinator);
   if (cplan == nullptr) {
     GT_WARN << "server " << cfg_.id << ": bad plan in traverse";
     return;
@@ -970,32 +946,40 @@ void BackendServer::HandleTraverse(rpc::Message&& msg) {
 
   // Duplicate-delivery absorption (exec ids are globally unique): only the
   // first copy of a hand-off frame executes.
-  if (!cplan->seen_execs.insert(req->exec_id).second) {
+  if (!tl.seen_execs.insert(req->exec_id).second) {
     visit_stats_.duplicate_frames.fetch_add(1);
     return;
   }
 
   // Sync-GT's barrier: a frame of a step the coordinator has not released
   // yet waits here, decoded, until the release starts it.
-  if (cplan->mode == EngineMode::kSync) {
-    HeldFrames& held = held_frames_[req->travel_id];
-    if (req->step > held.released) {
-      req->plan = {};  // aliases the message payload
-      held.frames.push_back(std::move(*req));
+  if (cplan->mode == EngineMode::kSync && req->step > tl.released) {
+    req->plan = {};  // aliases the message payload
+    tl.held.push_back(std::move(*req));
+    return;
+  }
+  StartExecLocked(tl, *req);
+}
+
+void BackendServer::StartExecLocked(TravelLocal& tl, const TraversePayload& req) {
+  const CompiledPlan& cplan = *tl.cplan;
+  std::vector<graph::VertexRecord> records;
+  if (req.scan_start != 0) {
+    const Status st = ScanStartLocked(tl, &records);
+    if (!st.ok()) {
+      AbortPayload fail{tl.id, AbortPayload::kFail};
+      fail.code = static_cast<uint8_t>(st.code());
+      fail.message = "scan start on server " + std::to_string(cfg_.id) + ": " + st.message();
+      QueueSendLocked(rpc::MsgType::kAbortTraversal, cplan.coordinator, fail.Encode());
       return;
     }
   }
-  StartExecLocked(*req, *cplan);
-}
-
-void BackendServer::StartExecLocked(const TraversePayload& req, const CompiledPlan& cplan) {
-  ExecState& ex = *(execs_[req.exec_id] = std::make_unique<ExecState>());
-  ex.travel = req.travel_id;
+  ExecState& ex = *(tl.execs[req.exec_id] = std::make_unique<ExecState>());
   ex.id = req.exec_id;
   ex.step = req.step;
   ex.parent_server = req.parent_server;
   ex.parent_exec = req.parent_exec;
-  if (req.scan_start != 0) ScanStartLocked(req.travel_id, cplan, &ex.root_records);
+  ex.root_records = std::move(records);
   const std::vector<graph::VertexRecord>& scan_roots = ex.root_records;
 
   // The engines differ here only in policy: GraphTrek and Sync-GT absorb
@@ -1008,7 +992,7 @@ void BackendServer::StartExecLocked(const TraversePayload& req, const CompiledPl
   const bool attribution = cplan.attribution;
   auto push_task = [&](graph::VertexId vid, bool owner) {
     ex.owned_unprocessed++;
-    queue_.Push(VertexTask{ex.travel, ex.step, vid, ex.id, owner}, priority, mergeable);
+    queue_.Push(VertexTask{tl.id, ex.step, vid, ex.id, owner}, priority, mergeable);
   };
 
   if (cplan.plan.result_mode == lang::ResultMode::kPaths) {
@@ -1031,7 +1015,7 @@ void BackendServer::StartExecLocked(const TraversePayload& req, const CompiledPl
       (void)prefixes;
       push_task(vid, /*owner=*/true);
     }
-    AdmitExecLocked(ex, cplan);  // erases ex when nothing was queued
+    AdmitExecLocked(tl, ex);  // erases ex when nothing was queued
     return;
   }
 
@@ -1039,7 +1023,7 @@ void BackendServer::StartExecLocked(const TraversePayload& req, const CompiledPl
   // arrival on the attribution protocol (`v` non-null) takes the owner's
   // verdict, now or through a waiter record.
   auto classify = [&](graph::VertexId vid, ExecState::EntryVertex* v) {
-    const TravelCache::LookupResult lr = cache_.LookupOrInsertPending(ex.travel, ex.step, vid);
+    const TravelCache::LookupResult lr = cache_.LookupOrInsertPending(tl.id, ex.step, vid);
     if (lr.state == TravelCache::State::kMiss) {
       if (v != nullptr) v->owned = true;
       push_task(vid, /*owner=*/true);
@@ -1049,9 +1033,9 @@ void BackendServer::StartExecLocked(const TraversePayload& req, const CompiledPl
     if (!absorb) push_task(vid, /*owner=*/false);  // pays its read, applies nothing
     if (v == nullptr) return;
     if (lr.state == TravelCache::State::kResolved) {
-      ResolveVertexLocked(ex, vid, lr.reach, /*from_owner=*/false);
+      ResolveVertexLocked(tl, ex, vid, lr.reach, /*from_owner=*/false);
     } else {
-      cache_.AddWaiter(ex.travel, ex.step, vid, TravelCache::Waiter{ex.id, vid});
+      cache_.AddWaiter(tl.id, ex.step, vid, TravelCache::Waiter{ex.id, vid});
     }
   };
 
@@ -1093,7 +1077,7 @@ void BackendServer::StartExecLocked(const TraversePayload& req, const CompiledPl
     for (const auto& e : req.entries) classify(e.vid, nullptr);
     for (const auto& rec : scan_roots) classify(rec.id, nullptr);
   }
-  AdmitExecLocked(ex, cplan);  // may erase ex
+  AdmitExecLocked(tl, ex);  // may erase ex
 }
 
 // ---------------------------------------------------------------------------
@@ -1147,22 +1131,23 @@ void BackendServer::ProcessBatch(const std::vector<VertexTask>& batch) {
   std::vector<bool> warm(vids.size(), false);
   {
     MutexLock lk(&mu_);
-    cplan = FindPlanLocked(travel);
-    if (cplan == nullptr) return;  // travel aborted while queued
-    // The shared_ptr copy keeps the pinned view alive through the unlocked
-    // I/O phase even if an abort erases the travel's pin concurrently.
-    travel_snap = TravelSnapLocked(travel);
+    auto it = locals_.find(travel);
+    if (it == locals_.end()) return;  // travel aborted while queued
+    TravelLocal& tl = it->second;
+    // The shared_ptr copies keep the plan and the pinned view alive through
+    // the unlocked I/O phase even if an abort erases the record.
+    cplan = tl.cplan;
+    travel_snap = tl.snap;
     // Re-reads within a travel hit the storage engine's block cache.
-    auto& acc = accessed_[travel];
-    for (size_t i = 0; i < vids.size(); i++) warm[i] = !acc.insert(vids[i]).second;
+    for (size_t i = 0; i < vids.size(); i++) warm[i] = !tl.accessed.insert(vids[i]).second;
     // A scan-start root starts with the record its scan read, at the
     // same pinned view: it needs no point read of its own, and, being in
-    // `acc` now, later re-reads of it in this travel stay warm.
+    // `accessed` now, later re-reads of it in this travel stay warm.
     for (size_t k = 0; k < batch.size(); k++) {
       const size_t slot = task_slot[k];
       if (batch[k].step != 0 || fetched[slot]) continue;
-      auto eit = execs_.find(batch[k].exec);
-      if (eit != execs_.end() &&
+      auto eit = tl.execs.find(batch[k].exec);
+      if (eit != tl.execs.end() &&
           eit->second->TakeRootRecord(batch[k].vid, &vid_data[slot].rec)) {
         fetched[slot] = vid_data[slot].exists = true;
       }
@@ -1277,13 +1262,14 @@ void BackendServer::ProcessBatch(const std::vector<VertexTask>& batch) {
   // frames leave, and the executions whose last task ran settle, once the
   // travel has no task left on this server (FlushQuiescentLocked).
   MutexLock lk(&mu_);
-  auto wit = local_work_.find(travel);
-  if (wit == local_work_.end()) return;  // travel aborted during the I/O phase
-  LocalWork& work = wit->second;
+  auto it = locals_.find(travel);
+  if (it == locals_.end()) return;  // travel aborted during the I/O phase
+  TravelLocal& tl = it->second;
+  LocalWork& work = tl.work;
   for (size_t i = 0; i < batch.size(); i++) {
     const VertexTask& t = batch[i];
-    auto eit = execs_.find(t.exec);
-    if (eit == execs_.end()) continue;  // exec gone (abort)
+    auto eit = tl.execs.find(t.exec);
+    if (eit == tl.execs.end()) continue;  // exec gone (abort)
     ExecState& exec = *eit->second;
     StepOutcome& out = outcomes[i];
     auto frame_to = [&](ServerId server) -> PendingFrame& {
@@ -1330,9 +1316,9 @@ void BackendServer::ProcessBatch(const std::vector<VertexTask>& batch) {
         }
       }
     } else if (out.passed && out.final_step) {
-      ResolveVertexLocked(exec, t.vid, true, /*from_owner=*/true);
+      ResolveVertexLocked(tl, exec, t.vid, true, /*from_owner=*/true);
     } else if (!out.passed || out.targets.empty()) {
-      ResolveVertexLocked(exec, t.vid, false, /*from_owner=*/true);
+      ResolveVertexLocked(tl, exec, t.vid, false, /*from_owner=*/true);
     } else {
       exec.FindVertex(t.vid)->awaiting = true;
       for (auto& [server, dst] : out.targets) {
@@ -1351,13 +1337,12 @@ void BackendServer::ProcessBatch(const std::vector<VertexTask>& batch) {
   assert(work.tasks >= batch.size());
   work.tasks -= batch.size();
   if (work.tasks > 0) return;
-  LocalWork done = std::move(work);
-  local_work_.erase(wit);
-  FlushQuiescentLocked(travel, done, *cplan);
+  LocalWork done = std::exchange(tl.work, LocalWork{});
+  FlushQuiescentLocked(tl, done);
 }
 
-void BackendServer::ResolveVertexLocked(ExecState& exec, graph::VertexId vid, bool reach,
-                                        bool from_owner) {
+void BackendServer::ResolveVertexLocked(TravelLocal& tl, ExecState& exec, graph::VertexId vid,
+                                        bool reach, bool from_owner) {
   if (exec.answered) return;
   ExecState::EntryVertex* v = exec.FindVertex(vid);
   if (v == nullptr || v->resolved) return;  // not an entry, or already decided
@@ -1368,39 +1353,35 @@ void BackendServer::ResolveVertexLocked(ExecState& exec, graph::VertexId vid, bo
     v->reached = true;
     // rtn()/final-result emission happens exactly once, at the owner.
     if (v->owned) {
-      const auto pit = plans_.find(exec.travel);
-      if (pit != plans_.end()) {
-        const lang::TraversalPlan& plan = pit->second->plan;
-        const bool is_final = exec.step >= plan.num_steps();
-        if (RtnAtStep(plan, exec.step) || (is_final && !plan.has_rtn())) {
-          exec.results.push_back(vid);
-        }
+      const lang::TraversalPlan& plan = tl.cplan->plan;
+      const bool is_final = exec.step >= plan.num_steps();
+      if (RtnAtStep(plan, exec.step) || (is_final && !plan.has_rtn())) {
+        exec.results.push_back(vid);
       }
     }
   }
   if (!from_owner || !v->owned) return;
   // The redundant arrivals waiting on this vertex take its verdict; each
   // belongs to another execution, which may now answer.
-  for (const TravelCache::Waiter& w : cache_.Resolve(exec.travel, exec.step, vid, reach)) {
-    auto it = execs_.find(w.exec);
-    if (it == execs_.end()) continue;
-    ResolveVertexLocked(*it->second, w.vid, reach, /*from_owner=*/false);
-    TryAnswerLocked(*it->second);
+  for (const TravelCache::Waiter& w : cache_.Resolve(tl.id, exec.step, vid, reach)) {
+    auto it = tl.execs.find(w.exec);
+    if (it == tl.execs.end()) continue;
+    ResolveVertexLocked(tl, *it->second, w.vid, reach, /*from_owner=*/false);
+    TryAnswerLocked(tl, *it->second);
   }
 }
 
-void BackendServer::AdmitExecLocked(ExecState& exec, const CompiledPlan& cplan) {
-  const TravelId travel = exec.travel;
+void BackendServer::AdmitExecLocked(TravelLocal& tl, ExecState& exec) {
   if (exec.owned_unprocessed > 0) {
-    local_work_[travel].tasks += exec.owned_unprocessed;
+    tl.work.tasks += exec.owned_unprocessed;
     return;
   }
-  SettleExecLocked(exec, cplan);  // no pending frame carries its vertices
-  if (local_work_.count(travel) == 0) FlushTraceBufferLocked(cplan.coordinator, travel);
+  SettleExecLocked(tl, exec);  // no pending frame carries its vertices
+  if (tl.work.tasks == 0) FlushTraceBufferLocked(tl);
 }
 
-void BackendServer::FlushQuiescentLocked(TravelId travel, LocalWork& work,
-                                         const CompiledPlan& cplan) {
+void BackendServer::FlushQuiescentLocked(TravelLocal& tl, LocalWork& work) {
+  const CompiledPlan& cplan = *tl.cplan;
   visit_stats_.local_flushes.fetch_add(1, std::memory_order_relaxed);
   // Sending first queues each frame's creation item ahead of the
   // terminations below, and counts the frames in their executions' children.
@@ -1425,27 +1406,26 @@ void BackendServer::FlushQuiescentLocked(TravelId travel, LocalWork& work,
       std::sort(owners.begin(), owners.end());
       owners.erase(std::unique(owners.begin(), owners.end()), owners.end());
       for (ExecId owner : owners) {
-        if (auto eit = execs_.find(owner); eit != execs_.end()) {
+        if (auto eit = tl.execs.find(owner); eit != tl.execs.end()) {
           eit->second->children_outstanding++;
         }
       }
       dispatch = MakeExecId(cfg_.id, next_exec_seq_++);
-      f.record.travel = travel;
-      dispatches_.emplace(dispatch, std::move(f.record));
+      tl.dispatches.emplace(dispatch, std::move(f.record));
     }
-    const ExecId child = SendTraverseLocked(cplan, travel, step, dispatch, server,
+    const ExecId child = SendTraverseLocked(cplan, tl.id, step, dispatch, server,
                                             std::move(entries), /*scan_start=*/false);
-    QueueTraceItemLocked(cplan.coordinator, travel, TraceItem{child, step, 1});
+    QueueTraceItemLocked(tl, TraceItem{child, step, 1});
   }
   if (!cplan.attribution) {
     // Direct protocol (paper Fig. 3): the results of the executions that
     // ran go straight to the coordinator in one message, ahead of the
     // terminations that cover them.
     AnswerPayload ans;
-    ans.travel_id = travel;  // parent_exec 0: travel-level accumulation
+    ans.travel_id = tl.id;  // parent_exec 0: travel-level accumulation
     for (ExecId id : work.ran) {
-      auto eit = execs_.find(id);
-      if (eit == execs_.end()) continue;
+      auto eit = tl.execs.find(id);
+      if (eit == tl.execs.end()) continue;
       ExecState& exec = *eit->second;
       ans.result_vids.insert(ans.result_vids.end(), exec.results.begin(), exec.results.end());
       std::move(exec.result_values.begin(), exec.result_values.end(),
@@ -1458,42 +1438,41 @@ void BackendServer::FlushQuiescentLocked(TravelId travel, LocalWork& work,
     }
   }
   for (ExecId id : work.ran) {
-    auto eit = execs_.find(id);
-    if (eit != execs_.end()) SettleExecLocked(*eit->second, cplan);  // may erase it
+    auto eit = tl.execs.find(id);
+    if (eit != tl.execs.end()) SettleExecLocked(tl, *eit->second);  // may erase it
   }
-  FlushTraceBufferLocked(cplan.coordinator, travel);
+  FlushTraceBufferLocked(tl);
 }
 
-void BackendServer::SettleExecLocked(ExecState& exec, const CompiledPlan& cplan) {
+void BackendServer::SettleExecLocked(TravelLocal& tl, ExecState& exec) {
   if (exec.owned_unprocessed > 0 || exec.dispatched) return;
   exec.dispatched = true;
-  const TravelId travel = exec.travel;
   const TraceItem terminated{exec.id, exec.step, 0};
-  if (!cplan.attribution) {
+  if (!tl.cplan->attribution) {
     // Direct protocol: the execution's results left with its flush, so it
     // is finished once it has dispatched.
-    execs_.erase(exec.id);  // exec is dangling after this line
-    QueueTraceItemLocked(cplan.coordinator, travel, terminated);
+    tl.execs.erase(exec.id);  // exec is dangling after this line
+    QueueTraceItemLocked(tl, terminated);
     return;
   }
   // Status tracing (Section IV-C): report the termination, then answer once
   // every vertex resolved (every frame of an earlier batch may have
   // answered already).
-  QueueTraceItemLocked(cplan.coordinator, travel, terminated);
-  ResolveUnreachedLocked(exec);
-  TryAnswerLocked(exec);
+  QueueTraceItemLocked(tl, terminated);
+  ResolveUnreachedLocked(tl, exec);
+  TryAnswerLocked(tl, exec);
 }
 
-void BackendServer::ResolveUnreachedLocked(ExecState& exec) {
+void BackendServer::ResolveUnreachedLocked(TravelLocal& tl, ExecState& exec) {
   if (!exec.dispatched || exec.children_outstanding > 0) return;
   for (size_t i = 0; i < exec.vertices.size(); i++) {
     if (exec.vertices[i].awaiting) {
-      ResolveVertexLocked(exec, exec.vertices[i].vid, false, /*from_owner=*/true);
+      ResolveVertexLocked(tl, exec, exec.vertices[i].vid, false, /*from_owner=*/true);
     }
   }
 }
 
-void BackendServer::TryAnswerLocked(ExecState& exec) {
+void BackendServer::TryAnswerLocked(TravelLocal& tl, ExecState& exec) {
   if (exec.answered || !exec.dispatched || exec.owned_unprocessed > 0 ||
       exec.children_outstanding > 0 || exec.unresolved > 0) {
     return;
@@ -1501,7 +1480,7 @@ void BackendServer::TryAnswerLocked(ExecState& exec) {
   exec.answered = true;
 
   AnswerPayload ans;
-  ans.travel_id = exec.travel;
+  ans.travel_id = tl.id;
   ans.exec_id = exec.id;
   ans.parent_exec = exec.parent_exec;
   auto& reached_parents = ans.reached_parents;
@@ -1515,7 +1494,7 @@ void BackendServer::TryAnswerLocked(ExecState& exec) {
                         reached_parents.end());
   ans.result_vids = std::move(exec.results);
   QueueSendLocked(rpc::MsgType::kReturnVertices, exec.parent_server, ans.Encode());
-  execs_.erase(exec.id);  // exec is dangling after this line
+  tl.execs.erase(exec.id);  // exec is dangling after this line
 }
 
 void BackendServer::HandleAnswer(rpc::Message&& msg) {
@@ -1539,10 +1518,13 @@ void BackendServer::HandleAnswer(rpc::Message&& msg) {
 
   // The answer to one frame: erasing its record on first delivery makes a
   // duplicated answer a no-op.
-  auto rit = dispatches_.find(ans->parent_exec);
-  if (rit == dispatches_.end()) return;
+  auto lit = locals_.find(ans->travel_id);
+  if (lit == locals_.end()) return;
+  TravelLocal& tl = lit->second;
+  auto rit = tl.dispatches.find(ans->parent_exec);
+  if (rit == tl.dispatches.end()) return;
   const DispatchRecord record = std::move(rit->second);
-  dispatches_.erase(rit);
+  tl.dispatches.erase(rit);
 
   // Each reached parent vid resolves in its owner execution. No owner can
   // answer before the loop below counts the frame off.
@@ -1553,22 +1535,24 @@ void BackendServer::HandleAnswer(rpc::Message&& msg) {
     if (!std::binary_search(ans->reached_parents.begin(), ans->reached_parents.end(), vid)) {
       continue;
     }
-    auto eit = execs_.find(owner);
-    if (eit != execs_.end()) ResolveVertexLocked(*eit->second, vid, true, /*from_owner=*/true);
+    auto eit = tl.execs.find(owner);
+    if (eit != tl.execs.end()) {
+      ResolveVertexLocked(tl, *eit->second, vid, true, /*from_owner=*/true);
+    }
   }
   // Results pass through one parent; each parent counts the frame once.
   bool results_attached = false;
   for (ExecId owner : owners) {
-    auto eit = execs_.find(owner);
-    if (eit == execs_.end()) continue;
+    auto eit = tl.execs.find(owner);
+    if (eit == tl.execs.end()) continue;
     ExecState& exec = *eit->second;
     if (!results_attached) {
       exec.results.insert(exec.results.end(), ans->result_vids.begin(), ans->result_vids.end());
       results_attached = true;
     }
     if (exec.children_outstanding > 0) exec.children_outstanding--;
-    ResolveUnreachedLocked(exec);
-    TryAnswerLocked(exec);  // may erase exec
+    ResolveUnreachedLocked(tl, exec);
+    TryAnswerLocked(tl, exec);  // may erase exec
   }
 }
 
@@ -1767,17 +1751,16 @@ void BackendServer::HandleReleaseStep(rpc::Message&& msg) {
   if (!release.ok()) return;
   MutexLock lk(&mu_);
   if (aborted_travels_.count(release->travel_id) != 0) return;
-  HeldFrames& held = held_frames_[release->travel_id];
-  held.released = std::max(held.released, release->step);
-  auto cplan = FindPlanLocked(release->travel_id);
-  if (cplan == nullptr) return;  // no frame of the travel arrived here yet
+  TravelLocal& tl = LocalLocked(release->travel_id);
+  tl.released = std::max(tl.released, release->step);
+  if (tl.cplan == nullptr) return;  // no frame of the travel arrived here yet
   std::vector<TraversePayload> frames;
-  frames.swap(held.frames);
+  frames.swap(tl.held);
   for (auto& req : frames) {
-    if (req.step > held.released) {
-      held.frames.push_back(std::move(req));
+    if (req.step > tl.released) {
+      tl.held.push_back(std::move(req));
     } else {
-      StartExecLocked(req, *cplan);
+      StartExecLocked(tl, req);
     }
   }
 }
@@ -1814,10 +1797,12 @@ void BackendServer::HandleAbort(rpc::Message&& msg) {
   auto tit = travels_.find(travel);
   if (tit != travels_.end() && !tit->second.done) {
     if (abort->reason == AbortPayload::kCancel) travel_cancelled_->Inc();
-    // Cancelled travels return no results. A cancelled branch child fails
-    // its parent with the child's Aborted status, unless the parent
-    // initiated the cancel (done already).
-    FailTravelLocked(tit->second, Status::Aborted("travel cancelled"));
+    // Cancelled travels return no results; a participant's failure carries
+    // its Status. A cancelled branch child fails its parent with the
+    // child's status, unless the parent initiated the cancel (done already).
+    FailTravelLocked(tit->second, abort->code != 0
+                                      ? StatusFromWire(abort->code, std::move(abort->message))
+                                      : Status::Aborted("travel cancelled"));
   }
 
   aborted_travels_.insert(travel);
@@ -1827,45 +1812,21 @@ void BackendServer::HandleAbort(rpc::Message&& msg) {
     aborted_order_.pop_front();
   }
 
-  plans_.erase(travel);
-  cache_.EraseTravel(travel);
-  accessed_.erase(travel);
-  scanned_types_.erase(travel);
-  held_frames_.erase(travel);
-  if (auto sit = travel_snaps_.find(travel); sit != travel_snaps_.end()) {
+  if (auto it = locals_.find(travel); it != locals_.end()) {
     // Release the pinned view (unblocking compaction GC) — or park it for
     // the differential harness when test retention is on. Workers mid-batch
     // still hold their shared_ptr copy; the KV snapshot is handed back only
     // when the last holder drops it.
-    if (cfg_.retain_snapshots_for_test) retained_snaps_[travel] = sit->second;
-    travel_snaps_.erase(sit);
-  }
-  for (auto it = trace_buffer_.begin(); it != trace_buffer_.end();) {
-    if (it->first.second == travel) {
-      it = trace_buffer_.erase(it);
-    } else {
-      ++it;
+    if (cfg_.retain_snapshots_for_test && it->second.snap != nullptr) {
+      retained_snaps_[travel] = it->second.snap;
     }
+    locals_.erase(it);
   }
+  cache_.EraseTravel(travel);
   travels_.erase(travel);
-  for (auto it = execs_.begin(); it != execs_.end();) {
-    if (it->second->travel == travel) {
-      it = execs_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  local_work_.erase(travel);
-  for (auto it = dispatches_.begin(); it != dispatches_.end();) {
-    if (it->second.travel == travel) {
-      it = dispatches_.erase(it);
-    } else {
-      ++it;
-    }
-  }
   // Drain the travel's queued-but-unprocessed tasks so workers never touch
-  // them (they would hit the erased plan and bail, but each would still
-  // burn a dequeue and possibly device I/O).
+  // them (they would find no record and bail, but each would still burn a
+  // dequeue).
   queue_.EraseTravel(travel);
 }
 

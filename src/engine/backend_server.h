@@ -118,11 +118,11 @@ class BackendServer {
   // trace-event JSON. False when the travel is not in the archive.
   bool ExportTraceJson(TravelId travel, std::string* json) const GT_EXCLUDES(mu_);
 
-  // True while any per-travel engine state (plan, execs, local work and
-  // its pending frames, held Sync-GT frames, dispatch records, coordinator
-  // entry, memo/access/type-scan maps, pinned snapshot) survives for
-  // `travel`. The cancellation contract is that an abort reclaims
-  // everything; tests poll this on every server after cancelling.
+  // True while any per-travel engine state survives for `travel`: its
+  // TravelLocal record (plan, pin, executions, dispatch records, local work,
+  // held Sync-GT frames, warm sets, trace buffer), its coordinator entry or
+  // its travel-cache entries. The cancellation contract is that an abort
+  // reclaims everything; tests poll this on every server after cancelling.
   bool HasTravelResidue(TravelId travel) const GT_EXCLUDES(mu_);
 
   // The snapshot `travel` is pinned to on this server: the live pin while
@@ -154,21 +154,14 @@ class BackendServer {
     // paper's direct protocol: final vertices return straight to the
     // coordinator and completion is detected purely by status tracing.
     bool attribution = false;
-    // Exec ids already delivered for this travel (guarded by the server
-    // mu_, like the plans_ map itself). Hand-off frames are absorbed
-    // first-delivery-wins: a re-delivered frame replayed against live exec
-    // state corrupts the unresolved/children accounting, and replayed
-    // against an already-erased exec it re-answers the parent and lets the
-    // travel complete without its siblings' results.
-    std::unordered_set<ExecId> seen_execs;
   };
 
-  // Execution state (one per kTraverse request). Its owner tasks' expansion
-  // joins the travel's pending frames (ProcessBatch); the execution itself
-  // only reports termination: at the travel's next local quiescence, or on
-  // arrival when it queued no task.
+  // Execution state (one per kTraverse frame started here), held in its
+  // travel's TravelLocal. Its owner tasks' expansion joins the travel's
+  // pending frames (ProcessBatch); the execution itself only reports
+  // termination: at the travel's next local quiescence, or on arrival when
+  // it queued no task.
   struct ExecState {
-    TravelId travel = 0;
     ExecId id = 0;
     uint32_t step = 0;
     ServerId parent_server = 0;
@@ -244,7 +237,6 @@ class BackendServer {
   // last send, so the answer's reached parents route back through
   // (parent vid, owner exec).
   struct DispatchRecord {
-    TravelId travel = 0;
     std::vector<std::pair<graph::VertexId, ExecId>> parents;
   };
 
@@ -255,9 +247,10 @@ class BackendServer {
     DispatchRecord record;                    // attribution: the frame's parents
   };
 
-  // A travel's work on this server, present while it has a task queued or
-  // inside a worker batch here. The batch that brings `tasks` to zero
-  // flushes it (FlushQuiescentLocked).
+  // A travel's work on this server: its tasks queued or inside a worker
+  // batch here, and what they produced. `tasks == 0` means the travel is
+  // quiescent here; the batch that brings `tasks` to zero flushes the rest
+  // (FlushQuiescentLocked).
   struct LocalWork {
     size_t tasks = 0;
     // Executions whose last task ran since the travel's last flush.
@@ -267,12 +260,44 @@ class BackendServer {
     std::map<std::pair<uint32_t, ServerId>, PendingFrame> frames;
   };
 
-  // A Sync-GT travel's barrier on this server: the last step the
-  // coordinator released here, and the frames received for later steps,
-  // decoded (their plan view cleared), waiting for that step's release.
-  struct HeldFrames {
-    uint32_t released = 0;  // roots run unheld: step 0 starts released
-    std::vector<TraversePayload> frames;
+  // Everything one travel holds on this server (Section IV-C): created on
+  // first contact (kPinTravel, kTraverse or kReleaseStep), erased whole when
+  // the travel's cleanup or cancel arrives (HandleAbort).
+  struct TravelLocal {
+    TravelId id = 0;
+    // Null until the first frame (or, at the coordinator, admission)
+    // registers it; never changed after, so workers read it outside mu_.
+    std::shared_ptr<CompiledPlan> cplan;
+    // The travel's pinned store view (snapshot_isolation), taken when the
+    // record is created. Workers copy the shared_ptr and read through it
+    // lock-free; the deleter hands the pin back to the GraphStore when the
+    // last holder drops it, so an abort erasing the record mid-batch never
+    // yanks the view out from under a worker.
+    std::shared_ptr<const graph::GraphStore::ReadSnapshot> snap;
+    std::unordered_map<ExecId, std::unique_ptr<ExecState>> execs;
+    // Attribution frames sent and not yet answered, by dispatch id.
+    std::unordered_map<ExecId, DispatchRecord> dispatches;
+    LocalWork work;
+    // A Sync-GT travel's barrier on this server: the last step the
+    // coordinator released here (roots run unheld: step 0 starts
+    // released), and the frames received for later steps, decoded (their
+    // plan view cleared), waiting for that step's release.
+    uint32_t released = 0;
+    std::vector<TraversePayload> held;
+    // Vertices and type-index labels this travel already read here: later
+    // reads hit the storage engine's block cache and charge the warm
+    // device cost.
+    std::unordered_set<graph::VertexId> accessed;
+    std::unordered_set<graph::LabelId> scanned_types;
+    // Status-tracing items for the coordinator, flushed at the travel's
+    // local quiescence, or early by size.
+    std::vector<TraceItem> trace;
+    // Exec ids already delivered. Hand-off frames are absorbed
+    // first-delivery-wins: a re-delivered frame replayed against live exec
+    // state corrupts the unresolved/children accounting, and replayed
+    // against an already-erased exec it re-answers the parent and lets the
+    // travel complete without its siblings' results.
+    std::unordered_set<ExecId> seen_execs;
   };
 
   // Coordinator-side per-traversal state (status tracing, Section IV-C).
@@ -280,8 +305,8 @@ class BackendServer {
     TravelId id = 0;
     EngineMode mode = EngineMode::kGraphTrek;
     rpc::EndpointId client = 0;
-    // The travel's registered plan (shared with plans_); null for a branch
-    // parent, which runs no engine work of its own.
+    // The travel's registered plan (shared with its TravelLocal); null for
+    // a branch parent, which runs no engine work of its own.
     std::shared_ptr<CompiledPlan> cplan;
     uint64_t started_us = 0;
     uint64_t last_activity_us = 0;
@@ -355,8 +380,6 @@ class BackendServer {
   Status SubmitLocked(const rpc::Message& msg) GT_REQUIRES(mu_);
   // Launches an admitted travel: one root execution per start server.
   void StartRootExecsLocked(TravelState& ts) GT_REQUIRES(mu_);
-  // Pins `travel` here and broadcasts the pin to every other server.
-  void PinEverywhereLocked(TravelId travel) GT_REQUIRES(mu_);
   // Folds one batch of results (values parallel to vids, or empty) into
   // the travel — a branch child's into its parent — and fails that travel
   // once its paths exceed the coordinator cap. Returns false when `ts`
@@ -381,58 +404,57 @@ class BackendServer {
 
   // --- plans --------------------------------------------------------------------
 
-  // Registers `travel`'s executable (repeat-unrolled) plan on this server.
-  std::shared_ptr<CompiledPlan> RegisterPlanLocked(TravelId travel, lang::TraversalPlan plan,
+  // Registers the travel's executable (repeat-unrolled) plan in `tl`.
+  std::shared_ptr<CompiledPlan> RegisterPlanLocked(TravelLocal& tl, lang::TraversalPlan plan,
                                                    std::string_view plan_bytes,
                                                    EngineMode mode, ServerId coordinator)
       GT_REQUIRES(mu_);
   // The travel's plan on this server, compiled from its compact wire form
   // on first sight. Null when the bytes do not decode.
-  std::shared_ptr<CompiledPlan> PlanForLocked(TravelId travel, std::string_view plan_bytes,
-                                              EngineMode mode, ServerId coordinator)
-      GT_REQUIRES(mu_);
-  // The registered plan, or null (never seen here, or already cleaned up).
-  std::shared_ptr<CompiledPlan> FindPlanLocked(TravelId travel) const GT_REQUIRES(mu_);
+  const CompiledPlan* PlanForLocked(TravelLocal& tl, std::string_view plan_bytes,
+                                    EngineMode mode, ServerId coordinator) GT_REQUIRES(mu_);
   // Scan-start roots on this server: one filtered scan of the anchor
   // type's index, which applies every start filter but the anchor and
   // moves each passing root's record into `records` (vid-sorted), so the
   // root's task need not read it again. A start with no filter besides
   // the anchor roots every vertex of the type. A re-scan within a travel
-  // charges the warm device cost.
-  void ScanStartLocked(TravelId travel, const CompiledPlan& cplan,
-                       std::vector<graph::VertexRecord>* records) GT_REQUIRES(mu_);
+  // charges the warm device cost. A store error fails the scan.
+  Status ScanStartLocked(TravelLocal& tl, std::vector<graph::VertexRecord>* records)
+      GT_REQUIRES(mu_);
 
   // --- executor -------------------------------------------------------------
 
   // Creates the execution of a delivered (or released) hand-off frame and
   // classifies its entries: owner tasks queue, redundant arrivals absorb
-  // or (Async-GT) queue an I/O-only task. May erase the execution.
-  void StartExecLocked(const TraversePayload& req, const CompiledPlan& cplan) GT_REQUIRES(mu_);
+  // or (Async-GT) queue an I/O-only task. May erase the execution. A
+  // failed scan start creates none: the coordinator is asked to fail the
+  // travel with the scan's Status, and the root never terminates, so the
+  // travel cannot complete without its roots.
+  void StartExecLocked(TravelLocal& tl, const TraversePayload& req) GT_REQUIRES(mu_);
 
   void WorkerLoop();
   void ProcessBatch(const std::vector<VertexTask>& batch);
 
-  void ResolveVertexLocked(ExecState& exec, graph::VertexId vid, bool reach, bool from_owner)
-      GT_REQUIRES(mu_);
+  void ResolveVertexLocked(TravelLocal& tl, ExecState& exec, graph::VertexId vid, bool reach,
+                           bool from_owner) GT_REQUIRES(mu_);
   // Reports the exec's termination (direct protocol: then erases it; its
   // results left with the quiescent flush); on the attribution protocol,
   // answers once every vertex resolved. Sends no frames: every frame
   // carrying the exec's vertices has left (quiescent flush), or the exec
   // queued no task. May erase `exec`.
-  void SettleExecLocked(ExecState& exec, const CompiledPlan& cplan) GT_REQUIRES(mu_);
+  void SettleExecLocked(TravelLocal& tl, ExecState& exec) GT_REQUIRES(mu_);
   // A new exec's queued tasks join the travel's local work; an exec with
   // none settles at once, and its termination leaves now only when the
   // travel has no local work here (else the next quiescent flush carries
   // it). May erase `exec`.
-  void AdmitExecLocked(ExecState& exec, const CompiledPlan& cplan) GT_REQUIRES(mu_);
-  // Local quiescence of `travel` (a worker batch left it no task here):
+  void AdmitExecLocked(TravelLocal& tl, ExecState& exec) GT_REQUIRES(mu_);
+  // Local quiescence of the travel (a worker batch left it no task here):
   // sends the frames of its finished `work`, one per (step, server) with a
   // dispatch record each on the attribution protocol, settles the
   // executions that ran, then flushes its trace buffer, so each creation
   // item leaves ahead of the terminations of the executions its frame
   // carries.
-  void FlushQuiescentLocked(TravelId travel, LocalWork& work, const CompiledPlan& cplan)
-      GT_REQUIRES(mu_);
+  void FlushQuiescentLocked(TravelLocal& tl, LocalWork& work) GT_REQUIRES(mu_);
   // Queues a kTraverse hand-off that creates a new exec at `step` on `dst`;
   // returns the new exec's id.
   ExecId SendTraverseLocked(const CompiledPlan& cplan, TravelId travel, uint32_t step,
@@ -441,14 +463,13 @@ class BackendServer {
       GT_REQUIRES(mu_);
   // Once every frame carrying a dispatched exec's vertices has answered,
   // resolves its vertices still awaiting children as unreached.
-  void ResolveUnreachedLocked(ExecState& exec) GT_REQUIRES(mu_);
-  void TryAnswerLocked(ExecState& exec) GT_REQUIRES(mu_);
+  void ResolveUnreachedLocked(TravelLocal& tl, ExecState& exec) GT_REQUIRES(mu_);
+  void TryAnswerLocked(TravelLocal& tl, ExecState& exec) GT_REQUIRES(mu_);
   // Buffers one status-tracing item for the travel's coordinator. A full
   // buffer (48 items) flushes early; otherwise the travel's quiescent flush
   // sends it.
-  void QueueTraceItemLocked(ServerId coordinator, TravelId travel, TraceItem item)
-      GT_REQUIRES(mu_);
-  void FlushTraceBufferLocked(ServerId coordinator, TravelId travel) GT_REQUIRES(mu_);
+  void QueueTraceItemLocked(TravelLocal& tl, TraceItem item) GT_REQUIRES(mu_);
+  void FlushTraceBufferLocked(TravelLocal& tl) GT_REQUIRES(mu_);
 
   // --- maintenance ------------------------------------------------------------
 
@@ -469,17 +490,15 @@ class BackendServer {
                        uint64_t rpc_id = 0) GT_REQUIRES(mu_);
   void DrainOutbox() GT_EXCLUDES(mu_);
 
-  // Pins this server's current store view for `travel` (no-op when
-  // snapshot isolation is off or the travel is already pinned); returns the
-  // pin. Handlers that materialize travel state call this so every later
-  // store read the travel performs here is bounded to one view, even when
-  // the kPinTravel broadcast was reordered behind the first kTraverse
-  // frame (fault-injected transports).
-  std::shared_ptr<const graph::GraphStore::ReadSnapshot> PinTravelSnapLocked(
-      TravelId travel) GT_REQUIRES(mu_);
-  // The travel's pin on this server, or null (isolation off / never pinned).
-  std::shared_ptr<const graph::GraphStore::ReadSnapshot> TravelSnapLocked(
-      TravelId travel) const GT_REQUIRES(mu_);
+  // The travel's record on this server, created on first contact. A new
+  // record pins this server's current store view when snapshot isolation
+  // is on, so every store read the travel performs here is bounded to one
+  // view, even when the kPinTravel broadcast was reordered behind the
+  // first kTraverse frame (fault-injected transports).
+  TravelLocal& LocalLocked(TravelId travel) GT_REQUIRES(mu_);
+  // Creates (and pins) the travel's record here and broadcasts the pin to
+  // every other server.
+  TravelLocal& PinEverywhereLocked(TravelId travel) GT_REQUIRES(mu_);
 
   ServerConfig cfg_;
   graph::GraphStore* store_;
@@ -491,36 +510,10 @@ class BackendServer {
   RequestQueue queue_;
 
   mutable Mutex mu_;
-  std::unordered_map<TravelId, std::shared_ptr<CompiledPlan>> plans_ GT_GUARDED_BY(mu_);
-  std::unordered_map<ExecId, std::unique_ptr<ExecState>> execs_ GT_GUARDED_BY(mu_);
-  std::unordered_map<TravelId, LocalWork> local_work_ GT_GUARDED_BY(mu_);
-  // Attribution frames sent and not yet answered, by dispatch id.
-  std::unordered_map<ExecId, DispatchRecord> dispatches_ GT_GUARDED_BY(mu_);
+  // Per-travel state on this server, one record per travel (TravelLocal).
+  std::unordered_map<TravelId, TravelLocal> locals_ GT_GUARDED_BY(mu_);
   std::unordered_map<TravelId, TravelState> travels_ GT_GUARDED_BY(mu_);  // coordinated here
-  // Sync-GT barrier state per travel: received frames held until their
-  // step's release.
-  std::unordered_map<TravelId, HeldFrames> held_frames_ GT_GUARDED_BY(mu_);
   TravelCache cache_ GT_GUARDED_BY(mu_);
-  // Vertices already accessed per travel on this server: later accesses hit
-  // the storage engine's block cache and charge the warm device cost.
-  std::unordered_map<TravelId, std::unordered_set<graph::VertexId>> accessed_ GT_GUARDED_BY(mu_);
-  // Type-index labels already scanned per travel on this server: a travel
-  // re-scanning the same index (scan-start re-delivery) charges the warm
-  // device cost, mirroring accessed_ above.
-  std::unordered_map<TravelId, std::unordered_set<graph::LabelId>> scanned_types_
-      GT_GUARDED_BY(mu_);
-  // Outbound tracing events, batched per (coordinator, travel) and flushed
-  // at the travel's local quiescence, or early by size.
-  std::map<std::pair<ServerId, TravelId>, std::vector<TraceItem>> trace_buffer_
-      GT_GUARDED_BY(mu_);
-  // Per-travel pinned store snapshot (snapshot_isolation). Workers copy the
-  // shared_ptr under mu_ and read through it lock-free; the custom deleter
-  // hands the pin back to the GraphStore when the last holder drops it, so
-  // an abort erasing the map entry mid-batch never yanks the view out from
-  // under a worker. Erased in HandleAbort (every completion path broadcasts
-  // an abort/cleanup), which also bounds the map to live travels.
-  std::unordered_map<TravelId, std::shared_ptr<const graph::GraphStore::ReadSnapshot>>
-      travel_snaps_ GT_GUARDED_BY(mu_);
   // Test-only retention (cfg_.retain_snapshots_for_test): snapshots moved
   // here at cleanup instead of released, drained by
   // DropRetainedSnapshotsForTest. Deliberately NOT counted as travel

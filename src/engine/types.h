@@ -461,18 +461,27 @@ struct CompletePayload {
 // kCleanup: completion broadcast from the coordinator; receivers drop the
 // travel's local state. kCancel: a client (or operator) asks the travel's
 // coordinator to abandon a live travel — the coordinator completes it as
-// Aborted, which fans the kCleanup broadcast out to every server.
+// Aborted, which fans the kCleanup broadcast out to every server. kFail: a
+// participant's store error (a failed scan start) asks the coordinator to
+// fail the travel with that Status, carried in an optional tail (code byte
+// + message); a frame without it reads as Aborted.
 
 struct AbortPayload {
-  enum Reason : uint8_t { kCleanup = 0, kCancel = 1 };
+  enum Reason : uint8_t { kCleanup = 0, kCancel = 1, kFail = 2 };
 
   TravelId travel_id = 0;
   uint8_t reason = kCleanup;
+  uint8_t code = 0;  // StatusCode; 0 = no status tail
+  std::string message{};
 
   std::string Encode() const {
     std::string out;
     PutVarint64(&out, travel_id);
     out.push_back(static_cast<char>(reason));
+    if (code != 0) {
+      out.push_back(static_cast<char>(code));
+      PutLengthPrefixed(&out, message);
+    }
     return out;
   }
   static Result<AbortPayload> Decode(std::string_view data) {
@@ -482,6 +491,13 @@ struct AbortPayload {
     if (!dec.empty()) {
       // Legacy frames carry the bare travel id (implicit kCleanup).
       if (!dec.GetByte(&p.reason)) return Status::Corruption("bad abort reason");
+    }
+    if (!dec.empty()) {
+      std::string_view msg;
+      if (!dec.GetByte(&p.code) || !dec.GetLengthPrefixed(&msg)) {
+        return Status::Corruption("bad abort status");
+      }
+      p.message.assign(msg);
     }
     return p;
   }

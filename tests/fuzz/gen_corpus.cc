@@ -197,6 +197,13 @@ void GenRpcPayloads(const std::filesystem::path& root) {
   abort_p.travel_id = 9;
   seed(6, "abort", abort_p.Encode());
 
+  AbortPayload abort_status;
+  abort_status.travel_id = 9;
+  abort_status.reason = AbortPayload::kFail;
+  abort_status.code = 2;  // StatusCode::kCorruption
+  abort_status.message = "bad vertex value for vid 50";
+  seed(6, "abort_status", abort_status.Encode());
+
   ProgressPayload progress;
   progress.travel_id = 9;
   progress.unfinished_per_step = {4, 2, 0};

@@ -278,6 +278,19 @@ std::vector<Surface> AllSurfaces() {
         PayloadSurface("abort", abort_p, travel_only.size()));
   }
   {
+    // kFail carries a status tail (code byte + message) after the reason;
+    // both are optional, so only the travel id is strict (a partial status
+    // tail is rejected too: AbortStatusTailRows).
+    engine::AbortPayload fail;
+    fail.travel_id = 7;
+    fail.reason = engine::AbortPayload::kFail;
+    fail.code = static_cast<uint8_t>(StatusCode::kCorruption);
+    fail.message = "bad vertex value";
+    std::string travel_only;
+    PutVarint64(&travel_only, fail.travel_id);
+    surfaces.push_back(PayloadSurface("abort_status", fail, travel_only.size()));
+  }
+  {
     engine::ProgressPayload progress;
     progress.travel_id = 7;
     progress.unfinished_per_step = {3, 1};
@@ -591,6 +604,42 @@ TEST(DecodeErrorsTest, ExtPlanTailSemanticRows) {
   // The same tail with a valid repeat is accepted (the rows above fail for
   // the right reason, not because the scaffold is malformed).
   EXPECT_TRUE(lang::TraversalPlan::Decode(tail(hops, 2, 1)).ok());
+}
+
+// The abort status tail: it round-trips the Status, an absent tail is the
+// reason-only form (no Status), and a partial tail is Corruption.
+TEST(DecodeErrorsTest, AbortStatusTailRows) {
+  engine::AbortPayload fail;
+  fail.travel_id = 7;
+  fail.reason = engine::AbortPayload::kFail;
+  fail.code = static_cast<uint8_t>(StatusCode::kCorruption);
+  fail.message = "bad vertex value";
+  const std::string valid = fail.Encode();
+
+  auto decoded = engine::AbortPayload::Decode(valid);
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(decoded->travel_id, 7u);
+  EXPECT_EQ(decoded->reason, engine::AbortPayload::kFail);
+  EXPECT_TRUE(engine::StatusFromWire(decoded->code, decoded->message).IsCorruption());
+  EXPECT_EQ(decoded->message, "bad vertex value");
+
+  engine::AbortPayload reason_only = fail;
+  reason_only.code = 0;
+  const std::string legacy = reason_only.Encode();
+  ASSERT_EQ(valid.compare(0, legacy.size(), legacy), 0);  // the tail is a pure suffix
+  auto absent = engine::AbortPayload::Decode(legacy);
+  ASSERT_TRUE(absent.ok());
+  EXPECT_EQ(absent->reason, engine::AbortPayload::kFail);
+  EXPECT_EQ(absent->code, 0u);
+  EXPECT_TRUE(absent->message.empty());
+
+  for (size_t k = legacy.size() + 1; k < valid.size(); k++) {
+    SCOPED_TRACE("tail truncated to " + std::to_string(k) + "/" +
+                 std::to_string(valid.size()) + " bytes");
+    EXPECT_TRUE(engine::AbortPayload::Decode(std::string_view(valid).substr(0, k))
+                    .status()
+                    .IsCorruption());
+  }
 }
 
 TEST(DecodeErrorsTest, ResultTailParallelArrayMismatchIsRejected) {

@@ -550,6 +550,97 @@ TEST(EngineFeatureTest, ScanStartRootsAreReadOnce) {
   for (uint32_t s = 0; s < cfg.num_servers; s++) (*cluster)->store(s)->SetInterceptor(nullptr);
 }
 
+// A store error in a scan start fails the travel with the store's Status:
+// it must not cut off the rest of that server's roots and return a smaller
+// OK answer. One record of each type is overwritten with one byte (the
+// db()->Put idiom of GraphStoreTest.CorruptEdgeValueFailsScan), so both
+// read branches of the scan hit it: `Many` (~40 candidates per server, the
+// sequential run) and `Few` (~8 per server, the MultiGet). Every engine
+// returns Corruption, which the client does not retry, and no travel state
+// is left on any server.
+TEST(EngineFeatureTest, CorruptScanStartRecordFailsTravel) {
+  ClusterConfig cfg;
+  cfg.num_servers = 3;
+  cfg.device.access_latency_us = 0;
+  auto cluster = Cluster::Create(cfg);
+  ASSERT_TRUE(cluster.ok());
+  Catalog* catalog = (*cluster)->catalog();
+  const auto many = catalog->Intern("Many");
+  const auto few = catalog->Intern("Few");
+  const auto next = catalog->Intern("next");
+  constexpr VertexId kVertices = 144;
+  RefGraph g;
+  for (VertexId v = 0; v < kVertices; v++) {
+    VertexRecord rec;
+    rec.id = v;
+    rec.label = v % 6 == 0 ? few : many;
+    g.AddVertex(rec);
+    EdgeRecord e;
+    e.src = v;
+    e.label = next;
+    e.dst = (v + 1) % kVertices;
+    g.AddEdge(e);
+  }
+  ASSERT_TRUE((*cluster)->Load(g).ok());
+
+  auto count_plan = [&](const char* type) {
+    auto plan = GTravel(catalog)
+                    .v()
+                    .va("type", FilterOp::kEq, {PropValue(type)})
+                    .e("next")
+                    .count()
+                    .Build();
+    EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+    return *plan;
+  };
+  // Clean, each start counts every vertex of its type.
+  for (const char* type : {"Many", "Few"}) {
+    const lang::TraversalPlan plan = count_plan(type);
+    auto clean = (*cluster)->Run(plan, EngineMode::kGraphTrek);
+    ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+    EXPECT_EQ(clean->count, lang::EvaluatePlanExtOnRefGraph(plan, g, *catalog).count);
+  }
+
+  for (VertexId bad : {VertexId{50}, VertexId{48}}) {  // one Many, one Few record
+    graph::GraphStore* store = (*cluster)->store((*cluster)->partitioner()->ServerFor(bad));
+    ASSERT_TRUE(store->db()->Put(graph::VertexKey(bad), std::string(1, '\x01')).ok());
+  }
+  constexpr uint64_t kPointReadCutoff = 16;  // GraphStore::ScanVerticesByTypeFiltered
+  auto client = (*cluster)->NewClient();
+  for (const char* type : {"Many", "Few"}) {
+    SCOPED_TRACE(type);
+    const VertexId bad = std::string(type) == "Many" ? 50 : 48;
+    size_t candidates = 0;  // on the corrupt record's server: picks the read branch
+    for (VertexId vid : g.VerticesByType(catalog->Lookup(type))) {
+      const auto* p = (*cluster)->partitioner();
+      if (p->ServerFor(vid) == p->ServerFor(bad)) candidates++;
+    }
+    ASSERT_EQ(candidates > kPointReadCutoff, std::string(type) == "Many");
+    const lang::TraversalPlan plan = count_plan(type);
+    for (EngineMode mode : {EngineMode::kSync, EngineMode::kAsyncPlain, EngineMode::kGraphTrek}) {
+      SCOPED_TRACE(EngineModeName(mode));
+      RunOptions opts;
+      opts.mode = mode;
+      auto travel = client->Submit(plan, opts);
+      ASSERT_TRUE(travel.ok()) << travel.status().ToString();
+      auto result = client->Await(*travel, 30000);
+      ASSERT_FALSE(result.ok()) << "OK with count " << result->count;
+      EXPECT_TRUE(result.status().IsCorruption()) << result.status().ToString();
+
+      const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
+      bool reclaimed = false;
+      while (!reclaimed && std::chrono::steady_clock::now() < deadline) {
+        reclaimed = true;
+        for (uint32_t s = 0; s < cfg.num_servers; s++) {
+          reclaimed = reclaimed && !(*cluster)->server(s)->HasTravelResidue(*travel);
+        }
+        if (!reclaimed) std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      }
+      EXPECT_TRUE(reclaimed) << "travel state not reclaimed within 20s";
+    }
+  }
+}
+
 // --- outbound frames ----------------------------------------------------------------
 
 // Holds chosen vertex accesses until a condition holds, so a test can force

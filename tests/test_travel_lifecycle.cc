@@ -328,6 +328,92 @@ TEST(TravelLifecycleTest, CancelledTravelIsFullyReclaimedOnEveryServer) {
   EXPECT_EQ(after->vids.size(), 360u);
 }
 
+// Cancelling one travel reclaims that travel's state only. A GraphTrek
+// travel's filtered scan start queues ~150 roots per server, more than two
+// workers' batches (2 x 64 vertices) take at once, and a Sync-GT travel's
+// roots queue behind them. The GraphTrek travel is cancelled while both
+// have tasks queued on every server: its state leaves every server while
+// the Sync-GT travel's stays, and the Sync-GT travel then completes with
+// the reference evaluator's answer.
+TEST(TravelLifecycleTest, CancelLeavesConcurrentTravelIntact) {
+  ClusterConfig cfg;
+  cfg.num_servers = 3;
+  cfg.device.access_latency_us = 20000;  // 20ms per vertex access
+  cfg.adjacency_cache_bytes = 0;
+  auto cluster = Cluster::Create(cfg);
+  ASSERT_TRUE(cluster.ok());
+  Catalog* catalog = (*cluster)->catalog();
+  const RefGraph g = FanoutGraph(catalog, 40, 12);
+  ASSERT_TRUE((*cluster)->Load(g).ok());
+  auto scan_start = [&](int64_t w_hi) {
+    auto plan = GTravel(catalog)
+                    .v()
+                    .va("type", lang::FilterOp::kEq, {graph::PropValue("N")})
+                    .va("w", lang::FilterOp::kRange,
+                        {graph::PropValue(int64_t{0}), graph::PropValue(w_hi)})
+                    .e("out")
+                    .Build();
+    EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+    return *plan;
+  };
+  const lang::TraversalPlan cancelled_plan = scan_start(8);  // w in [0, 8]: 90% of vertices
+  const lang::TraversalPlan kept_plan = scan_start(0);       // w = 0: 10%
+  // Roots per server: every server must have received both travels' roots
+  // before the cancel.
+  std::vector<uint64_t> roots(cfg.num_servers, 0);
+  for (VertexId vid = 0; vid < g.num_vertices(); vid++) {
+    const uint64_t w = vid % 10;  // FanoutGraph's w
+    roots[(*cluster)->partitioner()->ServerFor(vid)] += (w <= 8 ? 1 : 0) + (w == 0 ? 1 : 0);
+  }
+
+  auto canceller = (*cluster)->NewClient();
+  auto keeper = (*cluster)->NewClient();
+  RunOptions graphtrek;
+  RunOptions sync;
+  sync.mode = EngineMode::kSync;
+  auto cancelled = canceller->Submit(cancelled_plan, graphtrek);
+  ASSERT_TRUE(cancelled.ok()) << cancelled.status().ToString();
+  auto kept = keeper->Submit(kept_plan, sync);
+  ASSERT_TRUE(kept.ok()) << kept.status().ToString();
+
+  const auto queue_deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  bool queued = false;
+  while (!queued && std::chrono::steady_clock::now() < queue_deadline) {
+    queued = true;
+    for (uint32_t s = 0; s < cfg.num_servers; s++) {
+      BackendServer* server = (*cluster)->server(s);
+      queued = queued && server->visit_stats().Read().received >= roots[s] &&
+               server->queue_depth() != 0;
+    }
+    if (!queued) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(queued) << "both travels' roots not queued within 5s";
+  ASSERT_TRUE(canceller->Cancel(*cancelled).ok());
+
+  auto has_residue = [&](uint32_t s, TravelId travel) {
+    return (*cluster)->server(s)->HasTravelResidue(travel);
+  };
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  bool reclaimed = false;
+  while (!reclaimed && std::chrono::steady_clock::now() < deadline) {
+    reclaimed = true;
+    for (uint32_t s = 0; s < cfg.num_servers; s++) {
+      reclaimed = reclaimed && !has_residue(s, *cancelled);
+    }
+    if (!reclaimed) std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_TRUE(reclaimed) << "cancelled travel not reclaimed within 20s";
+  for (uint32_t s = 0; s < cfg.num_servers; s++) {
+    EXPECT_TRUE(has_residue(s, *kept)) << "server " << s << " dropped the live travel";
+  }
+
+  auto result = keeper->Await(*kept, 60000);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const std::vector<VertexId> oracle = lang::EvaluatePlanOnRefGraph(kept_plan, g, *catalog);
+  EXPECT_FALSE(oracle.empty());
+  EXPECT_EQ(result->vids, oracle);
+}
+
 TEST(TravelLifecycleTest, DeadlineExceededCompletesAsTimeout) {
   ClusterConfig cfg;
   cfg.num_servers = 2;

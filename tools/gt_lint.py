@@ -28,11 +28,18 @@ Checks (all scoped to src/):
      adjacency cache, the device-model charge, and the access interceptor.
      A per-vertex db()->ScanPrefix in the engine silently bypasses all
      three and the evaluation numbers stop meaning anything.
-  7. Travel-keyed containers in src/engine (std::map / std::unordered_map
-     with a TravelId key) must have a matching `<member>.erase(` somewhere
-     in src/engine. Per-travel state with no erase path is exactly the
+  7. Travel-keyed containers in src/engine (std::map / std::unordered_map /
+     std::set / std::unordered_set with a TravelId key, or a std::pair key
+     holding one) are allowed only on an allowlist: the server's per-travel
+     record map (BackendServer::locals_), the coordinator table, the
+     test-only retained snapshots, the abort tombstones and the client's
+     finished-travel set. Everything else a travel holds on a server
+     belongs in its TravelLocal record, which the abort path erases whole;
+     a second travel-keyed map is one more erase to forget. Each
+     allowlisted container must have a matching `<member>.erase(` somewhere
+     in src/engine: per-travel state with no erase path is exactly the
      orphaned-travel bug class the abort/cancellation protocol exists to
-     prevent: the map grows forever once clients time out or cancel.
+     prevent, growing forever once clients time out or cancel.
   8. Decode discipline in the wire/storage decode dirs (src/rpc, src/kv,
      src/lang): raw byte decoding — DecodeFixed*(ptr), memcpy, or
      reinterpret_cast — is banned outside the bounds-checked CheckedReader
@@ -253,18 +260,29 @@ def check_engine_raw_kv(files):
     return errors
 
 
-# Travel-keyed container member declarations in src/engine. Non-greedy up
-# to the closing '>' directly before the member name; tolerates nested
-# template args, a GT_GUARDED_BY annotation and multi-line declarations.
-TRAVEL_MAP_RE = re.compile(
-    r"std::(?:unordered_)?map<\s*TravelId\s*,[^;]*?>\s*"
-    r"(\w+_)\s*(?:GT_GUARDED_BY\([^)]*\))?\s*;",
+# Travel-keyed container declarations in src/engine: a map or set whose key
+# is a TravelId or a std::pair (checked for a TravelId below). Non-greedy up
+# to the declared name; tolerates nested template args, a GT_GUARDED_BY
+# annotation and multi-line declarations.
+TRAVEL_CONTAINER_RE = re.compile(
+    r"std::(?:unordered_)?(?:map|set)<\s*(TravelId|std::pair<[^<>;]*>)\s*[,>]"
+    r"[^;]*?\b(\w+)\s*(?:GT_GUARDED_BY\([^)]*\))?\s*;",
     re.DOTALL,
 )
 
+# The travel-keyed containers check 7 allows, by (file, name).
+TRAVEL_CONTAINER_ALLOWLIST = {
+    ("src/engine/backend_server.h", "locals_"),          # one TravelLocal per travel
+    ("src/engine/backend_server.h", "travels_"),         # coordinator table
+    ("src/engine/backend_server.h", "retained_snaps_"),  # test-only pin retention
+    ("src/engine/backend_server.h", "aborted_travels_"), # late-message tombstones
+    ("src/engine/client.h", "finished_"),                # client: stale-frame filter
+}
+
 
 def check_travel_map_reclaim(files):
-    """Every per-travel map in the engine needs an erase path (check 7)."""
+    """Travel-keyed containers in the engine are allowlisted, and each has an
+    erase path (check 7)."""
     engine_files = [rel for rel in files if rel.startswith("src/engine/")]
     texts = {}
     for rel in engine_files:
@@ -273,14 +291,31 @@ def check_travel_map_reclaim(files):
 
     errors = []
     for rel, text in texts.items():
-        for m in TRAVEL_MAP_RE.finditer(text):
-            member = m.group(1)
+        for m in TRAVEL_CONTAINER_RE.finditer(text):
+            key, member = m.group(1), m.group(2)
+            lineno = text.count("\n", 0, m.start()) + 1
+            if key.startswith("std::pair"):
+                if not re.search(r"\bTravelId\b", key):
+                    continue
+                errors.append(
+                    f"{rel}:{lineno}: '{member}' is keyed by a pair holding a "
+                    f"TravelId — per-travel state belongs in the travel's "
+                    f"TravelLocal record (see DESIGN.md 'Travel lifecycle')"
+                )
+                continue
+            if (rel, member) not in TRAVEL_CONTAINER_ALLOWLIST:
+                errors.append(
+                    f"{rel}:{lineno}: travel-keyed container '{member}' is not "
+                    f"on the check-7 allowlist — per-travel state belongs in the "
+                    f"travel's TravelLocal record, which the abort path erases "
+                    f"whole (see DESIGN.md 'Travel lifecycle')"
+                )
+                continue
             erase_re = re.compile(r"\b" + re.escape(member) + r"\s*\.\s*erase\s*\(")
             if any(erase_re.search(t) for t in texts.values()):
                 continue
-            lineno = text.count("\n", 0, m.start()) + 1
             errors.append(
-                f"{rel}:{lineno}: travel-keyed map '{member}' has no "
+                f"{rel}:{lineno}: travel-keyed container '{member}' has no "
                 f"'{member}.erase(' anywhere in src/engine — per-travel state "
                 f"must be reclaimed on the abort/cancellation path or it leaks "
                 f"once clients time out (see DESIGN.md 'Travel lifecycle')"

@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
-"""Self-test for gt_lint.py's decode-discipline check (check 8).
+"""Self-test for gt_lint.py's decode-discipline checks (8 and 9) and its
+travel-keyed container check (7).
 
 Points the linter at the fixture trees under tools/lint_fixtures/ and asserts
-that every banned construct in decode_bad/ is flagged while decode_good/
-(including the allowlisted tcp_transport.cc sockaddr cast) comes back clean.
+that every banned construct in decode_bad/ and travel_map_bad/ is flagged
+while decode_good/ (including the allowlisted tcp_transport.cc sockaddr cast)
+and travel_map_good/ come back clean.
 Registered as the 'gt_lint_selftest' ctest so a regression in the lint rules
 fails the suite, not just the next human who runs the linter by hand.
 """
@@ -19,16 +21,17 @@ FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "lint_fixtur
 failures = []
 
 
-def run_on(tree):
-    """Runs the decode checks (8 and 9) with REPO/SRC pointed at a fixture
-    tree."""
+def run_on(tree, checks=None):
+    """Runs `checks` (default: the decode checks 8 and 9) with REPO/SRC
+    pointed at a fixture tree."""
+    if checks is None:
+        checks = [gt_lint.check_decode_discipline, gt_lint.check_decode_reader]
     old_repo, old_src = gt_lint.REPO, gt_lint.SRC
     gt_lint.REPO = os.path.join(FIXTURES, tree)
     gt_lint.SRC = os.path.join(gt_lint.REPO, "src")
     try:
         files = list(gt_lint.src_files())
-        return (gt_lint.check_decode_discipline(files)
-                + gt_lint.check_decode_reader(files))
+        return [e for check in checks for e in check(files)]
     finally:
         gt_lint.REPO, gt_lint.SRC = old_repo, old_src
 
@@ -55,6 +58,21 @@ def main():
     good = run_on("decode_good")
     expect(not good, "decode_good is clean (got: %s)" % "; ".join(good))
 
+    travel_checks = [gt_lint.check_travel_map_reclaim]
+    bad = run_on("travel_map_bad", travel_checks)
+    expect(any("'local_work_' is not on the check-7 allowlist" in e for e in bad),
+           "travel_map_bad flags a travel-keyed map off the allowlist")
+    expect(any("'warm_travels_' is not on the check-7 allowlist" in e for e in bad),
+           "travel_map_bad flags a multi-line travel-keyed set")
+    expect(any("'trace_buffer_' is keyed by a pair holding a TravelId" in e for e in bad),
+           "travel_map_bad flags a pair key holding a TravelId")
+    expect(any("'locals_' has no 'locals_.erase('" in e for e in bad),
+           "travel_map_bad flags an allowlisted map with no erase path")
+    expect(len(bad) == 4, "travel_map_bad has exactly 4 findings (got %d)" % len(bad))
+
+    good = run_on("travel_map_good", travel_checks)
+    expect(not good, "travel_map_good is clean (got: %s)" % "; ".join(good))
+
     # The real tree must satisfy its own discipline: the full linter on the
     # repo is the last fixture.
     files = list(gt_lint.src_files())
@@ -62,6 +80,8 @@ def main():
     expect(not errors, "src/ passes check 8 (got: %s)" % "; ".join(errors))
     errors = gt_lint.check_decode_reader(files)
     expect(not errors, "src/ passes check 9 (got: %s)" % "; ".join(errors))
+    errors = gt_lint.check_travel_map_reclaim(files)
+    expect(not errors, "src/ passes check 7 (got: %s)" % "; ".join(errors))
 
     if failures:
         print(f"test_gt_lint: {len(failures)} failure(s)", file=sys.stderr)
