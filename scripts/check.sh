@@ -52,14 +52,20 @@ ctest --test-dir build --output-on-failure --no-tests=error \
 # for two batches) on both result protocols, and so do the Sync-GT
 # barrier tests (no step starts before every server drained the last; a
 # frame that arrives after its step's release starts at once), and so do
-# the travel-cache unit tests (owner/waiter records the answer flow rests on).
+# the travel-memo unit tests (TravelCacheTest, TravelCacheConcurrencyTest:
+# the per-travel memo's owner/waiter records the answer flow rests on, its
+# table growth and its pool-wide eviction order).
 step "cross-engine differential harness (test_engine_differential)"
 ctest --test-dir build --output-on-failure --no-tests=error \
   --repeat until-fail:3 \
   -R 'EngineDifferentialTest|TravelCache|EngineFeatureTest\.(FramesWaitForLocalQuiescence|SyncHoldsNextStepUntilEveryServerDrains|SyncStartsFramesThatArriveAfterTheirRelease)'
 
-# GTravel language + scan-start gate: plan codec round-trip/validation, the
-# GTravel builder, the reference evaluator, and the four scan-start gates:
+# GTravel language + scan-start + store-error gate: plan codec
+# round-trip/validation, the GTravel builder, the reference evaluator, the
+# three store-error gates (a truncated edge value or a one-byte vertex
+# record on a hop, CorruptHopReadFailsTravel, and a corrupt vertex mid-ring,
+# CorruptRingVertexFailsTravel, each failing the travel with Corruption on
+# every engine), and the four scan-start gates:
 # every engine on bare and filtered type-index starts against the reference
 # evaluator (ScanStartsMatchOracle), each scan-start root read once, inside
 # the scan, on both of its read branches and with or without start filters
@@ -70,7 +76,7 @@ ctest --test-dir build --output-on-failure --no-tests=error \
 # dropping out of discovery.
 step "GTravel language + scan-start tests"
 ctest --test-dir build --output-on-failure --no-tests=error \
-  -R 'PlanTest|FilterTest|GTravelTest|EvaluatorTest|ScanStartsMatchOracle|ScanStartRootsAreReadOnce|CorruptScanStartRecordFailsTravel|bench_smoke_table3_planner'
+  -R 'PlanTest|FilterTest|GTravelTest|EvaluatorTest|ScanStartsMatchOracle|ScanStartRootsAreReadOnce|CorruptScanStartRecordFailsTravel|CorruptHopReadFailsTravel|CorruptRingVertexFailsTravel|bench_smoke_table3_planner'
 
 # Bench smoke gate: every figure/table/ablation binary must still run end to
 # end at --smoke size (they read the metrics registry, so a renamed series
@@ -101,12 +107,14 @@ ctest --test-dir build --output-on-failure --no-tests=error \
   -R 'RequestQueueTest|TravelLifecycleTest|CancelLeavesConcurrentTravelIntact|bench_smoke_load_travels'
 
 # Decode-hardening gate: the table-driven malformed-input matrix, the replay
-# of every checked-in fuzz corpus seed through its harness, and the lint
-# self-test that keeps the decode-discipline check itself honest. Explicit
-# -R so a discovery problem cannot silently drop the adversarial coverage.
+# of every checked-in fuzz corpus seed through its harness, the payload
+# codecs (the flat frontier frame against the nested encoding's bytes), and
+# the lint self-test that keeps the decode-discipline and Status-discard
+# checks themselves honest. Explicit -R so a discovery problem cannot
+# silently drop the adversarial coverage.
 step "decode-error matrix + fuzz-corpus replay + lint self-test"
 ctest --test-dir build --output-on-failure --no-tests=error \
-  -R 'DecodeErrorsTest|TcpMalformedFrameTest|CorpusReplayTest|gt_lint_selftest'
+  -R 'DecodeErrorsTest|TcpMalformedFrameTest|CorpusReplayTest|PayloadTest|gt_lint_selftest'
 
 # Snapshot-isolation gate: the kv pin/GC unit tests, the adjacency-cache
 # pinned-read test, the mutate-while-traversing differential legs (in-process
@@ -137,12 +145,12 @@ if [[ "$FAST" == 0 ]]; then
   step "crash-fault-injection sweep under TSan"
   ctest --test-dir build-tsan --output-on-failure --no-tests=error \
     -R 'Crash(Sweep|Recovery|FaultEnv)Test'
-  step "cross-engine differential harness under TSan"
+  step "cross-engine differential harness + travel memo under TSan"
   ctest --test-dir build-tsan --output-on-failure --no-tests=error \
-    -R 'EngineDifferentialTest'
-  step "scan-start record hand-off + fuzz-corpus replay under TSan"
+    -R 'EngineDifferentialTest|TravelCache'
+  step "scan-start record hand-off + store errors + fuzz-corpus replay under TSan"
   ctest --test-dir build-tsan --output-on-failure --no-tests=error \
-    -R 'ScanStartRootsAreReadOnce|CorruptScanStartRecordFailsTravel|CorpusReplayTest'
+    -R 'ScanStartRootsAreReadOnce|CorruptScanStartRecordFailsTravel|CorruptHopReadFailsTravel|CorruptRingVertexFailsTravel|CorpusReplayTest'
   step "adjacency-cache tests under TSan (mutate-while-traversing)"
   ctest --test-dir build-tsan --output-on-failure --no-tests=error \
     -R 'AdjacencyCacheTest'

@@ -78,7 +78,11 @@ void Cluster::Stop() {
   servers_.clear();
   stores_.clear();
   if (own_dir_) {
-    kv::Env::Default()->RemoveDirRecursive(cfg_.data_dir).ok();
+    // Best effort: a scratch directory left behind costs disk, not results.
+    const Status st = kv::Env::Default()->RemoveDirRecursive(cfg_.data_dir);
+    if (!st.ok()) {
+      GT_WARN << "cluster: removing " << cfg_.data_dir << ": " << st.ToString();
+    }
   }
 }
 

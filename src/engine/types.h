@@ -4,7 +4,7 @@
 //
 // rtn() attribution model
 // -----------------------
-// Each frontier entry carries `parents`: the vertices of the PREVIOUS step
+// Each frontier entry carries parents: the vertices of the PREVIOUS step
 // (on the sending server) whose edge expansion produced this entry. Answers
 // flow back up the execution tree: a child execution answers its parent
 // with the subset of parent vertices that have at least one path reaching
@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <utility>
 #include <vector>
@@ -81,43 +82,89 @@ inline Status StatusFromWire(uint8_t code, std::string msg) {
   return Status(static_cast<StatusCode>(code), std::move(msg));
 }
 
-// One frontier vertex plus the previous-step vertices that produced it.
-struct FrontierEntry {
-  graph::VertexId vid = 0;
+// One frontier frame's entries as one flat table: entry i is vertex
+// vids[i] plus the previous-step vertices that produced it, the run
+// parents[begin(i), ends[i]). Building or decoding a frame costs three
+// vectors, however many entries it holds.
+struct Frontier {
+  std::vector<graph::VertexId> vids;
+  std::vector<uint32_t> ends;  // end of entry i's run in `parents`
   std::vector<graph::VertexId> parents;
 
-  bool operator==(const FrontierEntry& o) const {
-    return vid == o.vid && parents == o.parents;
+  size_t size() const { return vids.size(); }
+  bool empty() const { return vids.empty(); }
+  uint32_t begin(size_t i) const { return i == 0 ? 0 : ends[i - 1]; }
+  uint32_t end(size_t i) const { return ends[i]; }
+
+  // Appends an entry with no parents; AddParent extends the last entry's run.
+  void Add(graph::VertexId vid) {
+    vids.push_back(vid);
+    ends.push_back(static_cast<uint32_t>(parents.size()));
+  }
+  void AddParent(graph::VertexId parent) {
+    parents.push_back(parent);
+    ends.back()++;
+  }
+  template <typename It>
+  void Add(graph::VertexId vid, It first, It last) {
+    parents.insert(parents.end(), first, last);
+    vids.push_back(vid);
+    ends.push_back(static_cast<uint32_t>(parents.size()));
+  }
+  void Add(graph::VertexId vid, std::initializer_list<graph::VertexId> ps) {
+    Add(vid, ps.begin(), ps.end());
+  }
+
+  bool operator==(const Frontier& o) const {
+    return vids == o.vids && ends == o.ends && parents == o.parents;
   }
 };
 
-inline void EncodeEntries(std::string* out, const std::vector<FrontierEntry>& entries) {
+// Wire form: entry count, then per entry its vid, parent count and parents.
+inline void EncodeEntries(std::string* out, const Frontier& entries) {
   PutVarint32(out, static_cast<uint32_t>(entries.size()));
-  for (const auto& e : entries) {
-    PutVarint64(out, e.vid);
-    PutVarint32(out, static_cast<uint32_t>(e.parents.size()));
-    for (auto p : e.parents) PutVarint64(out, p);
+  for (size_t i = 0; i < entries.size(); i++) {
+    PutVarint64(out, entries.vids[i]);
+    PutVarint32(out, entries.end(i) - entries.begin(i));
+    for (uint32_t j = entries.begin(i); j < entries.end(i); j++) {
+      PutVarint64(out, entries.parents[j]);
+    }
   }
 }
 
-inline bool DecodeEntries(CheckedReader* dec, std::vector<FrontierEntry>* out) {
+inline bool DecodeEntries(CheckedReader* dec, Frontier* out) {
   uint32_t n = 0;
   // Every entry costs at least 2 bytes (vid varint + parent count varint),
   // so GetCount bounds a hostile count before the reserve.
   if (!dec->GetCount(&n, 2)) return false;
-  out->clear();
-  out->reserve(n);
+  // A first pass counts the parents, so each array is sized once.
+  CheckedReader scan = *dec;
+  size_t num_parents = 0;
   for (uint32_t i = 0; i < n; i++) {
-    FrontierEntry e;
+    uint64_t v = 0;
     uint32_t np = 0;
-    if (!dec->GetVarint64(&e.vid) || !dec->GetCount(&np)) return false;
-    e.parents.reserve(np);
+    if (!scan.GetVarint64(&v) || !scan.GetCount(&np)) return false;
+    num_parents += np;
+    for (uint32_t j = 0; j < np; j++) {
+      if (!scan.GetVarint64(&v)) return false;
+    }
+  }
+  out->vids.clear();
+  out->ends.clear();
+  out->parents.clear();
+  out->vids.reserve(n);
+  out->ends.reserve(n);
+  out->parents.reserve(num_parents);
+  for (uint32_t i = 0; i < n; i++) {
+    uint64_t vid = 0;
+    uint32_t np = 0;
+    if (!dec->GetVarint64(&vid) || !dec->GetCount(&np)) return false;
+    out->Add(vid);
     for (uint32_t j = 0; j < np; j++) {
       uint64_t p;
       if (!dec->GetVarint64(&p)) return false;
-      e.parents.push_back(p);
+      out->AddParent(p);
     }
-    out->push_back(std::move(e));
   }
   return true;
 }
@@ -242,7 +289,7 @@ struct TraversePayload {
   // the receiver only reads the plan on the travel's first frame), so the
   // decoded payload is only valid while the backing message/buffer lives.
   std::string_view plan;
-  std::vector<FrontierEntry> entries;
+  Frontier entries;
 
   std::string Encode() const {
     std::string out;

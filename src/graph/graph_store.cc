@@ -105,7 +105,28 @@ bool GraphStore::HasVertex(VertexId vid, const ReadSnapshot* snap) {
 
 Status GraphStore::MultiGetVertices(std::vector<VertexLookup>* lookups,
                                     const ReadSnapshot* snap) {
+  // Same accounting as GetVertex: one charge per found vid at its warm flag.
+  auto found = [this](VertexLookup& lk, const std::string& value) {
+    ChargeAccess(lk.vid, value.size(), lk.warm);
+    lk.rec.id = lk.vid;
+    if (!DecodeVertexValue(value, &lk.rec.label, &lk.rec.props)) {
+      return Status::Corruption("bad vertex value for vid " + std::to_string(lk.vid));
+    }
+    lk.found = true;
+    return Status::OK();
+  };
   if (lookups->empty()) return Status::OK();
+  if (lookups->size() == 1) {
+    // One key (Sync-GT's one-vertex batches): a point read, with no sort,
+    // permutation or key vectors. DB::Get counts it as MultiGet would.
+    VertexLookup& lk = lookups->front();
+    std::string value;
+    const Status s = db_->Get(VertexKey(lk.vid), &value, snap);
+    lk.found = false;
+    if (s.IsNotFound()) return Status::OK();
+    GT_RETURN_IF_ERROR(s);
+    return found(lk, value);
+  }
   // Visit keys in vid order (big-endian keys sort the same way) so the
   // batch walks each table's index monotonically; results land back in the
   // caller's slot via the permutation.
@@ -129,17 +150,8 @@ Status GraphStore::MultiGetVertices(std::vector<VertexLookup>* lookups,
 
   for (size_t i = 0; i < order.size(); ++i) {
     VertexLookup& lk = (*lookups)[order[i]];
-    if (!values[i].has_value()) {
-      lk.found = false;
-      continue;
-    }
-    // Same accounting as GetVertex: one charge per vid at its warm flag.
-    ChargeAccess(lk.vid, values[i]->size(), lk.warm);
-    lk.rec.id = lk.vid;
-    if (!DecodeVertexValue(*values[i], &lk.rec.label, &lk.rec.props)) {
-      return Status::Corruption("bad vertex value for vid " + std::to_string(lk.vid));
-    }
-    lk.found = true;
+    lk.found = false;
+    if (values[i].has_value()) GT_RETURN_IF_ERROR(found(lk, *values[i]));
   }
   return Status::OK();
 }

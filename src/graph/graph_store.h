@@ -76,7 +76,7 @@ class GraphStore {
   // snapshot (DB::MultiGet): the memtable/table handshake is paid once for
   // the whole batch instead of once per vertex. Device accounting is
   // identical to calling GetVertex once per entry — one charge per vid with
-  // that entry's `warm` flag.
+  // that entry's `warm` flag. A one-entry batch is a plain point read.
   struct VertexLookup {
     VertexId vid = 0;
     bool warm = false;      // in: same semantics as GetVertex(vid, warm)

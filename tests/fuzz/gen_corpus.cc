@@ -55,8 +55,12 @@ gt::lang::TraversalPlan SamplePlan() {
   return plan;
 }
 
-std::vector<gt::engine::FrontierEntry> SampleFrontier() {
-  return {{100, {1, 2}}, {101, {}}, {102, {3}}};
+gt::engine::Frontier SampleFrontier() {
+  gt::engine::Frontier frontier;
+  frontier.Add(100, {1, 2});
+  frontier.Add(101, {});
+  frontier.Add(102, {3});
+  return frontier;
 }
 
 // Extended-language plans (versioned ext tail): every new field appears in

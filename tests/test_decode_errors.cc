@@ -210,7 +210,8 @@ std::vector<Surface> AllSurfaces() {
     traverse.mode = 1;
     std::string plan = "abcdef";
     traverse.plan = plan;
-    traverse.entries = {{10, {1}}, {11, {}}};
+    traverse.entries.Add(10, {1});
+    traverse.entries.Add(11, {});
     surfaces.push_back(
         PayloadSurface("traverse", traverse, traverse.Encode().size()));
   }

@@ -641,6 +641,132 @@ TEST(EngineFeatureTest, CorruptScanStartRecordFailsTravel) {
   }
 }
 
+// Runs `plan` on every engine and expects Corruption (which the client does
+// not retry), with no travel state left behind on any server.
+void ExpectCorruptionOnEveryEngine(Cluster* cluster, uint32_t num_servers,
+                                   const lang::TraversalPlan& plan) {
+  auto client = cluster->NewClient();
+  for (EngineMode mode : {EngineMode::kSync, EngineMode::kAsyncPlain, EngineMode::kGraphTrek}) {
+    SCOPED_TRACE(EngineModeName(mode));
+    RunOptions opts;
+    opts.mode = mode;
+    auto travel = client->Submit(plan, opts);
+    ASSERT_TRUE(travel.ok()) << travel.status().ToString();
+    auto result = client->Await(*travel, 30000);
+    ASSERT_FALSE(result.ok()) << "OK with " << result->vids.size() << " vertices";
+    EXPECT_TRUE(result.status().IsCorruption()) << result.status().ToString();
+
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    bool reclaimed = false;
+    while (!reclaimed && std::chrono::steady_clock::now() < deadline) {
+      reclaimed = true;
+      for (uint32_t s = 0; s < num_servers; s++) {
+        reclaimed = reclaimed && !cluster->server(s)->HasTravelResidue(*travel);
+      }
+      if (!reclaimed) std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    EXPECT_TRUE(reclaimed) << "travel state not reclaimed within 20s";
+  }
+}
+
+// A store error on a hop fails the travel: vertex 0's `e` edges lead to 1,
+// 2 and 3 on two servers, and `v({0}).e("e")` must return Corruption on
+// every engine, not a smaller OK answer, when the stored 0->2 edge value is
+// cut short (the edge scan fails) or vertex 2's record is one byte (the
+// hop's vertex read fails).
+TEST(EngineFeatureTest, CorruptHopReadFailsTravel) {
+  for (const char* corrupt : {"edge value", "vertex record"}) {
+    SCOPED_TRACE(corrupt);
+    ClusterConfig cfg;
+    cfg.num_servers = 2;
+    cfg.device.access_latency_us = 0;
+    auto cluster = Cluster::Create(cfg);
+    ASSERT_TRUE(cluster.ok());
+    Catalog* catalog = (*cluster)->catalog();
+    const auto e_label = catalog->Intern("e");
+    const auto weight = catalog->Intern("weight");
+    RefGraph g;
+    for (VertexId v = 0; v <= 3; v++) {
+      VertexRecord rec;
+      rec.id = v;
+      rec.label = catalog->Intern("N");
+      g.AddVertex(rec);
+    }
+    for (VertexId dst = 1; dst <= 3; dst++) {
+      EdgeRecord e;
+      e.src = 0;
+      e.label = e_label;
+      e.dst = dst;
+      e.props.Set(weight, PropValue("heavy"));
+      g.AddEdge(e);
+    }
+    ASSERT_TRUE((*cluster)->Load(g).ok());
+    auto plan = GTravel(catalog).v({0}).e("e").Build();
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    // No clean run first: it would cache vertex 0's adjacency row, which a
+    // raw db()->Put behind the cache does not invalidate.
+    ASSERT_EQ(lang::EvaluatePlanOnRefGraph(*plan, g, *catalog).size(), 3u);
+
+    const auto* p = (*cluster)->partitioner();
+    if (std::string(corrupt) == "edge value") {
+      graph::PropMap props;
+      props.Set(weight, PropValue("heavy"));
+      std::string bad = graph::EncodeEdgeValue(props);
+      bad.resize(bad.size() - 2);  // count and length parse, the bytes run out
+      ASSERT_TRUE((*cluster)
+                      ->store(p->ServerFor(0))
+                      ->db()
+                      ->Put(graph::EdgeKey(0, e_label, 2), bad)
+                      .ok());
+    } else {
+      ASSERT_TRUE((*cluster)
+                      ->store(p->ServerFor(2))
+                      ->db()
+                      ->Put(graph::VertexKey(2), std::string(1, '\x01'))
+                      .ok());
+    }
+    ExpectCorruptionOnEveryEngine(cluster->get(), cfg.num_servers, *plan);
+  }
+}
+
+// A corrupt vertex reached mid-ring fails the travel: 144 vertices in a
+// `next` ring on three servers, vid 50's record overwritten with one byte,
+// and `v({40..49}).e("next")` reaches 41..50. A dropped read Status would
+// read vertex 50 as missing and return OK with 41..49.
+TEST(EngineFeatureTest, CorruptRingVertexFailsTravel) {
+  ClusterConfig cfg;
+  cfg.num_servers = 3;
+  cfg.device.access_latency_us = 0;
+  auto cluster = Cluster::Create(cfg);
+  ASSERT_TRUE(cluster.ok());
+  Catalog* catalog = (*cluster)->catalog();
+  const auto many = catalog->Intern("Many");
+  const auto next = catalog->Intern("next");
+  constexpr VertexId kVertices = 144;
+  RefGraph g;
+  for (VertexId v = 0; v < kVertices; v++) {
+    VertexRecord rec;
+    rec.id = v;
+    rec.label = many;
+    g.AddVertex(rec);
+    EdgeRecord e;
+    e.src = v;
+    e.label = next;
+    e.dst = (v + 1) % kVertices;
+    g.AddEdge(e);
+  }
+  ASSERT_TRUE((*cluster)->Load(g).ok());
+  std::vector<VertexId> starts;
+  for (VertexId v = 40; v < 50; v++) starts.push_back(v);
+  auto plan = GTravel(catalog).v(starts).e("next").Build();
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  ASSERT_EQ(lang::EvaluatePlanOnRefGraph(*plan, g, *catalog).size(), 10u);
+
+  graph::GraphStore* store = (*cluster)->store((*cluster)->partitioner()->ServerFor(50));
+  ASSERT_TRUE(store->db()->Put(graph::VertexKey(50), std::string(1, '\x01')).ok());
+  ExpectCorruptionOnEveryEngine(cluster->get(), cfg.num_servers, *plan);
+}
+
 // --- outbound frames ----------------------------------------------------------------
 
 // Holds chosen vertex accesses until a condition holds, so a test can force

@@ -467,6 +467,75 @@ TEST_F(GraphStoreTest, AccessesChargeDeviceModel) {
   EXPECT_EQ(store->vertex_accesses(), 2u);
 }
 
+// MultiGetVertices reads a one-key batch as a plain point read (no sort,
+// permutation or key vectors). Reading each vertex alone through that path
+// and reading them all in one batch give identical records and identical
+// charges: device accesses (cold, warm and their time, a > 1 KiB record
+// included), store vertex accesses and KV gets.
+TEST_F(GraphStoreTest, MultiGetOneKeyMatchesBatch) {
+  DeviceModel device(DeviceModelConfig{.access_latency_us = 2, .per_kib_us = 1,
+                                       .warm_latency_us = 1});
+  auto store = OpenStore(&device);
+  for (VertexId v = 1; v <= 9; v += 2) {  // odd vids only
+    VertexRecord rec;
+    rec.id = v;
+    rec.label = static_cast<LabelId>(v % 3);
+    rec.props.Set(1, PropValue(int64_t(v) * 7));
+    if (v == 5) rec.props.Set(2, PropValue(std::string(3000, 'x')));
+    ASSERT_TRUE(store->PutVertex(rec).ok());
+  }
+  std::vector<GraphStore::VertexLookup> batch;
+  for (VertexId v : {9u, 2u, 1u, 5u, 6u, 3u, 7u}) {
+    GraphStore::VertexLookup lk;
+    lk.vid = v;
+    lk.warm = v % 4 == 1;
+    batch.push_back(lk);
+  }
+  struct Charges {
+    uint64_t accesses, warm, us, vertex_accesses, gets, get_hits;
+  };
+  auto charges = [&] {
+    const auto& kv = store->db()->stats();
+    return Charges{device.total_accesses(), device.warm_accesses(), device.total_us(),
+                   store->vertex_accesses(),  kv.gets.load(),          kv.get_hits.load()};
+  };
+
+  const Charges c0 = charges();
+  std::vector<GraphStore::VertexLookup> singles;
+  for (const auto& lk : batch) {
+    std::vector<GraphStore::VertexLookup> one{lk};
+    ASSERT_TRUE(store->MultiGetVertices(&one).ok());
+    singles.push_back(one[0]);
+  }
+  const Charges c1 = charges();
+  ASSERT_TRUE(store->MultiGetVertices(&batch).ok());
+  const Charges c2 = charges();
+
+  for (size_t i = 0; i < batch.size(); i++) {
+    SCOPED_TRACE("vid " + std::to_string(batch[i].vid));
+    EXPECT_EQ(singles[i].found, batch[i].found);
+    EXPECT_EQ(singles[i].found, batch[i].vid % 2 == 1);
+    if (!batch[i].found) continue;
+    EXPECT_EQ(singles[i].rec.id, batch[i].rec.id);
+    EXPECT_EQ(singles[i].rec.label, batch[i].rec.label);
+    EXPECT_EQ(singles[i].rec.props, batch[i].rec.props);
+  }
+  EXPECT_EQ(c1.accesses - c0.accesses, c2.accesses - c1.accesses);
+  EXPECT_EQ(c1.accesses - c0.accesses, 5u);  // absent vertices charge nothing
+  EXPECT_EQ(c1.warm - c0.warm, c2.warm - c1.warm);
+  EXPECT_EQ(c1.us - c0.us, c2.us - c1.us);
+  EXPECT_EQ(c1.vertex_accesses - c0.vertex_accesses, c2.vertex_accesses - c1.vertex_accesses);
+  EXPECT_EQ(c1.gets - c0.gets, c2.gets - c1.gets);
+  EXPECT_EQ(c1.get_hits - c0.get_hits, c2.get_hits - c1.get_hits);
+
+  // A malformed record fails the one-key read as it fails the batch.
+  ASSERT_TRUE(store->db()->Put(VertexKey(3), std::string(1, '\x01')).ok());
+  std::vector<GraphStore::VertexLookup> one(1);
+  one[0].vid = 3;
+  EXPECT_TRUE(store->MultiGetVertices(&one).IsCorruption());
+  EXPECT_TRUE(store->MultiGetVertices(&batch).IsCorruption());
+}
+
 // The pushed-down type scan reads the candidate records itself: one
 // sequential run charged as a single access when a store holds more than 16
 // candidates, one MultiGet with a per-vertex charge otherwise. Both hand

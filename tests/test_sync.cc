@@ -1,6 +1,6 @@
 // Tests for the annotated synchronization primitives in src/common/sync.h
 // (Mutex, SharedMutex, CondVar, CountDownLatch, Notification,
-// BlockingCounter), concurrent TravelCache access under the engine-lock
+// BlockingCounter), concurrent travel-memo access under the engine-lock
 // discipline, and the InProcTransport Send/Unregister race regression.
 #include <gtest/gtest.h>
 
@@ -201,15 +201,16 @@ TEST(BlockingCounterTest, WaitsForAllOutstanding) {
   for (auto& t : threads) t.join();
 }
 
-// --- TravelCache under the engine-lock discipline ----------------------------
+// --- travel memo under the engine-lock discipline -----------------------------
 
-// TravelCache is deliberately not internally synchronized: the BackendServer
-// serializes every access under its engine mutex. Hammer it from several
-// threads under one gt::Mutex the way the engine does, and check the
-// owner/waiter protocol accounting stays exact.
+// TravelMemo and MemoPool are deliberately not internally synchronized: the
+// BackendServer serializes every access under its engine mutex. Hammer one
+// travel's memo from several threads under one gt::Mutex the way the engine
+// does, and check the owner/waiter protocol accounting stays exact.
 TEST(TravelCacheConcurrencyTest, OwnerWaiterProtocolUnderSharedLock) {
   Mutex mu;
-  engine::TravelCache cache(1 << 20);
+  engine::MemoPool pool(1 << 20);
+  engine::TravelMemo memo(&pool);
   int64_t owners = 0;
   int64_t waiters_fired = 0;
   constexpr int kThreads = 4;
@@ -220,17 +221,17 @@ TEST(TravelCacheConcurrencyTest, OwnerWaiterProtocolUnderSharedLock) {
     threads.emplace_back([&] {
       for (uint32_t vid = 0; vid < kVertices; vid++) {
         MutexLock lk(&mu);
-        auto r = cache.LookupOrInsertPending(/*travel=*/1, /*step=*/0, vid);
-        if (r.state == engine::TravelCache::State::kMiss) {
+        auto r = memo.LookupOrInsertPending(/*step=*/0, vid);
+        if (r.state == engine::TravelMemo::State::kMiss) {
           // We are the owner: resolve immediately and take the waiters,
           // exactly like a worker that finished the vertex I/O.
           owners++;
-          for (const auto& w : cache.Resolve(1, 0, vid, /*reach=*/true)) {
+          memo.Resolve(0, vid, /*reach=*/true, [&](const engine::TravelMemo::Waiter& w) {
             EXPECT_EQ(w.vid, vid);
             waiters_fired++;
-          }
-        } else if (r.state == engine::TravelCache::State::kPending) {
-          cache.AddWaiter(1, 0, vid, engine::TravelCache::Waiter{/*exec=*/1, vid});
+          });
+        } else if (r.state == engine::TravelMemo::State::kPending) {
+          memo.AddWaiter(0, vid, /*exec=*/1);
         } else {
           EXPECT_TRUE(r.reach);
         }
@@ -242,7 +243,7 @@ TEST(TravelCacheConcurrencyTest, OwnerWaiterProtocolUnderSharedLock) {
   // Every vertex got exactly one owner, and every registered waiter fired.
   EXPECT_EQ(owners, kVertices);
   MutexLock lk(&mu);
-  EXPECT_EQ(cache.size(), static_cast<size_t>(kVertices));
+  EXPECT_EQ(pool.size(), static_cast<size_t>(kVertices));
   EXPECT_EQ(waiters_fired, 0);  // owners resolve under the same lock hold
 }
 

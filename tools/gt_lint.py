@@ -54,10 +54,15 @@ Checks (all scoped to src/):
      CheckedReader (parameter, local construction, or delegation to another
      Decode*). New plan/payload fields — the versioned ext tails in
      particular — must never grow a hand-walked byte read.
-  10. (warn-only) clang-format clean-ness of files changed vs HEAD, when
+  10. No discarded Status in src/engine: a statement that ends in
+     `.ok();` (outside an assignment or a return) throws a store or
+     transport error away, and the engine then turns it into an empty or
+     wrong answer. Handle the Status: fail the travel with it, or log it
+     where the failure costs nothing but a leftover (see cluster.cc).
+  11. (warn-only) clang-format clean-ness of files changed vs HEAD, when
      clang-format is installed.
 
-Exit status: 0 when checks 1-9 pass; 1 otherwise. Check 10 never fails the
+Exit status: 0 when checks 1-10 pass; 1 otherwise. Check 11 never fails the
 run — it only prints warnings.
 """
 
@@ -323,6 +328,34 @@ def check_travel_map_reclaim(files):
     return errors
 
 
+# A `.ok()` call ending a statement (check 10), and the assignment that
+# makes such a statement a use rather than a discard.
+OK_DISCARD_RE = re.compile(r"\.\s*ok\s*\(\s*\)\s*;")
+ASSIGNMENT_RE = re.compile(r"(?<![=!<>])=(?!=)")
+
+
+def check_engine_status_discards(files):
+    """No `.ok();` discards in src/engine (check 10)."""
+    errors = []
+    for rel in files:
+        if not rel.startswith("src/engine/"):
+            continue
+        with open(os.path.join(REPO, rel), encoding="utf-8") as f:
+            text = strip_comments(f.read())
+        for m in OK_DISCARD_RE.finditer(text):
+            start = max(text.rfind(c, 0, m.start()) for c in ";{}") + 1
+            stmt = text[start:m.end()].strip()
+            if stmt.startswith("return") or ASSIGNMENT_RE.search(stmt):
+                continue
+            lineno = text.count("\n", 0, m.start()) + 1
+            errors.append(
+                f"{rel}:{lineno}: Status discarded with '.ok();' in the engine — "
+                f"a dropped store error becomes an empty or wrong answer; fail the "
+                f"travel with the Status (AbortPayload kFail) or log it"
+            )
+    return errors
+
+
 # Directories whose inputs arrive over the wire or from disk: every byte
 # read there is untrusted until a bounds check has seen it.
 DECODE_DIRS = ("src/rpc/", "src/kv/", "src/lang/")
@@ -532,6 +565,7 @@ def main():
     errors += check_console_output(files)
     errors += check_engine_raw_kv(files)
     errors += check_travel_map_reclaim(files)
+    errors += check_engine_status_discards(files)
     errors += check_decode_discipline(files)
     errors += check_decode_reader(files)
     errors += check_include_cycles(files)

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Self-test for gt_lint.py's decode-discipline checks (8 and 9) and its
-travel-keyed container check (7).
+"""Self-test for gt_lint.py's decode-discipline checks (8 and 9), its
+travel-keyed container check (7) and its engine Status-discard check (10).
 
 Points the linter at the fixture trees under tools/lint_fixtures/ and asserts
 that every banned construct in decode_bad/ and travel_map_bad/ is flagged
@@ -73,6 +73,14 @@ def main():
     good = run_on("travel_map_good", travel_checks)
     expect(not good, "travel_map_good is clean (got: %s)" % "; ".join(good))
 
+    discards = run_on("ok_discard", [gt_lint.check_engine_status_discards])
+    expect(any("bad.cc:8:" in e for e in discards), "ok_discard flags a one-line discard")
+    expect(any("bad.cc:12:" in e for e in discards),
+           "ok_discard flags a discard ending a multi-line call")
+    expect(len(discards) == 2,
+           "ok_discard has exactly 2 findings: assignments, returns and "
+           "src/kv are not discards (got %d)" % len(discards))
+
     # The real tree must satisfy its own discipline: the full linter on the
     # repo is the last fixture.
     files = list(gt_lint.src_files())
@@ -82,6 +90,8 @@ def main():
     expect(not errors, "src/ passes check 9 (got: %s)" % "; ".join(errors))
     errors = gt_lint.check_travel_map_reclaim(files)
     expect(not errors, "src/ passes check 7 (got: %s)" % "; ".join(errors))
+    errors = gt_lint.check_engine_status_discards(files)
+    expect(not errors, "src/ passes check 10 (got: %s)" % "; ".join(errors))
 
     if failures:
         print(f"test_gt_lint: {len(failures)} failure(s)", file=sys.stderr)
