@@ -3,6 +3,7 @@
 #include <benchmark/benchmark.h>
 
 #include <sstream>
+#include <vector>
 
 #include "src/common/rng.h"
 #include "src/graph/graph_store.h"
@@ -56,8 +57,9 @@ void BM_GraphGetVertex(benchmark::State& state) {
   }
   store->Flush().ok();
   Rng rng(1);
+  VertexRecord rec;  // reused, as each engine worker reuses its records
   for (auto _ : state) {
-    benchmark::DoNotOptimize(store->GetVertex(rng.Uniform(n)));
+    benchmark::DoNotOptimize(store->GetVertex(rng.Uniform(n), &rec));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
@@ -125,9 +127,9 @@ void BM_GraphScanEdgesCached(benchmark::State& state) {
 }
 BENCHMARK(BM_GraphScanEdgesCached)->Arg(8)->Arg(64);
 
-// Batched vertex lookups vs the per-key loop in BM_GraphGetVertex: one
-// snapshot walk per batch instead of one per key.
-void BM_GraphMultiGetVertices(benchmark::State& state) {
+// The reads a worker batch makes: `range` random vertices read through one
+// pinned snapshot, as every travel reads, each into a reused record.
+void BM_GraphGetVerticesPinned(benchmark::State& state) {
   gt::testing::ScopedTempDir dir;
   auto store = OpenStore(dir);
   const int n = 10000;
@@ -140,16 +142,18 @@ void BM_GraphMultiGetVertices(benchmark::State& state) {
   }
   store->Flush().ok();
   const int batch = static_cast<int>(state.range(0));
+  const GraphStore::ReadSnapshot* snap = store->GetSnapshot();
   Rng rng(1);
+  std::vector<VertexRecord> recs(static_cast<size_t>(batch));
   for (auto _ : state) {
-    std::vector<GraphStore::VertexLookup> lookups(static_cast<size_t>(batch));
-    for (auto& lk : lookups) lk.vid = rng.Uniform(n);
-    store->MultiGetVertices(&lookups).ok();
-    benchmark::DoNotOptimize(lookups.back().found);
+    for (VertexRecord& rec : recs) {
+      benchmark::DoNotOptimize(store->GetVertex(rng.Uniform(n), &rec, false, snap));
+    }
   }
+  store->ReleaseSnapshot(snap);
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * batch);
 }
-BENCHMARK(BM_GraphMultiGetVertices)->Arg(16)->Arg(64);
+BENCHMARK(BM_GraphGetVerticesPinned)->Arg(16)->Arg(64);
 
 void BM_GraphTypeIndexScan(benchmark::State& state) {
   gt::testing::ScopedTempDir dir;

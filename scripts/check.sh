@@ -44,7 +44,10 @@ ctest --test-dir build --output-on-failure --no-tests=error \
 
 # Cross-engine differential gate: the seeded random-workload comparison of
 # Sync-GT / Async-GT / GraphTrek against the reference evaluator, including
-# the duplicate+drop idempotence leg. Run explicitly for the same reason as
+# the duplicate+drop idempotence leg and the corruption leg (200 seeds, one
+# bad vertex record or edge value each: every answer is the oracle's or
+# Corruption, and Corruption whenever the plan reads the bad item). Run
+# explicitly for the same reason as
 # the crash sweeps: discovery problems must not silently drop it. Repeated:
 # frame/answer accounting bugs in the attribution protocol show only on
 # some schedules. The scheduled frame test rides along: it pins down when
@@ -72,11 +75,13 @@ ctest --test-dir build --output-on-failure --no-tests=error \
 # (ScanStartRootsAreReadOnce), a corrupt record in the scan failing the
 # travel with Corruption on both read branches (CorruptScanStartRecordFailsTravel),
 # and the Darshan audit queries against the reference evaluator
-# (bench_smoke_table3_planner). Naming them here keeps them from silently
-# dropping out of discovery.
+# (bench_smoke_table3_planner), and the catalog-failure tests (a name a
+# server's catalog cannot intern ends the travel or the mutation with
+# Unavailable, CatalogFailureTest). Naming them here keeps them from
+# silently dropping out of discovery.
 step "GTravel language + scan-start tests"
 ctest --test-dir build --output-on-failure --no-tests=error \
-  -R 'PlanTest|FilterTest|GTravelTest|EvaluatorTest|ScanStartsMatchOracle|ScanStartRootsAreReadOnce|CorruptScanStartRecordFailsTravel|CorruptHopReadFailsTravel|CorruptRingVertexFailsTravel|bench_smoke_table3_planner'
+  -R 'PlanTest|FilterTest|GTravelTest|EvaluatorTest|ScanStartsMatchOracle|ScanStartRootsAreReadOnce|CorruptScanStartRecordFailsTravel|CorruptHopReadFailsTravel|CorruptRingVertexFailsTravel|CatalogFailureTest|bench_smoke_table3_planner'
 
 # Bench smoke gate: every figure/table/ablation binary must still run end to
 # end at --smoke size (they read the metrics registry, so a renamed series
@@ -170,9 +175,9 @@ if [[ "$FAST" == 0 ]]; then
   configure build-asan -DGT_SANITIZE=address
   cmake --build build-asan -j "$JOBS"
   ctest --test-dir build-asan --output-on-failure -j "$JOBS"
-  step "decode-error matrix + corpus replay under ASan"
+  step "decode-error matrix + corpus replay + corruption leg under ASan"
   ctest --test-dir build-asan --output-on-failure --no-tests=error \
-    -R 'DecodeErrorsTest|TcpMalformedFrameTest|CorpusReplayTest'
+    -R 'DecodeErrorsTest|TcpMalformedFrameTest|CorpusReplayTest|CorruptItemFailsTravelsThatReadIt'
 else
   step "GT_SANITIZE=address (skipped: --fast)"
 fi

@@ -523,6 +523,12 @@ Status BackendServer::SubmitLocked(const rpc::Message& msg) {
   // semantic rules (scan anchor, until/branch/paths restrictions, caps).
   GT_RETURN_IF_ERROR(plan->Validate());
 
+  // A catalog replica that cannot reach the authority interns nothing
+  // (kInvalidId); a plan registered with that "type" id would filter every
+  // vertex out and answer empty instead of failing.
+  if (catalog_->Intern("type") == graph::Catalog::kInvalidId) {
+    return Status::Unavailable("catalog cannot intern \"type\"");
+  }
   const std::string plan_bytes = plan->Encode();
 
   // Expand to the executable form up front so oversized repeat chains
@@ -661,7 +667,11 @@ Status BackendServer::ScanStartLocked(TravelLocal& tl,
   const auto& sf = cplan.plan.start_vertex_filters;
   const size_t anchor = ScanAnchorFor(cplan.plan, cplan.type_key);
   if (anchor == std::string::npos) return Status::OK();
-  const graph::LabelId label = catalog_->Intern(sf[anchor].values[0].as_string());
+  const std::string& type = sf[anchor].values[0].as_string();
+  const graph::LabelId label = catalog_->Intern(type);
+  if (label == graph::Catalog::kInvalidId) {
+    return Status::Unavailable("catalog cannot intern type \"" + type + "\"");
+  }
   const bool warm = !tl.scanned_types.insert(label).second;
   // The scan applies every start filter but the anchor, which each
   // candidate from the anchor's index matches by construction (and whose
@@ -953,6 +963,10 @@ void BackendServer::HandleTraverse(rpc::Message&& msg) {
     GT_WARN << "server " << cfg_.id << ": bad plan in traverse";
     return;
   }
+  if (cplan->type_key == graph::Catalog::kInvalidId) {
+    FailOnErrorLocked(tl, "plan", Status::Unavailable("catalog cannot intern \"type\""));
+    return;
+  }
 
   // Duplicate-delivery absorption (exec ids are globally unique): only the
   // first copy of a hand-off frame executes.
@@ -971,8 +985,8 @@ void BackendServer::HandleTraverse(rpc::Message&& msg) {
   StartExecLocked(tl, *req);
 }
 
-void BackendServer::FailOnStoreErrorLocked(TravelLocal& tl, const std::string& what,
-                                           const Status& st) {
+void BackendServer::FailOnErrorLocked(TravelLocal& tl, const std::string& what,
+                                      const Status& st) {
   AbortPayload fail{tl.id, AbortPayload::kFail};
   fail.code = static_cast<uint8_t>(st.code());
   fail.message = what + " on server " + std::to_string(cfg_.id) + ": " + st.message();
@@ -985,7 +999,7 @@ void BackendServer::StartExecLocked(TravelLocal& tl, TraversePayload& req) {
   if (req.scan_start != 0) {
     const Status st = ScanStartLocked(tl, &records);
     if (!st.ok()) {
-      FailOnStoreErrorLocked(tl, "scan start", st);
+      FailOnErrorLocked(tl, "scan start", st);
       return;
     }
   }
@@ -1125,8 +1139,7 @@ struct BackendServer::BatchScratch {
     graph::VertexId vid = 0;
     uint32_t step = 0;         // the step it is first scheduled at (straggler matching)
     bool warm = false;         // re-read within the travel: block-cache cost
-    bool fetched = false;      // record read (or taken from the scan start)
-    bool exists = false;       // record found
+    bool exists = false;       // record found (or taken from the scan start)
     bool need_edges = false;   // some task expands it
     Status status;             // the failed read or edge scan, else OK
     graph::VertexRecord rec;
@@ -1148,8 +1161,6 @@ struct BackendServer::BatchScratch {
   std::vector<Vertex> vertices;
   size_t num_vertices = 0;
   std::vector<uint32_t> task_vertex;  // per task: its vertex's index
-  std::vector<graph::GraphStore::VertexLookup> lookups;
-  std::vector<uint32_t> lookup_vertex;  // per lookup: its vertex's index
   std::vector<EdgeRef> edges;
   std::string edge_bytes;
   std::vector<StepOutcome> outcomes;  // per task (owner tasks only)
@@ -1170,7 +1181,7 @@ struct BackendServer::BatchScratch {
         Vertex& v = vertices[num_vertices++];
         v.vid = t.vid;
         v.step = t.step;
-        v.warm = v.fetched = v.exists = v.need_edges = false;
+        v.warm = v.exists = v.need_edges = false;
         v.status = Status::OK();
         v.edges_begin = v.edges_end = 0;
       }
@@ -1222,10 +1233,10 @@ void BackendServer::ProcessBatch(const std::vector<VertexTask>& batch, BatchScra
     for (size_t k = 0; k < batch.size(); k++) {
       BatchScratch::Vertex& v = vertex_of(k);
       assert(batch[k].travel == travel);
-      if (batch[k].step != 0 || v.fetched) continue;
+      if (batch[k].step != 0 || v.exists) continue;
       auto eit = tl.execs.find(batch[k].exec);
       if (eit != tl.execs.end() && eit->second->TakeRootRecord(batch[k].vid, &v.rec)) {
-        v.fetched = v.exists = true;
+        v.exists = true;
       }
     }
   }
@@ -1233,42 +1244,14 @@ void BackendServer::ProcessBatch(const std::vector<VertexTask>& batch, BatchScra
   const uint32_t num_steps = static_cast<uint32_t>(plan.num_steps());
 
   // --- I/O phase (no engine lock held) -------------------------------------
-  // One MultiGet per step cohort (usually the whole batch) so straggler
-  // rules still see the step each access belongs to. A failed MultiGet
-  // fails every vertex of its cohort.
-  for (size_t lo = 0; lo < num_vertices; lo++) {
-    if (sc.vertices[lo].fetched) continue;
-    const uint32_t step = sc.vertices[lo].step;
-    sc.lookup_vertex.clear();
-    for (size_t i = lo; i < num_vertices; i++) {
-      BatchScratch::Vertex& v = sc.vertices[i];
-      if (v.fetched || v.step != step) continue;
-      v.fetched = true;
-      sc.lookup_vertex.push_back(static_cast<uint32_t>(i));
-    }
-    sc.lookups.resize(sc.lookup_vertex.size());
-    for (size_t j = 0; j < sc.lookups.size(); j++) {
-      const BatchScratch::Vertex& v = sc.vertices[sc.lookup_vertex[j]];
-      sc.lookups[j].vid = v.vid;
-      sc.lookups[j].warm = v.warm;
-      sc.lookups[j].found = false;
-    }
-    tls_current_step = static_cast<int>(step);
-    const Status st = store_->MultiGetVertices(&sc.lookups, travel_snap.get());
-    tls_current_step = -1;
-    for (size_t j = 0; j < sc.lookups.size(); j++) {
-      BatchScratch::Vertex& v = sc.vertices[sc.lookup_vertex[j]];
-      v.status = st;
-      v.exists = st.ok() && sc.lookups[j].found;
-      if (v.exists) std::swap(v.rec, sc.lookups[j].rec);  // both records keep their storage
-    }
-  }
-
-  // One edge scan per vertex serves every merged task that needs expansion.
-  // Sync-GT's tasks never merge, so each of its vertices has one hop: it
-  // scans only that hop's label, as the paper's baseline does, and so never
-  // fills the all-labels adjacency rows the other engines read (DESIGN.md
-  // protocol note 5).
+  // One pass over the batch's distinct vertices: read the record, unless a
+  // scan-start root brought it, then scan the edges once if any task
+  // expands the vertex. The vertex's step is current around both reads, so
+  // straggler rules (which match on the accessing step) see it. A failed
+  // read or scan fails its vertex. Sync-GT's tasks never merge, so each of
+  // its vertices has one hop: it scans only that hop's label, as the
+  // paper's baseline does, and so never fills the all-labels adjacency rows
+  // the other engines read (DESIGN.md protocol note 5).
   const bool hop_label_only = cplan->mode == EngineMode::kSync;
   for (size_t k = 0; k < batch.size(); k++) {
     if (batch[k].step < num_steps) vertex_of(k).need_edges = true;
@@ -1281,22 +1264,28 @@ void BackendServer::ProcessBatch(const std::vector<VertexTask>& batch, BatchScra
   };
   for (size_t i = 0; i < num_vertices; i++) {
     BatchScratch::Vertex& v = sc.vertices[i];
-    if (!v.exists || !v.need_edges) continue;
-    v.edges_begin = static_cast<uint32_t>(sc.edges.size());
     tls_current_step = static_cast<int>(v.step);
-    if (hop_label_only) {
-      const graph::LabelId label = plan.hops[v.step].edge_label;
-      v.status = store_->ScanEdges(
-          v.vid, label,
-          [&keep, label](graph::VertexId dst, std::string_view value) {
-            return keep(label, dst, value);
-          },
-          v.warm, travel_snap.get());
-    } else {
-      v.status = store_->ScanAllEdges(v.vid, keep, v.warm, travel_snap.get());
+    if (!v.exists) {
+      v.status = store_->GetVertex(v.vid, &v.rec, v.warm, travel_snap.get());
+      v.exists = v.status.ok();
+      if (v.status.IsNotFound()) v.status = Status::OK();  // absent: not an error
+    }
+    if (v.exists && v.need_edges) {
+      v.edges_begin = static_cast<uint32_t>(sc.edges.size());
+      if (hop_label_only) {
+        const graph::LabelId label = plan.hops[v.step].edge_label;
+        v.status = store_->ScanEdges(
+            v.vid, label,
+            [&keep, label](graph::VertexId dst, std::string_view value) {
+              return keep(label, dst, value);
+            },
+            v.warm, travel_snap.get());
+      } else {
+        v.status = store_->ScanAllEdges(v.vid, keep, v.warm, travel_snap.get());
+      }
+      v.edges_end = static_cast<uint32_t>(sc.edges.size());
     }
     tls_current_step = -1;
-    v.edges_end = static_cast<uint32_t>(sc.edges.size());
   }
 
   visit_stats_.real_io.fetch_add(num_vertices);
@@ -1411,7 +1400,7 @@ void BackendServer::ProcessBatch(const std::vector<VertexTask>& batch, BatchScra
     if (--exec.owned_unprocessed == 0) work.ran.push_back(exec.id);
   }
   if (failed != nullptr) {
-    FailOnStoreErrorLocked(tl, "vertex " + std::to_string(failed->vid), failed->status);
+    FailOnErrorLocked(tl, "vertex " + std::to_string(failed->vid), failed->status);
   }
 
   assert(work.tasks >= batch.size());
@@ -1678,6 +1667,16 @@ void BackendServer::HandleMutation(rpc::Message&& msg) {
     return true;
   };
 
+  // A catalog replica that cannot reach the authority interns nothing
+  // (kInvalidId): the mutation is refused, not stored under no name.
+  // Returns false once the refusal is acked.
+  auto interned = [&](graph::LabelId label, const graph::PropMap& props) {
+    bool ok = label != graph::Catalog::kInvalidId;
+    for (const auto& [key, value] : props) ok = ok && key != graph::Catalog::kInvalidId;
+    if (!ok) reply_ack(Status::Unavailable("catalog cannot intern a label or property"));
+    return ok;
+  };
+
   switch (msg.type) {
     case rpc::MsgType::kPutVertex: {
       auto req = PutVertexPayload::Decode(msg.payload);
@@ -1687,6 +1686,7 @@ void BackendServer::HandleMutation(rpc::Message&& msg) {
       rec.id = req->vid;
       rec.label = catalog_->Intern(req->label);
       rec.props = InternProps(req->props, catalog_);
+      if (!interned(rec.label, rec.props)) return;
       reply_ack(store_->PutVertex(rec));
       return;
     }
@@ -1719,6 +1719,7 @@ void BackendServer::HandleMutation(rpc::Message&& msg) {
       rec.label = catalog_->Intern(req->label);
       rec.dst = req->dst;
       rec.props = InternProps(req->props, catalog_);
+      if (!interned(rec.label, rec.props)) return;
       reply_ack(store_->PutEdge(rec));
       return;
     }
@@ -1735,11 +1736,11 @@ void BackendServer::HandleMutation(rpc::Message&& msg) {
       if (forward_if_foreign(req->vid)) return;
       VertexReplyPayload out;
       out.vid = req->vid;
-      auto rec = store_->GetVertex(req->vid);
-      if (rec.ok()) {
+      graph::VertexRecord rec;
+      if (store_->GetVertex(req->vid, &rec).ok()) {
         out.found = 1;
-        out.label = catalog_->Name(rec->label).value_or("?");
-        for (const auto& [key, value] : rec->props) {
+        out.label = catalog_->Name(rec.label).value_or("?");
+        for (const auto& [key, value] : rec.props) {
           out.props.emplace_back(catalog_->Name(key).value_or("?"), value);
         }
       }

@@ -445,7 +445,8 @@ class BackendServer {
   // moves each passing root's record into `records` (vid-sorted), so the
   // root's task need not read it again. A start with no filter besides
   // the anchor roots every vertex of the type. A re-scan within a travel
-  // charges the warm device cost. A store error fails the scan.
+  // charges the warm device cost. A store error fails the scan, and so
+  // does an anchor type the catalog cannot intern (Unavailable).
   Status ScanStartLocked(TravelLocal& tl, std::vector<graph::VertexRecord>* records)
       GT_REQUIRES(mu_);
 
@@ -494,9 +495,9 @@ class BackendServer {
   ExecId SendTraverseLocked(const CompiledPlan& cplan, TravelId travel, uint32_t step,
                             ExecId parent_exec, ServerId dst, Frontier entries,
                             bool scan_start) GT_REQUIRES(mu_);
-  // Asks the travel's coordinator to fail it with a store error `st`
-  // (AbortPayload kFail), `what` naming the failed read.
-  void FailOnStoreErrorLocked(TravelLocal& tl, const std::string& what, const Status& st)
+  // Asks the travel's coordinator to fail it with `st`, a store or catalog
+  // error (AbortPayload kFail), `what` naming what failed.
+  void FailOnErrorLocked(TravelLocal& tl, const std::string& what, const Status& st)
       GT_REQUIRES(mu_);
   // Once every frame carrying a dispatched exec's vertices has answered,
   // resolves its vertices still awaiting children as unreached.

@@ -1,8 +1,5 @@
 #include "src/graph/graph_store.h"
 
-#include <algorithm>
-#include <numeric>
-
 #include "src/common/clock.h"
 #include "src/common/logging.h"
 
@@ -84,76 +81,21 @@ void GraphStore::ChargeAccess(VertexId vid, uint64_t bytes, bool warm) {
   if (opts_.device != nullptr) opts_.device->ChargeAccess(bytes, warm);
 }
 
-Result<VertexRecord> GraphStore::GetVertex(VertexId vid, bool warm,
-                                           const ReadSnapshot* snap) {
+Status GraphStore::GetVertex(VertexId vid, VertexRecord* out, bool warm,
+                             const ReadSnapshot* snap) {
   std::string value;
   GT_RETURN_IF_ERROR(db_->Get(VertexKey(vid), &value, snap));
   ChargeAccess(vid, value.size(), warm);
-
-  VertexRecord rec;
-  rec.id = vid;
-  if (!DecodeVertexValue(value, &rec.label, &rec.props)) {
+  out->id = vid;
+  if (!DecodeVertexValue(value, &out->label, &out->props)) {
     return Status::Corruption("bad vertex value for vid " + std::to_string(vid));
   }
-  return rec;
+  return Status::OK();
 }
 
 bool GraphStore::HasVertex(VertexId vid, const ReadSnapshot* snap) {
   std::string value;
   return db_->Get(VertexKey(vid), &value, snap).ok();
-}
-
-Status GraphStore::MultiGetVertices(std::vector<VertexLookup>* lookups,
-                                    const ReadSnapshot* snap) {
-  // Same accounting as GetVertex: one charge per found vid at its warm flag.
-  auto found = [this](VertexLookup& lk, const std::string& value) {
-    ChargeAccess(lk.vid, value.size(), lk.warm);
-    lk.rec.id = lk.vid;
-    if (!DecodeVertexValue(value, &lk.rec.label, &lk.rec.props)) {
-      return Status::Corruption("bad vertex value for vid " + std::to_string(lk.vid));
-    }
-    lk.found = true;
-    return Status::OK();
-  };
-  if (lookups->empty()) return Status::OK();
-  if (lookups->size() == 1) {
-    // One key (Sync-GT's one-vertex batches): a point read, with no sort,
-    // permutation or key vectors. DB::Get counts it as MultiGet would.
-    VertexLookup& lk = lookups->front();
-    std::string value;
-    const Status s = db_->Get(VertexKey(lk.vid), &value, snap);
-    lk.found = false;
-    if (s.IsNotFound()) return Status::OK();
-    GT_RETURN_IF_ERROR(s);
-    return found(lk, value);
-  }
-  // Visit keys in vid order (big-endian keys sort the same way) so the
-  // batch walks each table's index monotonically; results land back in the
-  // caller's slot via the permutation.
-  std::vector<size_t> order(lookups->size());
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return (*lookups)[a].vid < (*lookups)[b].vid;
-  });
-
-  std::vector<std::string> key_storage;
-  key_storage.reserve(order.size());
-  std::vector<kv::Slice> keys;
-  keys.reserve(order.size());
-  for (size_t idx : order) {
-    key_storage.push_back(VertexKey((*lookups)[idx].vid));
-    keys.emplace_back(key_storage.back());
-  }
-
-  std::vector<std::optional<std::string>> values;
-  GT_RETURN_IF_ERROR(db_->MultiGet(keys, &values, snap));
-
-  for (size_t i = 0; i < order.size(); ++i) {
-    VertexLookup& lk = (*lookups)[order[i]];
-    lk.found = false;
-    if (values[i].has_value()) GT_RETURN_IF_ERROR(found(lk, *values[i]));
-  }
-  return Status::OK();
 }
 
 Result<std::shared_ptr<const AdjacencyRow>> GraphStore::BuildRow(VertexId src,
@@ -434,8 +376,8 @@ Status GraphStore::ScanVerticesByTypeFiltered(
   // [first, last], and ingest assigns type runs contiguously, so the
   // candidates are locally dense even though their global vid span is
   // ~num_servers× wider than any one shard's share. Only a handful of
-  // candidates is cheaper as point reads (one batched MultiGet with
-  // ordinary per-vertex accounting).
+  // candidates is cheaper as point reads (one GetVertex each, with its
+  // ordinary per-vertex charge).
   constexpr size_t kPointReadCutoff = 16;
   if (candidates.size() > kPointReadCutoff) {
     auto it = db_->NewIterator(snap);
@@ -466,16 +408,13 @@ Status GraphStore::ScanVerticesByTypeFiltered(
     return it->status();
   }
 
-  std::vector<VertexLookup> lookups(candidates.size());
-  for (size_t i = 0; i < candidates.size(); i++) {
-    lookups[i].vid = candidates[i];
-    lookups[i].warm = warm;
-  }
-  GT_RETURN_IF_ERROR(MultiGetVertices(&lookups, snap));
-  for (VertexLookup& lk : lookups) {
-    if (!lk.found) continue;  // deleted between index walk and read
-    if (!pred(lk.rec)) continue;
-    if (!fn(std::move(lk.rec))) break;
+  for (VertexId vid : candidates) {
+    VertexRecord rec;
+    const Status st = GetVertex(vid, &rec, warm, snap);
+    if (st.IsNotFound()) continue;  // deleted between the index walk and this read
+    GT_RETURN_IF_ERROR(st);
+    if (!pred(rec)) continue;
+    if (!fn(std::move(rec))) break;
   }
   return Status::OK();
 }

@@ -64,27 +64,20 @@ class GraphStore {
   // --- reads (traversal path); each charges one device access. `warm`
   // marks a re-read within the same traversal (block-cache hit). A non-null
   // `snap` bounds the read to that pinned view. ---
-  Result<VertexRecord> GetVertex(VertexId vid, bool warm = false,
-                                 const ReadSnapshot* snap = nullptr);
+
+  // Reads `vid`'s record into `*out`; NotFound (and no charge) when the
+  // vertex is absent or deleted. The decode reuses `out`'s property
+  // storage, so a caller that keeps one record across reads stops
+  // allocating for it. There is no batched form: a pinned read takes no
+  // lock and copies no table references (kv::DB::Get), so a batch would
+  // have nothing to share.
+  Status GetVertex(VertexId vid, VertexRecord* out, bool warm = false,
+                   const ReadSnapshot* snap = nullptr);
 
   // Existence probe (vertex record present and not deleted). Charges no
   // device access: it is the ingest path's referential-integrity check, not
   // a traversal read.
   bool HasVertex(VertexId vid, const ReadSnapshot* snap = nullptr);
-
-  // One frontier batch of vertex point-reads resolved against a single KV
-  // snapshot (DB::MultiGet): the memtable/table handshake is paid once for
-  // the whole batch instead of once per vertex. Device accounting is
-  // identical to calling GetVertex once per entry — one charge per vid with
-  // that entry's `warm` flag. A one-entry batch is a plain point read.
-  struct VertexLookup {
-    VertexId vid = 0;
-    bool warm = false;      // in: same semantics as GetVertex(vid, warm)
-    bool found = false;     // out: false = absent/deleted (not an error)
-    VertexRecord rec;       // out: valid when found
-  };
-  Status MultiGetVertices(std::vector<VertexLookup>* lookups,
-                          const ReadSnapshot* snap = nullptr);
 
   // Edge visitors get each edge's encoded value (DecodeEdgeValue), valid
   // for the call only; returning false stops the scan. Every value is
@@ -144,9 +137,9 @@ class GraphStore {
   // ScanVerticesByType); the record reads are one sequential run over the
   // record keyspace when there are more than 16 candidates (a single access
   // covering the run's bytes, where reading the roots one by one would pay
-  // a random point-read each), or one batched MultiGet with ordinary
-  // per-vertex accounting otherwise. Like the index walk, the sequential
-  // run is not vertex-rooted, so it bypasses the per-vertex interceptor.
+  // a random point-read each), or one GetVertex per candidate otherwise.
+  // Like the index walk, the sequential run is not vertex-rooted, so it
+  // bypasses the per-vertex interceptor.
   Status ScanVerticesByTypeFiltered(
       LabelId label, const std::function<bool(const VertexRecord&)>& pred,
       const std::function<bool(VertexRecord&&)>& fn, bool warm = false,

@@ -631,29 +631,6 @@ Status DB::Get(Slice key, std::string* value, const Snapshot* snap) {
   return s;
 }
 
-Status DB::MultiGet(const std::vector<Slice>& keys,
-                    std::vector<std::optional<std::string>>* values,
-                    const Snapshot* snap) {
-  values->assign(keys.size(), std::nullopt);
-  if (keys.empty()) return Status::OK();
-  stats_.gets.fetch_add(keys.size());
-  ReadState local;
-  if (snap == nullptr) local = SnapshotState();
-  const ReadState& state = snap != nullptr ? snap->state_ : local;
-  const SequenceNumber seq = snap != nullptr ? snap->seq_ : kMaxSequenceNumber;
-  std::string value;
-  for (size_t i = 0; i < keys.size(); ++i) {
-    Status s = GetFromState(state, keys[i], &value, seq);
-    if (s.ok()) {
-      stats_.get_hits.fetch_add(1);
-      (*values)[i] = std::move(value);
-    } else if (!s.IsNotFound()) {
-      return s;
-    }
-  }
-  return Status::OK();
-}
-
 Status DB::GetFromState(const ReadState& state, Slice key, std::string* value,
                         SequenceNumber seq) {
   LookupKey lkey(key, seq);

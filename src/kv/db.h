@@ -12,7 +12,6 @@
 
 #include <functional>
 #include <memory>
-#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -101,18 +100,10 @@ class DB {
   SequenceNumber LastSequence();
 
   // Reads the newest live version; NotFound if absent or deleted. A
-  // non-null `snap` bounds the read to the snapshot's sequence.
+  // non-null `snap` bounds the read to the snapshot's sequence and reads
+  // the memtable/table stack the snapshot pinned, so it takes no lock and
+  // copies no version-set references.
   Status Get(Slice key, std::string* value, const Snapshot* snap = nullptr);
-
-  // Point-reads a batch of keys against ONE snapshot of the memtable/table
-  // stack — the version-set handshake (mutex + shared_ptr copies) is paid
-  // once instead of once per key. (*values)[i] is nullopt for keys that are
-  // absent or deleted. Callers get the best locality by passing keys in
-  // sorted order, but any order is correct. Only I/O errors are returned;
-  // per-key NotFound is expressed through the nullopt slot.
-  Status MultiGet(const std::vector<Slice>& keys,
-                  std::vector<std::optional<std::string>>* values,
-                  const Snapshot* snap = nullptr);
 
   // Iterator over live user keys in ascending order. key() is the user key.
   // A non-null `snap` yields the keys live at the snapshot's sequence.

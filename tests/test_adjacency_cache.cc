@@ -1,7 +1,7 @@
 // Tests for the CSR adjacency cache (src/graph/adjacency_cache.h) and its
 // GraphStore integration: lazy fill, all-labels row slicing, byte-budgeted
-// eviction, invalidation on PutEdge/DeleteVertex, bulk warm-up, batched
-// MultiGetVertices, type-scan warm accounting, and a randomized
+// eviction, invalidation on PutEdge/DeleteVertex, bulk warm-up,
+// type-scan warm accounting, and a randomized
 // mutate-while-traversing leg.
 #include <gtest/gtest.h>
 
@@ -215,7 +215,8 @@ TEST_F(AdjacencyCacheTest, DeleteVertexInvalidatesAndRecountsMisses) {
   // still-present edge keys — DeleteVertex removes the record + type index).
   ASSERT_EQ(Scan(store.get(), 1, kEdgeX).size(), 1u);
   EXPECT_GT(store->adjacency_cache()->misses(), misses);
-  EXPECT_FALSE(store->GetVertex(1).ok());
+  VertexRecord rec;
+  EXPECT_TRUE(store->GetVertex(1, &rec).IsNotFound());
 }
 
 TEST_F(AdjacencyCacheTest, WarmAdjacencyMakesScansHit) {
@@ -250,34 +251,6 @@ TEST_F(AdjacencyCacheTest, CacheHitsChargeWarmDeviceAccesses) {
   const uint64_t warm_before = device.warm_accesses();
   ASSERT_EQ(Scan(store.get(), 1, kEdgeX).size(), 1u);  // hit: charged warm
   EXPECT_EQ(device.warm_accesses(), warm_before + 1);
-}
-
-TEST_F(AdjacencyCacheTest, MultiGetVerticesMatchesGetVertex) {
-  testing::ScopedTempDir dir;
-  auto store = OpenStore(dir.sub("s"), 1 << 20);
-  for (VertexId v = 1; v <= 30; v += 2) {  // odd vids only
-    VertexRecord rec = MakeVertex(v);
-    rec.props.Set(kWeightKey, PropValue(int64_t(v) * 7));
-    ASSERT_TRUE(store->PutVertex(rec).ok());
-  }
-
-  // Unsorted batch with present and absent vids.
-  std::vector<GraphStore::VertexLookup> lookups;
-  for (VertexId v : {29u, 2u, 1u, 15u, 16u, 3u}) {
-    GraphStore::VertexLookup lk;
-    lk.vid = v;
-    lookups.push_back(lk);
-  }
-  ASSERT_TRUE(store->MultiGetVertices(&lookups).ok());
-  for (const auto& lk : lookups) {
-    auto single = store->GetVertex(lk.vid);
-    ASSERT_EQ(lk.found, single.ok()) << "vid " << lk.vid;
-    if (lk.found) {
-      EXPECT_EQ(lk.rec.label, single->label);
-      EXPECT_EQ(lk.rec.props.Find(kWeightKey)->as_int(),
-                single->props.Find(kWeightKey)->as_int());
-    }
-  }
 }
 
 TEST_F(AdjacencyCacheTest, ScanVerticesByTypeWarmFlagChargesWarm) {

@@ -4,11 +4,15 @@
 // per-server catalogs — the same wiring the graphtrek_server daemon uses.
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "src/common/rng.h"
 #include "src/engine/backend_server.h"
 #include "src/engine/client.h"
 #include "src/engine/cluster.h"
 #include "src/engine/remote_catalog.h"
+#include "src/graph/ingest.h"
+#include "src/rpc/inproc_transport.h"
 #include "src/rpc/tcp_transport.h"
 #include "tests/racing_harness.h"
 #include "tests/test_util.h"
@@ -397,6 +401,180 @@ TEST_F(TcpClusterTest, ReplicaCatalogsAgreeAfterMutations) {
       EXPECT_EQ(replica->Intern(name), authority_catalog_.Lookup(name)) << name;
     }
   }
+}
+
+
+// --- catalog failures ----------------------------------------------------------
+
+// A catalog replica that cannot reach its authority for some names: Intern
+// returns kInvalidId for them, as RemoteCatalog does when its call fails.
+// Every other name resolves through the shared authority catalog.
+class RefusingCatalog final : public Catalog {
+ public:
+  RefusingCatalog(Catalog* authority, std::set<std::string> refused)
+      : authority_(authority), refused_(std::move(refused)) {}
+
+  Id Intern(const std::string& name) override {
+    return refused_.count(name) != 0 ? kInvalidId : authority_->Intern(name);
+  }
+  Id Lookup(const std::string& name) const override { return authority_->Lookup(name); }
+  Result<std::string> Name(Id id) const override { return authority_->Name(id); }
+
+ private:
+  Catalog* const authority_;
+  const std::set<std::string> refused_;
+};
+
+// Servers with their own catalogs, injected the way TcpClusterTest injects
+// RemoteCatalog, on the in-process fabric. A name a server's catalog cannot
+// intern must end the travel or the mutation with an error, never in an
+// empty answer or a record stored under no name.
+class CatalogFailureTest : public ::testing::Test {
+ protected:
+  static constexpr uint32_t kServers = 3;
+  static constexpr VertexId kVertices = 30;
+
+  // Starts the servers, server i's catalog refusing the names in
+  // refused[i], and loads a `next` chain over kVertices type-A vertices.
+  void Start(std::vector<std::set<std::string>> refused) {
+    for (uint32_t i = 0; i < kServers; i++) {
+      auto store = graph::GraphStore::Open(dir_.sub("s" + std::to_string(i)),
+                                           graph::GraphStoreOptions{});
+      ASSERT_TRUE(store.ok());
+      stores_.push_back(std::move(*store));
+      catalogs_.push_back(std::make_unique<RefusingCatalog>(&authority_, refused[i]));
+      ServerConfig scfg;
+      scfg.id = i;
+      scfg.num_servers = kServers;
+      servers_.push_back(std::make_unique<BackendServer>(
+          scfg, stores_[i].get(), &partitioner_, catalogs_[i].get(), &transport_));
+      ASSERT_TRUE(servers_.back()->Start().ok());
+    }
+    const auto type_a = authority_.Intern("A");
+    const auto next = authority_.Intern("next");
+    for (VertexId v = 0; v < kVertices; v++) {
+      graph::VertexRecord rec;
+      rec.id = v;
+      rec.label = type_a;
+      graph_.AddVertex(rec);
+      if (v > 0) graph_.AddEdge(graph::EdgeRecord{v - 1, next, v, {}});
+    }
+    std::vector<graph::GraphStore*> raw;
+    for (auto& store : stores_) raw.push_back(store.get());
+    graph::GraphLoader loader(&partitioner_, std::move(raw));
+    ASSERT_TRUE(graph_.LoadInto(&loader).ok());
+    ASSERT_TRUE(loader.Finish().ok());
+  }
+
+  void TearDown() override {
+    for (auto& s : servers_) s->Stop();
+    transport_.Shutdown();
+  }
+
+  // Runs v().va("type", "A").e("next") on `mode`, coordinated by server 0.
+  Result<TraversalResult> RunScan(EngineMode mode) {
+    auto plan =
+        GTravel(&authority_).v().va("type", FilterOp::kEq, {PropValue("A")}).e("next").Build();
+    if (!plan.ok()) return plan.status();
+    oracle_ = lang::EvaluatePlanOnRefGraph(*plan, graph_, authority_);
+    GraphTrekClient client(&transport_, rpc::kClientIdBase, kServers);
+    RunOptions opts;
+    opts.mode = mode;
+    opts.coordinator = 0;
+    opts.max_admission_retries = 0;  // an Unavailable submit is not retried
+    return client.Run(*plan, opts);
+  }
+
+  gt::testing::ScopedTempDir dir_;
+  rpc::InProcTransport transport_{rpc::InProcConfig{}};
+  graph::HashPartitioner partitioner_{kServers};
+  Catalog authority_;
+  graph::RefGraph graph_;
+  std::vector<VertexId> oracle_;
+  std::vector<std::unique_ptr<graph::GraphStore>> stores_;
+  std::vector<std::unique_ptr<RefusingCatalog>> catalogs_;
+  std::vector<std::unique_ptr<BackendServer>> servers_;
+};
+
+TEST_F(CatalogFailureTest, ControlAnswersWithEveryNameInterned) {
+  Start({{}, {}, {}});
+  for (EngineMode mode : {EngineMode::kSync, EngineMode::kAsyncPlain, EngineMode::kGraphTrek}) {
+    auto result = RunScan(mode);
+    ASSERT_TRUE(result.ok()) << EngineModeName(mode) << ": " << result.status().ToString();
+    EXPECT_EQ(result->vids, oracle_) << EngineModeName(mode);
+    EXPECT_EQ(result->vids.size(), kVertices - 1);
+  }
+}
+
+// A participant that cannot intern "type" fails the travel instead of
+// registering a plan whose type filters match nothing.
+TEST_F(CatalogFailureTest, ParticipantWithoutTypeIdFailsTravel) {
+  Start({{}, {"type"}, {}});
+  for (EngineMode mode : {EngineMode::kSync, EngineMode::kAsyncPlain, EngineMode::kGraphTrek}) {
+    auto result = RunScan(mode);
+    ASSERT_FALSE(result.ok()) << EngineModeName(mode);
+    EXPECT_TRUE(result.status().IsUnavailable())
+        << EngineModeName(mode) << ": " << result.status().ToString();
+  }
+}
+
+// A coordinator that cannot intern "type" refuses the submit.
+TEST_F(CatalogFailureTest, CoordinatorWithoutTypeIdRefusesSubmit) {
+  Start({{"type"}, {}, {}});
+  auto result = RunScan(EngineMode::kGraphTrek);
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsUnavailable()) << result.status().ToString();
+}
+
+// A participant that cannot intern the scan's anchor type fails the scan
+// start instead of scanning an index no vertex is filed under.
+TEST_F(CatalogFailureTest, ParticipantWithoutAnchorIdFailsScanStart) {
+  Start({{}, {}, {"A"}});
+  for (EngineMode mode : {EngineMode::kSync, EngineMode::kAsyncPlain, EngineMode::kGraphTrek}) {
+    auto result = RunScan(mode);
+    ASSERT_FALSE(result.ok()) << EngineModeName(mode);
+    EXPECT_TRUE(result.status().IsUnavailable())
+        << EngineModeName(mode) << ": " << result.status().ToString();
+  }
+}
+
+// A mutation whose label or property name cannot be interned is acked with
+// the error and writes nothing.
+TEST_F(CatalogFailureTest, MutationWithoutIdsWritesNothing) {
+  const std::set<std::string> refused{"Lost", "lost_prop"};
+  Start({refused, refused, refused});
+  GraphTrekClient client(&transport_, rpc::kClientIdBase, kServers);
+  const VertexId vid = 100;
+  graph::GraphStore* owner = stores_[partitioner_.ServerFor(vid)].get();
+  graph::VertexRecord rec;
+
+  Status st = client.PutVertex(vid, "Lost");
+  EXPECT_FALSE(st.ok());
+  EXPECT_NE(st.ToString().find("catalog"), std::string::npos) << st.ToString();
+  EXPECT_TRUE(owner->GetVertex(vid, &rec).IsNotFound());
+
+  st = client.PutVertex(vid, "A", {{"lost_prop", PropValue(int64_t{1})}});
+  EXPECT_FALSE(st.ok());
+  EXPECT_TRUE(owner->GetVertex(vid, &rec).IsNotFound());
+
+  // Edge 0 -Lost-> 1: both endpoints exist, the label does not intern.
+  graph::GraphStore* src_owner = stores_[partitioner_.ServerFor(0)].get();
+  st = client.PutEdge(0, "Lost", 1);
+  EXPECT_FALSE(st.ok());
+  uint64_t edges = 0;
+  ASSERT_TRUE(src_owner
+                  ->ScanAllEdges(0,
+                                 [&](graph::LabelId, VertexId, std::string_view) {
+                                   edges++;
+                                   return true;
+                                 })
+                  .ok());
+  EXPECT_EQ(edges, 1u);  // the loaded 0 -next-> 1 only
+
+  // Names the catalog can intern still write.
+  ASSERT_TRUE(client.PutVertex(vid, "A", {{"w", PropValue(int64_t{1})}}).ok());
+  ASSERT_TRUE(owner->GetVertex(vid, &rec).ok());
+  EXPECT_EQ(rec.label, authority_.Lookup("A"));
 }
 
 }  // namespace

@@ -384,7 +384,7 @@ lang::TraversalPlan BuildScanStartPlan(Catalog* catalog, Rng* rng, const char* t
 
 // Scan-start leg: every type-index start reads its candidates inside the
 // scan — as one sequential run when a server holds more than 16 of them, as
-// one MultiGet otherwise — and hands the passing records to its roots.
+// one point read each otherwise — and hands the passing records to its roots.
 // Graph sizes alternate between small (every server at or under the cutoff)
 // and large (over it), and the sweep asserts that both branches, bare and
 // filtered starts, and both kinds of second type filter all ran; all three
@@ -538,6 +538,149 @@ TEST(EngineDifferentialTest, EnginesMatchOracleUnderDuplicationAndDrops) {
     EXPECT_GT(metrics::Registry::Default()->Sum("gt_engine_duplicate_frames_total"),
               0.0);
   }
+}
+
+// One corrupt item in the store: the record of `vid`, or (edge) the value
+// of the edge (vid, label, dst).
+struct BadItem {
+  bool edge = false;
+  VertexId vid = 0;
+  graph::LabelId label = 0;
+  VertexId dst = 0;
+};
+
+// Whether every engine must read `bad` to run `plan` on `g`: the record of a
+// vertex some step visits (a start vertex, a scan-start candidate of the
+// anchor type, a vertex a hop reaches), or an edge with the hop's label of
+// a vertex that hop expands. Walks each linear sub-plan forward as the
+// reference evaluator does; engines may read more (GraphTrek and Async-GT
+// scan every label of an expanded vertex).
+bool PlanReadsBadItem(const lang::TraversalPlan& plan, const RefGraph& g,
+                      const Catalog& catalog, const BadItem& bad) {
+  const Catalog::Id type_key = catalog.Lookup("type");
+  auto passes = [&](VertexId vid, const std::vector<lang::Filter>& filters) {
+    const VertexRecord* rec = g.FindVertex(vid);
+    return rec != nullptr && lang::VertexMatchesAll(filters, *rec, catalog, type_key);
+  };
+  auto reads_record = [&](const std::vector<VertexId>& visited) {
+    return !bad.edge && std::find(visited.begin(), visited.end(), bad.vid) != visited.end();
+  };
+  for (const lang::TraversalPlan& sub : plan.FlattenBranches()) {
+    auto lin = sub.Unrolled();
+    EXPECT_TRUE(lin.ok());
+    if (!lin.ok()) continue;
+    // The start reads: the listed ids, or every vertex under the scan's
+    // anchor (its first type-EQ filter), whatever the other filters say.
+    std::vector<VertexId> visited = lin->start_ids;
+    if (visited.empty()) {
+      const auto& sf = lin->start_vertex_filters;
+      const auto anchor = std::find_if(sf.begin(), sf.end(), [&](const lang::Filter& f) {
+        return f.key == type_key && f.op == FilterOp::kEq;
+      });
+      EXPECT_NE(anchor, sf.end());
+      if (anchor == sf.end()) continue;
+      for (const auto& [vid, rec] : g.vertices()) {
+        if (passes(vid, {*anchor})) visited.push_back(vid);
+      }
+    }
+    if (reads_record(visited)) return true;
+    std::vector<VertexId> frontier;
+    for (VertexId vid : visited) {
+      if (passes(vid, lin->start_vertex_filters)) frontier.push_back(vid);
+    }
+    for (const lang::Hop& hop : lin->hops) {
+      visited.clear();
+      for (VertexId src : frontier) {
+        if (bad.edge && bad.vid == src && bad.label == hop.edge_label) return true;
+        for (const auto& [dst, props] : g.Edges(src, hop.edge_label)) {
+          if (lang::MatchesAll(hop.edge_filters, props)) visited.push_back(dst);
+        }
+      }
+      if (reads_record(visited)) return true;
+      frontier.clear();
+      for (VertexId vid : visited) {
+        if (!passes(vid, hop.vertex_filters)) continue;
+        if (!hop.until_filters.empty() && passes(vid, hop.until_filters)) continue;
+        frontier.push_back(vid);
+      }
+    }
+  }
+  return false;
+}
+
+// Corruption leg: one bad vertex record or edge value is written into the
+// server that holds it, before any travel runs (the db()->Put idiom of
+// GraphStoreTest.CorruptEdgeValueFailsScan). Every engine's answer to a
+// random plan is then the oracle's or Corruption, never another OK answer,
+// and it is Corruption whenever the plan reads the bad item. Plans that
+// read it, plans that do not, and OK answers must all occur over the sweep.
+TEST(EngineDifferentialTest, CorruptItemFailsTravelsThatReadIt) {
+#if defined(GT_UNDER_TSAN)
+  const uint64_t seeds = 20;
+#else
+  const uint64_t seeds = 200;
+#endif
+  uint32_t reading_runs = 0;
+  uint32_t other_runs = 0;
+  uint32_t answered = 0;
+  for (uint64_t seed = 1; seed <= seeds; seed++) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    Rng rng(seed * 2750159);
+    ClusterConfig cfg;
+    cfg.num_servers = 3;
+    auto cluster = Cluster::Create(cfg);
+    ASSERT_TRUE(cluster.ok());
+    Catalog* catalog = (*cluster)->catalog();
+
+    const uint32_t n = 30 + static_cast<uint32_t>(rng.Uniform(30));
+    RefGraph g = BuildRandomGraph(catalog, &rng, n);
+    ASSERT_TRUE((*cluster)->Load(g).ok());
+
+    BadItem bad;
+    bad.vid = rng.Uniform(n);
+    bad.edge = rng.Bernoulli(0.5);
+    if (bad.edge) {
+      // An edge of a random vertex that has one; the record is bad otherwise.
+      const graph::LabelId labels[] = {catalog->Lookup("x"), catalog->Lookup("y")};
+      bad.label = labels[rng.Uniform(2)];
+      while (g.Edges(bad.vid, bad.label).empty()) {
+        bad.vid = rng.Uniform(n);
+        bad.label = labels[rng.Uniform(2)];
+      }
+      const auto& edges = g.Edges(bad.vid, bad.label);
+      bad.dst = edges[rng.Uniform(edges.size())].first;
+    }
+    SCOPED_TRACE(std::string(bad.edge ? "bad edge " : "bad record ") +
+                 std::to_string(bad.vid) + (bad.edge ? "->" + std::to_string(bad.dst) : ""));
+    graph::GraphStore* store =
+        (*cluster)->store((*cluster)->partitioner()->ServerFor(bad.vid));
+    const std::string key = bad.edge ? graph::EdgeKey(bad.vid, bad.label, bad.dst)
+                                     : graph::VertexKey(bad.vid);
+    ASSERT_TRUE(store->db()->Put(key, std::string(1, '\x01')).ok());
+
+    for (int q = 0; q < 2; q++) {
+      SCOPED_TRACE("query=" + std::to_string(q));
+      const lang::TraversalPlan plan = BuildRandomExtPlan(catalog, &rng, n);
+      const lang::RefEvalResult oracle = lang::EvaluatePlanExtOnRefGraph(plan, g, *catalog);
+      const bool reads = PlanReadsBadItem(plan, g, *catalog, bad);
+      (reads ? reading_runs : other_runs)++;
+      for (EngineMode mode : kAllModes) {
+        SCOPED_TRACE(EngineModeName(mode));
+        const ServerId coordinator = static_cast<ServerId>(rng.Uniform(cfg.num_servers));
+        auto result = (*cluster)->Run(plan, mode, coordinator);
+        if (result.ok()) {
+          answered++;
+          EXPECT_FALSE(reads) << "the plan reads the bad item, yet the travel answered";
+          ExpectMatchesRefEval(plan, *result, oracle);
+        } else {
+          EXPECT_TRUE(result.status().IsCorruption()) << result.status().ToString();
+        }
+      }
+    }
+  }
+  EXPECT_GT(reading_runs, 0u);
+  EXPECT_GT(other_runs, 0u);
+  EXPECT_GT(answered, 0u);
 }
 
 // Holds every kReturnVertices send for `stall` in the sending thread, outside

@@ -469,9 +469,9 @@ class TaskAccessCounter final : public graph::AccessInterceptor {
 // no vertex has: each root then costs one edge scan (a vertex access, no kv
 // get) and nothing else is read. Each server's point reads are the scan's
 // own: none on the sequential-run branch (more than 16 candidates), one per
-// candidate on the MultiGet branch (16 or fewer). A task that re-read its
+// candidate on the point-read branch (16 or fewer). A task that re-read its
 // root would add one task-time vertex access and one kv get per passing
-// root (on the MultiGet branch only the former tells the read's place).
+// root (on the point-read branch only the former tells the read's place).
 TEST(EngineFeatureTest, ScanStartRootsAreReadOnce) {
   ClusterConfig cfg;
   cfg.num_servers = 3;
@@ -480,7 +480,7 @@ TEST(EngineFeatureTest, ScanStartRootsAreReadOnce) {
   ASSERT_TRUE(cluster.ok());
   Catalog* catalog = (*cluster)->catalog();
   const auto many = catalog->Intern("Many");  // ~40 per server: the run branch
-  const auto few = catalog->Intern("Few");    // ~8 per server: the MultiGet branch
+  const auto few = catalog->Intern("Few");    // ~8 per server: the point-read branch
   const auto w = catalog->Intern("w");
   RefGraph g;
   for (VertexId v = 0; v < 144; v++) {
@@ -555,7 +555,7 @@ TEST(EngineFeatureTest, ScanStartRootsAreReadOnce) {
 // OK answer. One record of each type is overwritten with one byte (the
 // db()->Put idiom of GraphStoreTest.CorruptEdgeValueFailsScan), so both
 // read branches of the scan hit it: `Many` (~40 candidates per server, the
-// sequential run) and `Few` (~8 per server, the MultiGet). Every engine
+// sequential run) and `Few` (~8 per server, the point reads). Every engine
 // returns Corruption, which the client does not retry, and no travel state
 // is left on any server.
 TEST(EngineFeatureTest, CorruptScanStartRecordFailsTravel) {

@@ -324,15 +324,17 @@ TEST_F(GraphStoreTest, PutAndGetVertex) {
   v.label = 2;
   v.props.Set(1, PropValue("file.txt"));
   ASSERT_TRUE(store->PutVertex(v).ok());
-  auto got = store->GetVertex(7);
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(got->label, 2u);
-  EXPECT_EQ(got->props.Find(1)->as_string(), "file.txt");
+  VertexRecord got;
+  ASSERT_TRUE(store->GetVertex(7, &got).ok());
+  EXPECT_EQ(got.id, 7u);
+  EXPECT_EQ(got.label, 2u);
+  EXPECT_EQ(got.props.Find(1)->as_string(), "file.txt");
 }
 
 TEST_F(GraphStoreTest, GetMissingVertexIsNotFound) {
   auto store = OpenStore();
-  EXPECT_TRUE(store->GetVertex(404).status().IsNotFound());
+  VertexRecord rec;
+  EXPECT_TRUE(store->GetVertex(404, &rec).IsNotFound());
 }
 
 TEST_F(GraphStoreTest, ScanEdgesFiltersByLabel) {
@@ -445,7 +447,7 @@ TEST_F(GraphStoreTest, DeleteVertexRemovesRecordAndIndex) {
   v.label = 1;
   ASSERT_TRUE(store->PutVertex(v).ok());
   ASSERT_TRUE(store->DeleteVertex(5).ok());
-  EXPECT_TRUE(store->GetVertex(5).status().IsNotFound());
+  EXPECT_TRUE(store->GetVertex(5, &v).IsNotFound());
   int count = 0;
   ASSERT_TRUE(store->ScanVerticesByType(1, [&](VertexId) {
                   count++;
@@ -461,91 +463,74 @@ TEST_F(GraphStoreTest, AccessesChargeDeviceModel) {
   v.id = 1;
   v.label = 0;
   ASSERT_TRUE(store->PutVertex(v).ok());
-  ASSERT_TRUE(store->GetVertex(1).ok());
+  ASSERT_TRUE(store->GetVertex(1, &v).ok());
   ASSERT_TRUE(store->ScanEdges(1, 0, [](VertexId, std::string_view) { return true; }).ok());
   EXPECT_EQ(device.total_accesses(), 2u);
   EXPECT_EQ(store->vertex_accesses(), 2u);
 }
 
-// MultiGetVertices reads a one-key batch as a plain point read (no sort,
-// permutation or key vectors). Reading each vertex alone through that path
-// and reading them all in one batch give identical records and identical
-// charges: device accesses (cold, warm and their time, a > 1 KiB record
-// included), store vertex accesses and KV gets.
-TEST_F(GraphStoreTest, MultiGetOneKeyMatchesBatch) {
+// Every vertex read is one point read into the caller's record. Reading
+// seven keys one call each into one reused record (present and absent vids,
+// mixed warm flags, one > 1 KiB record) yields each present vertex's record
+// and exactly what the batched read of the same keys charged: one device
+// access per found vertex at its warm rate, nothing for an absent one, one
+// KV get per key.
+TEST_F(GraphStoreTest, PointReadsKeepBatchRecordsAndCharges) {
   DeviceModel device(DeviceModelConfig{.access_latency_us = 2, .per_kib_us = 1,
                                        .warm_latency_us = 1});
   auto store = OpenStore(&device);
-  for (VertexId v = 1; v <= 9; v += 2) {  // odd vids only
+  auto make = [](VertexId v) {
     VertexRecord rec;
     rec.id = v;
     rec.label = static_cast<LabelId>(v % 3);
     rec.props.Set(1, PropValue(int64_t(v) * 7));
     if (v == 5) rec.props.Set(2, PropValue(std::string(3000, 'x')));
-    ASSERT_TRUE(store->PutVertex(rec).ok());
+    return rec;
+  };
+  for (VertexId v = 1; v <= 9; v += 2) {  // odd vids only
+    ASSERT_TRUE(store->PutVertex(make(v)).ok());
   }
-  std::vector<GraphStore::VertexLookup> batch;
+  const auto& kv = store->db()->stats();
+  const uint64_t gets = kv.gets.load();
+  const uint64_t get_hits = kv.get_hits.load();
+
+  VertexRecord rec;
   for (VertexId v : {9u, 2u, 1u, 5u, 6u, 3u, 7u}) {
-    GraphStore::VertexLookup lk;
-    lk.vid = v;
-    lk.warm = v % 4 == 1;
-    batch.push_back(lk);
+    SCOPED_TRACE("vid " + std::to_string(v));
+    const Status st = store->GetVertex(v, &rec, /*warm=*/v % 4 == 1);
+    if (v % 2 == 0) {
+      EXPECT_TRUE(st.IsNotFound());
+      continue;
+    }
+    ASSERT_TRUE(st.ok());
+    const VertexRecord want = make(v);
+    EXPECT_EQ(rec.id, want.id);
+    EXPECT_EQ(rec.label, want.label);
+    EXPECT_EQ(rec.props, want.props);
   }
-  struct Charges {
-    uint64_t accesses, warm, us, vertex_accesses, gets, get_hits;
-  };
-  auto charges = [&] {
-    const auto& kv = store->db()->stats();
-    return Charges{device.total_accesses(), device.warm_accesses(), device.total_us(),
-                   store->vertex_accesses(),  kv.gets.load(),          kv.get_hits.load()};
-  };
+  // The figures the batched read of these seven keys charged.
+  EXPECT_EQ(device.total_accesses(), 5u);  // absent vertices charge nothing
+  EXPECT_EQ(device.warm_accesses(), 3u);   // 9, 1 and 5
+  EXPECT_EQ(device.total_us(), 7u);        // 3 warm at 1 us, 2 cold at 2 us
+  EXPECT_EQ(store->vertex_accesses(), 5u);
+  EXPECT_EQ(kv.gets.load() - gets, 7u);
+  EXPECT_EQ(kv.get_hits.load() - get_hits, 5u);
 
-  const Charges c0 = charges();
-  std::vector<GraphStore::VertexLookup> singles;
-  for (const auto& lk : batch) {
-    std::vector<GraphStore::VertexLookup> one{lk};
-    ASSERT_TRUE(store->MultiGetVertices(&one).ok());
-    singles.push_back(one[0]);
-  }
-  const Charges c1 = charges();
-  ASSERT_TRUE(store->MultiGetVertices(&batch).ok());
-  const Charges c2 = charges();
-
-  for (size_t i = 0; i < batch.size(); i++) {
-    SCOPED_TRACE("vid " + std::to_string(batch[i].vid));
-    EXPECT_EQ(singles[i].found, batch[i].found);
-    EXPECT_EQ(singles[i].found, batch[i].vid % 2 == 1);
-    if (!batch[i].found) continue;
-    EXPECT_EQ(singles[i].rec.id, batch[i].rec.id);
-    EXPECT_EQ(singles[i].rec.label, batch[i].rec.label);
-    EXPECT_EQ(singles[i].rec.props, batch[i].rec.props);
-  }
-  EXPECT_EQ(c1.accesses - c0.accesses, c2.accesses - c1.accesses);
-  EXPECT_EQ(c1.accesses - c0.accesses, 5u);  // absent vertices charge nothing
-  EXPECT_EQ(c1.warm - c0.warm, c2.warm - c1.warm);
-  EXPECT_EQ(c1.us - c0.us, c2.us - c1.us);
-  EXPECT_EQ(c1.vertex_accesses - c0.vertex_accesses, c2.vertex_accesses - c1.vertex_accesses);
-  EXPECT_EQ(c1.gets - c0.gets, c2.gets - c1.gets);
-  EXPECT_EQ(c1.get_hits - c0.get_hits, c2.get_hits - c1.get_hits);
-
-  // A malformed record fails the one-key read as it fails the batch.
+  // A malformed record fails its read.
   ASSERT_TRUE(store->db()->Put(VertexKey(3), std::string(1, '\x01')).ok());
-  std::vector<GraphStore::VertexLookup> one(1);
-  one[0].vid = 3;
-  EXPECT_TRUE(store->MultiGetVertices(&one).IsCorruption());
-  EXPECT_TRUE(store->MultiGetVertices(&batch).IsCorruption());
+  EXPECT_TRUE(store->GetVertex(3, &rec).IsCorruption());
 }
 
 // The pushed-down type scan reads the candidate records itself: one
 // sequential run charged as a single access when a store holds more than 16
-// candidates, one MultiGet with a per-vertex charge otherwise. Both hand
+// candidates, one point read with a per-vertex charge each otherwise. Both hand
 // over exactly the records of the index ids whose decoded record passes the
 // predicate, each equal to a point read of its vertex, and a malformed
 // record fails the scan with Corruption.
 TEST_F(GraphStoreTest, FilteredTypeScanSequentialAndPointPaths) {
   DeviceModel device(DeviceModelConfig{.access_latency_us = 0, .per_kib_us = 0});
   auto store = OpenStore(&device);
-  constexpr LabelId kFew = 1;   // 10 candidates: the point (MultiGet) branch
+  constexpr LabelId kFew = 1;   // 10 candidates: the point-read branch
   constexpr LabelId kMany = 2;  // 30 candidates: the sequential-run branch
   constexpr PropMap::KeyId kWeight = 7;
   for (VertexId v = 0; v < 40; v++) {
@@ -567,9 +552,10 @@ TEST_F(GraphStoreTest, FilteredTypeScanSequentialAndPointPaths) {
                      }).ok());
     std::vector<VertexId> passing;
     for (VertexId v : ids) {
-      auto rec = store->GetVertex(v);
-      EXPECT_TRUE(rec.ok());
-      if (rec.ok() && pred(*rec)) passing.push_back(v);
+      VertexRecord rec;
+      const Status st = store->GetVertex(v, &rec);
+      EXPECT_TRUE(st.ok());
+      if (st.ok() && pred(rec)) passing.push_back(v);
     }
     return passing;
   };
@@ -593,10 +579,10 @@ TEST_F(GraphStoreTest, FilteredTypeScanSequentialAndPointPaths) {
     std::vector<VertexId> got_ids;
     for (const VertexRecord& rec : got) {
       got_ids.push_back(rec.id);
-      auto point = store->GetVertex(rec.id);
-      ASSERT_TRUE(point.ok());
-      EXPECT_EQ(rec.label, point->label) << "vid " << rec.id;
-      EXPECT_EQ(rec.props, point->props) << "vid " << rec.id;
+      VertexRecord point;
+      ASSERT_TRUE(store->GetVertex(rec.id, &point).ok());
+      EXPECT_EQ(rec.label, point.label) << "vid " << rec.id;
+      EXPECT_EQ(rec.props, point.props) << "vid " << rec.id;
     }
     EXPECT_EQ(got_ids, want);
     if (label == kMany) {
@@ -636,7 +622,7 @@ TEST_F(GraphStoreTest, InterceptorSeesEveryAccess) {
   v.id = 1;
   v.label = 0;
   ASSERT_TRUE(store->PutVertex(v).ok());
-  ASSERT_TRUE(store->GetVertex(1).ok());
+  ASSERT_TRUE(store->GetVertex(1, &v).ok());
   EXPECT_EQ(interceptor.count, 1);
 }
 
@@ -656,9 +642,9 @@ TEST_F(GraphStoreTest, PersistsAcrossReopen) {
     ASSERT_TRUE(store->Flush().ok());
   }
   auto store = OpenStore();
-  auto v = store->GetVertex(11);
-  ASSERT_TRUE(v.ok());
-  EXPECT_EQ(v->props.Find(1)->as_int(), 99);
+  VertexRecord v;
+  ASSERT_TRUE(store->GetVertex(11, &v).ok());
+  EXPECT_EQ(v.props.Find(1)->as_int(), 99);
   int edges = 0;
   ASSERT_TRUE(store->ScanEdges(11, 1, [&](VertexId, std::string_view) {
                   edges++;
@@ -699,12 +685,13 @@ TEST(IngestTest, RoutesVerticesAndEdgesByPartitioner) {
   EXPECT_EQ(loader.edges_loaded(), 99u);
 
   // Every vertex must be on exactly the server the partitioner names.
+  VertexRecord rec;
   for (VertexId v = 0; v < 100; v++) {
     const uint32_t owner = part.ServerFor(v);
-    EXPECT_TRUE(raw[owner]->GetVertex(v).ok()) << v;
+    EXPECT_TRUE(raw[owner]->GetVertex(v, &rec).ok()) << v;
     for (uint32_t other = 0; other < 3; other++) {
       if (other == owner) continue;
-      EXPECT_TRUE(raw[other]->GetVertex(v).status().IsNotFound());
+      EXPECT_TRUE(raw[other]->GetVertex(v, &rec).IsNotFound());
     }
   }
 }

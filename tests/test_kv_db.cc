@@ -548,13 +548,6 @@ TEST_F(DBTest, SnapshotHidesWritesAfterPin) {
   }
   EXPECT_EQ(seen, (std::map<std::string, std::string>{{"gone", "soon"}, {"k", "v1"}}));
 
-  std::vector<std::optional<std::string>> values;
-  ASSERT_TRUE(db->MultiGet({"k", "gone", "new-key"}, &values, snap).ok());
-  ASSERT_EQ(values.size(), 3u);
-  EXPECT_EQ(values[0], "v1");
-  EXPECT_EQ(values[1], "soon");
-  EXPECT_FALSE(values[2].has_value());
-
   db->ReleaseSnapshot(snap);
   EXPECT_EQ(db->NumLiveSnapshots(), 0u);
 }

@@ -23,8 +23,8 @@ Checks (all scoped to src/):
      bit-rot and fork the observability story.
   6. Raw KV reads (db()->Get / db()->ScanPrefix / db()->NewIterator) are
      banned in src/engine: traversal hot paths must go through the
-     GraphStore batch/cache APIs (GetVertex, MultiGetVertices, ScanEdges,
-     ScanAllEdges, ScanVerticesByType) so every access flows through the
+     GraphStore read/cache APIs (GetVertex, ScanEdges, ScanAllEdges,
+     ScanVerticesByType) so every access flows through the
      adjacency cache, the device-model charge, and the access interceptor.
      A per-vertex db()->ScanPrefix in the engine silently bypasses all
      three and the evaluation numbers stop meaning anything.
@@ -243,7 +243,7 @@ def check_console_output(files):
 
 # Raw KV read entry points the engine must not call (writes are fine: the
 # engine has no KV write path, mutations go through GraphStore).
-ENGINE_RAW_KV_RE = re.compile(r"\bdb\s*\(\s*\)\s*->\s*(Get|MultiGet|ScanPrefix|NewIterator)\b")
+ENGINE_RAW_KV_RE = re.compile(r"\bdb\s*\(\s*\)\s*->\s*(Get|ScanPrefix|NewIterator)\b")
 
 
 def check_engine_raw_kv(files):
@@ -258,7 +258,7 @@ def check_engine_raw_kv(files):
             if m:
                 errors.append(
                     f"{rel}:{lineno}: raw KV read 'db()->{m.group(1)}' in the engine — "
-                    f"use the GraphStore batch/cache APIs (GetVertex, MultiGetVertices, "
+                    f"use the GraphStore read/cache APIs (GetVertex, "
                     f"ScanEdges/ScanAllEdges, ScanVerticesByType) so the adjacency "
                     f"cache, device charge and access interceptor see the access"
                 )

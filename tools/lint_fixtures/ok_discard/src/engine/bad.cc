@@ -3,19 +3,19 @@
 
 namespace gt::engine {
 
-void Discards(graph::GraphStore* store, std::vector<graph::GraphStore::VertexLookup>* lookups,
+void Discards(graph::GraphStore* store, graph::VertexRecord* rec,
               graph::EdgeFn fn) {
-  store->MultiGetVertices(lookups).ok();
+  store->GetVertex(1, rec).ok();
   store
       ->ScanAllEdges(1,
                      fn)
       .ok();
 }
 
-bool Uses(graph::GraphStore* store, std::vector<graph::GraphStore::VertexLookup>* lookups) {
-  const bool read = store->MultiGetVertices(lookups).ok();  // a use: assigned
-  // store->MultiGetVertices(lookups).ok();  a comment is not code
-  auto check = [&] { return store->MultiGetVertices(lookups).ok(); };
+bool Uses(graph::GraphStore* store, graph::VertexRecord* rec) {
+  const bool read = store->GetVertex(1, rec).ok();  // a use: assigned
+  // store->GetVertex(1, rec).ok();  a comment is not code
+  auto check = [&] { return store->GetVertex(1, rec).ok(); };
   return read && check();
 }
 
