@@ -4,9 +4,11 @@
 //   - merging off
 //   - priority scheduling off (FIFO)
 //   - both off (cache only)
-//   - Async-GT (nothing)
-// Also sweeps the traversal-affiliate cache capacity to show the eviction
-// policy degrades gracefully.
+//   - Async-GT (classifies against the memo, but its redundant arrivals
+//     still pay their read)
+//   - Sync-GT
+// and the I/O path with the adjacency cache on and off. The memo has no
+// capacity to sweep: each travel's memo lives and dies with the travel.
 #include "bench/bench_util.h"
 
 using namespace gt;
@@ -16,8 +18,7 @@ namespace {
 
 double RunConfigured(const graph::RefGraph& g, graph::Catalog* catalog,
                      const lang::TraversalPlan& plan, const BenchConfig& cfg,
-                     uint32_t servers, bool merging, bool priority,
-                     size_t cache_capacity, engine::EngineMode mode,
+                     uint32_t servers, bool merging, bool priority, engine::EngineMode mode,
                      size_t adjacency_cache_bytes = 16 << 20) {
   engine::ClusterConfig ccfg;
   ccfg.num_servers = servers;
@@ -28,7 +29,6 @@ double RunConfigured(const graph::RefGraph& g, graph::Catalog* catalog,
   ccfg.exec_timeout_ms = 600000;
   ccfg.graphtrek_merging = merging;
   ccfg.graphtrek_priority_sched = priority;
-  ccfg.cache_capacity = cache_capacity;
   ccfg.adjacency_cache_bytes = adjacency_cache_bytes;
   auto cluster = engine::Cluster::Create(ccfg);
   if (!cluster.ok()) std::abort();
@@ -51,7 +51,6 @@ int main(int argc, char** argv) {
   graph::RefGraph g = BuildRmat1(&catalog, cfg);
   const auto plan = HopPlan(&catalog, kBenchSource, 8);
   const uint32_t servers = ServersOrSmoke(16);
-  const size_t big_cache = 1 << 20;
 
   struct Variant {
     const char* name;
@@ -68,21 +67,9 @@ int main(int argc, char** argv) {
   };
   std::printf("%-22s %12s\n", "variant", "elapsed");
   for (const auto& v : variants) {
-    const double ms = RunConfigured(g, &catalog, plan, cfg, servers, v.merging,
-                                    v.priority, big_cache, v.mode);
+    const double ms =
+        RunConfigured(g, &catalog, plan, cfg, servers, v.merging, v.priority, v.mode);
     std::printf("%-22s %9.1f ms\n", v.name, ms);
-    std::fflush(stdout);
-  }
-
-  std::printf("\ncache-capacity sweep (GraphTrek, entries):\n");
-  std::printf("%-12s %12s\n", "capacity", "elapsed");
-  const std::vector<size_t> capacities =
-      g_smoke ? std::vector<size_t>{64ul, 1ul << 20}
-              : std::vector<size_t>{64ul, 256ul, 1024ul, 4096ul, 1ul << 20};
-  for (size_t capacity : capacities) {
-    const double ms = RunConfigured(g, &catalog, plan, cfg, servers, true, true,
-                                    capacity, engine::EngineMode::kGraphTrek);
-    std::printf("%-12zu %9.1f ms\n", capacity, ms);
     std::fflush(stdout);
   }
 
@@ -101,7 +88,7 @@ int main(int argc, char** argv) {
   std::printf("%-26s %12s\n", "variant", "elapsed");
   for (const auto& v : io_variants) {
     const double ms =
-        RunConfigured(g, &catalog, plan, cfg, servers, true, true, big_cache,
+        RunConfigured(g, &catalog, plan, cfg, servers, true, true,
                       engine::EngineMode::kGraphTrek, v.adjacency_cache_bytes);
     std::printf("%-26s %9.1f ms\n", v.name, ms);
     std::fflush(stdout);

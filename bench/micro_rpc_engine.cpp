@@ -56,8 +56,7 @@ BENCHMARK(BM_MailboxCallRoundTrip);
 // miss, one redundant arrival in four registering a waiter first.
 void BM_TravelMemoLookupResolve(benchmark::State& state) {
   const uint64_t vertices = static_cast<uint64_t>(state.range(0));
-  engine::MemoPool pool(1 << 20);
-  auto memo = std::make_unique<engine::TravelMemo>(&pool);
+  auto memo = std::make_unique<engine::TravelMemo>();
   uint64_t i = 0;
   uint64_t waiters = 0;
   for (auto _ : state) {
@@ -71,7 +70,7 @@ void BM_TravelMemoLookupResolve(benchmark::State& state) {
     benchmark::DoNotOptimize(r);
     if (++i % (8 * vertices * 2) == 0) {
       state.PauseTiming();
-      memo = std::make_unique<engine::TravelMemo>(&pool);  // next travel
+      memo = std::make_unique<engine::TravelMemo>();  // next travel
       state.ResumeTiming();
     }
   }
@@ -84,8 +83,7 @@ BENCHMARK(BM_TravelMemoLookupResolve)->Arg(1000)->Arg(100000);
 // another travel's 100 K, then drop it (timed). Cost scales with the erased
 // travel's own size, not with the other travel's.
 void BM_TravelMemoErase(benchmark::State& state) {
-  engine::MemoPool pool(1 << 20);
-  engine::TravelMemo other(&pool);
+  engine::TravelMemo other;
   for (graph::VertexId v = 0; v < 100000; v++) {
     other.LookupOrInsertPending(1, v);
     other.Resolve(1, v, false, [](const engine::TravelMemo::Waiter&) {});
@@ -93,7 +91,7 @@ void BM_TravelMemoErase(benchmark::State& state) {
   const graph::VertexId n = static_cast<graph::VertexId>(state.range(0));
   for (auto _ : state) {
     state.PauseTiming();
-    auto memo = std::make_unique<engine::TravelMemo>(&pool);
+    auto memo = std::make_unique<engine::TravelMemo>();
     for (graph::VertexId v = 0; v < n; v++) {
       memo->LookupOrInsertPending(2, v);
       memo->Resolve(2, v, true, [](const engine::TravelMemo::Waiter&) {});
@@ -104,24 +102,6 @@ void BM_TravelMemoErase(benchmark::State& state) {
   state.counters["other_entries"] = static_cast<double>(other.size());
 }
 BENCHMARK(BM_TravelMemoErase)->Arg(1)->Arg(10000);
-
-// Eviction at a full pool: every insert past capacity evicts the
-// smallest-step, oldest resolved entry. Arg(1) pending entries of another
-// travel stay pinned beside the churn (every queued owner task pins one).
-void BM_TravelMemoEvictionChurn(benchmark::State& state) {
-  engine::MemoPool pool(static_cast<size_t>(state.range(0)));
-  engine::TravelMemo pinned(&pool);
-  for (int64_t v = 0; v < state.range(1); v++) pinned.LookupOrInsertPending(0, v);
-  engine::TravelMemo memo(&pool);
-  uint64_t i = 0;
-  for (auto _ : state) {
-    memo.LookupOrInsertPending(static_cast<uint32_t>(i % 8), i);
-    memo.Resolve(static_cast<uint32_t>(i % 8), i, false, [](const engine::TravelMemo::Waiter&) {});
-    i++;
-  }
-  state.counters["evictions"] = static_cast<double>(pool.evictions());
-}
-BENCHMARK(BM_TravelMemoEvictionChurn)->Args({1024, 0})->Args({65536, 0})->Args({65536, 60000});
 
 void BM_RequestQueuePushPop(benchmark::State& state) {
   const bool merging = state.range(0) != 0;

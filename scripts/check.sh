@@ -56,8 +56,8 @@ ctest --test-dir build --output-on-failure --no-tests=error \
 # barrier tests (no step starts before every server drained the last; a
 # frame that arrives after its step's release starts at once), and so do
 # the travel-memo unit tests (TravelCacheTest, TravelCacheConcurrencyTest:
-# the per-travel memo's owner/waiter records the answer flow rests on, its
-# table growth and its pool-wide eviction order).
+# the per-travel memo's owner/waiter records the answer flow rests on, and
+# its table growth).
 step "cross-engine differential harness (test_engine_differential)"
 ctest --test-dir build --output-on-failure --no-tests=error \
   --repeat until-fail:3 \
@@ -113,13 +113,15 @@ ctest --test-dir build --output-on-failure --no-tests=error \
 
 # Decode-hardening gate: the table-driven malformed-input matrix, the replay
 # of every checked-in fuzz corpus seed through its harness, the payload
-# codecs (the flat frontier frame against the nested encoding's bytes), and
-# the lint self-test that keeps the decode-discipline and Status-discard
-# checks themselves honest. Explicit -R so a discovery problem cannot
-# silently drop the adversarial coverage.
-step "decode-error matrix + fuzz-corpus replay + lint self-test"
+# codecs (the flat frontier frame against the nested encoding's bytes), the
+# client-facing status tails (a corrupt point query returns Corruption, a
+# refused PutVertex returns Unavailable), and the lint self-test that keeps
+# the decode-discipline and Status-discard checks themselves honest.
+# Explicit -R so a discovery problem cannot silently drop the adversarial
+# coverage.
+step "decode-error matrix + fuzz-corpus replay + status tails + lint self-test"
 ctest --test-dir build --output-on-failure --no-tests=error \
-  -R 'DecodeErrorsTest|TcpMalformedFrameTest|CorpusReplayTest|PayloadTest|gt_lint_selftest'
+  -R 'DecodeErrorsTest|TcpMalformedFrameTest|CorpusReplayTest|PayloadTest|CorruptVertexRecordReturnsCorruption|RefusedPutVertexReturnsUnavailable|gt_lint_selftest'
 
 # Snapshot-isolation gate: the kv pin/GC unit tests, the adjacency-cache
 # pinned-read test, the mutate-while-traversing differential legs (in-process
@@ -175,9 +177,9 @@ if [[ "$FAST" == 0 ]]; then
   configure build-asan -DGT_SANITIZE=address
   cmake --build build-asan -j "$JOBS"
   ctest --test-dir build-asan --output-on-failure -j "$JOBS"
-  step "decode-error matrix + corpus replay + corruption leg under ASan"
+  step "decode-error matrix + corpus replay + corruption leg + status tails under ASan"
   ctest --test-dir build-asan --output-on-failure --no-tests=error \
-    -R 'DecodeErrorsTest|TcpMalformedFrameTest|CorpusReplayTest|CorruptItemFailsTravelsThatReadIt'
+    -R 'DecodeErrorsTest|TcpMalformedFrameTest|CorpusReplayTest|CorruptItemFailsTravelsThatReadIt|CorruptVertexRecordReturnsCorruption|RefusedPutVertexReturnsUnavailable'
 else
   step "GT_SANITIZE=address (skipped: --fast)"
 fi

@@ -170,7 +170,6 @@ BackendServer::BackendServer(ServerConfig cfg, graph::GraphStore* store,
       partitioner_(partitioner),
       catalog_(catalog),
       transport_(transport),
-      memo_pool_(cfg.cache_capacity),
       maint_cv_(&maint_mu_) {
   auto* reg = metrics::Registry::Default();
   const std::string server = "s" + std::to_string(cfg_.id);
@@ -275,6 +274,10 @@ Status BackendServer::Start() {
     counter("gt_engine_visits_redundant_total", vs.redundant);
     counter("gt_engine_visits_combined_total", vs.combined);
     counter("gt_engine_visits_real_io_total", vs.real_io);
+    // Only StartExecLocked's classification probes the memo: a hit is a
+    // redundant arrival.
+    counter("gt_engine_travel_cache_hits_total", vs.redundant);
+    counter("gt_engine_travel_cache_misses_total", visit_stats_.memo_misses.load());
     for (uint32_t i = 0; i < VisitStats::kMaxTrackedSteps; i++) {
       if (vs.per_step[i] == 0) continue;
       metrics::Labels labels = base;
@@ -290,12 +293,9 @@ Status BackendServer::Start() {
                     static_cast<double>(queue_.size()), MetricType::kGauge});
     out->push_back({"gt_engine_queue_high_watermark", base,
                     static_cast<double>(queue_.high_watermark()), MetricType::kGauge});
-    MutexLock lk(&mu_);
-    counter("gt_engine_travel_cache_hits_total", memo_pool_.hits());
-    counter("gt_engine_travel_cache_misses_total", memo_pool_.misses());
-    counter("gt_engine_travel_cache_evictions_total", memo_pool_.evictions());
     out->push_back({"gt_engine_travel_cache_entries", base,
-                    static_cast<double>(memo_pool_.size()), MetricType::kGauge});
+                    static_cast<double>(cache_size()), MetricType::kGauge});
+    MutexLock lk(&mu_);
     out->push_back({"gt_engine_active_travels", base,
                     static_cast<double>(travels_.size()), MetricType::kGauge});
   });
@@ -322,12 +322,9 @@ void BackendServer::Stop() {
 
 size_t BackendServer::cache_size() const {
   MutexLock lk(&mu_);
-  return memo_pool_.size();
-}
-
-uint64_t BackendServer::cache_evictions() const {
-  MutexLock lk(&mu_);
-  return memo_pool_.evictions();
+  size_t entries = 0;
+  for (const auto& [travel, tl] : locals_) entries += tl.memo.size();
+  return entries;
 }
 
 bool BackendServer::HasTravelResidue(TravelId travel) const {
@@ -336,7 +333,7 @@ bool BackendServer::HasTravelResidue(TravelId travel) const {
 }
 
 BackendServer::TravelLocal& BackendServer::LocalLocked(TravelId travel) {
-  auto [it, created] = locals_.try_emplace(travel, &memo_pool_);
+  auto [it, created] = locals_.try_emplace(travel);
   TravelLocal& tl = it->second;
   if (!created) return tl;
   tl.id = travel;
@@ -1059,6 +1056,7 @@ void BackendServer::StartExecLocked(TravelLocal& tl, TraversePayload& req) {
   auto classify = [&](graph::VertexId vid, ExecState::EntryVertex* v) {
     const TravelMemo::LookupResult lr = tl.memo.LookupOrInsertPending(ex.step, vid);
     if (lr.state == TravelMemo::State::kMiss) {
+      visit_stats_.memo_misses.fetch_add(1);
       if (v != nullptr) v->owned = true;
       push_task(vid, /*owner=*/true);
       return;
@@ -1651,7 +1649,8 @@ void BackendServer::HandleMutation(rpc::Message&& msg) {
   auto reply_ack = [&](const Status& st) {
     MutateAckPayload ack;
     ack.ok = st.ok() ? 1 : 0;
-    ack.error = st.ok() ? "" : st.ToString();
+    ack.error = st.message();
+    ack.code = static_cast<uint8_t>(st.code());
     SendLossy(rpc::MsgType::kMutateAck, msg.src, ack.Encode(), msg.rpc_id);
   };
 
@@ -1737,12 +1736,16 @@ void BackendServer::HandleMutation(rpc::Message&& msg) {
       VertexReplyPayload out;
       out.vid = req->vid;
       graph::VertexRecord rec;
-      if (store_->GetVertex(req->vid, &rec).ok()) {
+      const Status st = store_->GetVertex(req->vid, &rec);
+      if (st.ok()) {
         out.found = 1;
         out.label = catalog_->Name(rec.label).value_or("?");
         for (const auto& [key, value] : rec.props) {
           out.props.emplace_back(catalog_->Name(key).value_or("?"), value);
         }
+      } else if (!st.IsNotFound()) {
+        out.code = static_cast<uint8_t>(st.code());
+        out.message = st.message();
       }
       SendLossy(rpc::MsgType::kVertexReply, msg.src, out.Encode(), msg.rpc_id);
       return;

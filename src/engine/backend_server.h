@@ -53,7 +53,6 @@ struct ServerConfig {
   ServerId id = 0;
   uint32_t num_servers = 1;
   uint32_t workers = 2;               // worker threads (parallel I/O depth)
-  size_t cache_capacity = 1 << 20;    // traversal-affiliate memo entries, all travels
   uint32_t exec_timeout_ms = 15000;   // coordinator failure-detection window
   uint32_t result_chunk = 4096;       // vids per kResultChunk message
   // Maintenance tick period: the resolution of failure detection and
@@ -105,8 +104,8 @@ class BackendServer {
   const VisitStats& visit_stats() const { return visit_stats_; }
   void ResetVisitStats() { visit_stats_.Reset(); }
   size_t queue_depth() const { return queue_.size(); }
-  size_t cache_size() const;
-  uint64_t cache_evictions() const;
+  // Memo entries held by every travel on this server.
+  size_t cache_size() const GT_EXCLUDES(mu_);
   graph::GraphStore* store() { return store_; }
   // Transport sends that failed (peer unreachable after retries). The engine
   // tolerates loss — status tracing restarts lost work — but the count feeds
@@ -275,8 +274,6 @@ class BackendServer {
   // first contact (kPinTravel, kTraverse or kReleaseStep), erased whole when
   // the travel's cleanup or cancel arrives (HandleAbort).
   struct TravelLocal {
-    explicit TravelLocal(MemoPool* pool) : memo(pool) {}
-
     TravelId id = 0;
     // Null until the first frame (or, at the coordinator, admission)
     // registers it; never changed after, so workers read it outside mu_.
@@ -303,7 +300,7 @@ class BackendServer {
     };
     FlatTable<QueuedKey> queued;
     // The traversal-affiliate memo of the travel's {step, vertex} entries
-    // on this server (capacity shared through memo_pool_).
+    // on this server.
     TravelMemo memo;
     // A Sync-GT travel's barrier on this server: the last step the
     // coordinator released here (roots run unheld: step 0 starts
@@ -548,9 +545,6 @@ class BackendServer {
   RequestQueue queue_;
 
   mutable Mutex mu_;
-  // The memo capacity and counters shared by every travel's memo; declared
-  // before locals_, whose memos unregister from it as they are destroyed.
-  MemoPool memo_pool_ GT_GUARDED_BY(mu_);
   // Per-travel state on this server, one record per travel (TravelLocal).
   std::unordered_map<TravelId, TravelLocal> locals_ GT_GUARDED_BY(mu_);
   std::unordered_map<TravelId, TravelState> travels_ GT_GUARDED_BY(mu_);  // coordinated here

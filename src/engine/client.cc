@@ -223,8 +223,9 @@ Status GraphTrekClient::CallMutation(ServerId dst, rpc::MsgType type, std::strin
   if (!reply.ok()) return reply.status();
   auto ack = MutateAckPayload::Decode(reply->payload);
   if (!ack.ok()) return ack.status();
-  if (ack->ok == 0) return Status::Internal(ack->error);
-  return Status::OK();
+  if (ack->ok != 0) return Status::OK();
+  return ack->code != 0 ? StatusFromWire(ack->code, std::move(ack->error))
+                        : Status::Internal(ack->error);
 }
 
 Status GraphTrekClient::PutVertex(graph::VertexId vid, const std::string& label,
@@ -260,7 +261,9 @@ Result<VertexReplyPayload> GraphTrekClient::GetVertex(graph::VertexId vid,
   auto reply = mailbox_.Call(OwnerOf(vid), rpc::MsgType::kGetVertex, req.Encode(),
                              timeout_ms);
   if (!reply.ok()) return reply.status();
-  return VertexReplyPayload::Decode(reply->payload);
+  auto out = VertexReplyPayload::Decode(reply->payload);
+  if (out.ok() && out->code != 0) return StatusFromWire(out->code, std::move(out->message));
+  return out;
 }
 
 }  // namespace gt::engine

@@ -93,7 +93,9 @@ class GraphTrekClient {
                  NamedProps props = {}, uint32_t timeout_ms = 10000);
   Status DeleteVertex(graph::VertexId vid, uint32_t timeout_ms = 10000);
 
-  // Low-latency point lookup of one vertex record (label + props by name).
+  // Low-latency point lookup of one vertex record (label + props by name):
+  // found=0 when the vertex is absent, the store's Status when it cannot
+  // read the record.
   Result<VertexReplyPayload> GetVertex(graph::VertexId vid, uint32_t timeout_ms = 10000);
 
   // OR-composition helper: the language AND-composes filters; the paper's

@@ -49,7 +49,6 @@ Result<std::unique_ptr<Cluster>> Cluster::Create(ClusterConfig cfg) {
     scfg.id = i;
     scfg.num_servers = c.num_servers;
     scfg.workers = c.workers_per_server;
-    scfg.cache_capacity = c.cache_capacity;
     scfg.exec_timeout_ms = c.exec_timeout_ms;
     scfg.maintenance_interval_ms = c.maintenance_interval_ms;
     scfg.max_inflight_travels = c.max_inflight_travels;

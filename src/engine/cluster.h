@@ -26,7 +26,6 @@ namespace gt::engine {
 struct ClusterConfig {
   uint32_t num_servers = 4;
   uint32_t workers_per_server = 2;
-  size_t cache_capacity = 1 << 20;
   uint32_t exec_timeout_ms = 15000;
   uint32_t maintenance_interval_ms = 5;
 

@@ -114,15 +114,19 @@ struct PutEdgePayload {
 };
 
 // --- kMutateAck ----------------------------------------------------------------
+// A refused mutation carries its StatusCode after the message (0 = no code:
+// the client reads the error as Internal).
 
 struct MutateAckPayload {
   uint8_t ok = 1;
   std::string error;
+  uint8_t code = 0;  // StatusCode; 0 = no tail
 
   std::string Encode() const {
     std::string out;
     out.push_back(static_cast<char>(ok));
     PutLengthPrefixed(&out, error);
+    if (code != 0) out.push_back(static_cast<char>(code));
     return out;
   }
   static Result<MutateAckPayload> Decode(std::string_view data) {
@@ -133,6 +137,7 @@ struct MutateAckPayload {
       return Status::Corruption("bad mutate ack");
     }
     p.error.assign(err);
+    if (!dec.empty() && !dec.GetByte(&p.code)) return Status::Corruption("bad mutate ack code");
     return p;
   }
 };
@@ -155,11 +160,15 @@ struct GetVertexPayload {
   }
 };
 
+// A point query the store could not answer (anything but NotFound) carries
+// the store's Status in an optional tail: a code byte, then the message.
 struct VertexReplyPayload {
   uint8_t found = 0;
   graph::VertexId vid = 0;
   std::string label;
   NamedProps props;
+  uint8_t code = 0;  // StatusCode; 0 = no status tail
+  std::string message{};
 
   std::string Encode() const {
     std::string out;
@@ -167,6 +176,10 @@ struct VertexReplyPayload {
     PutVarint64(&out, vid);
     PutLengthPrefixed(&out, label);
     EncodeNamedProps(&out, props);
+    if (code != 0) {
+      out.push_back(static_cast<char>(code));
+      PutLengthPrefixed(&out, message);
+    }
     return out;
   }
   static Result<VertexReplyPayload> Decode(std::string_view data) {
@@ -178,6 +191,13 @@ struct VertexReplyPayload {
       return Status::Corruption("bad vertex reply");
     }
     p.label.assign(label);
+    if (!dec.empty()) {
+      std::string_view msg;
+      if (!dec.GetByte(&p.code) || !dec.GetLengthPrefixed(&msg)) {
+        return Status::Corruption("bad vertex reply status");
+      }
+      p.message.assign(msg);
+    }
     return p;
   }
 };

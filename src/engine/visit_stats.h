@@ -30,6 +30,9 @@ struct VisitStats {
   // Whole hand-off frames absorbed because their exec id was already
   // delivered once (duplicating transports); not part of the visit sum.
   std::atomic<uint64_t> duplicate_frames{0};
+  // Arrivals that inserted a pending memo entry and own their vertex; the
+  // memo's hits are the redundant arrivals. Not part of the visit sum.
+  std::atomic<uint64_t> memo_misses{0};
   // kTraverse frames this server sent, roots included; received visits per
   // frame is the frontier entries each frame carried.
   std::atomic<uint64_t> frames_sent{0};
@@ -44,7 +47,8 @@ struct VisitStats {
   }
 
   void Reset() {
-    received = redundant = combined = real_io = duplicate_frames = frames_sent = local_flushes = 0;
+    received = redundant = combined = real_io = duplicate_frames = memo_misses = frames_sent =
+        local_flushes = 0;
     for (auto& s : per_step) s = 0;
   }
 

@@ -239,6 +239,12 @@ void GenRpcPayloads(const std::filesystem::path& root) {
   ack.error = "not the owner";
   seed(11, "mutate_ack", ack.Encode());
 
+  MutateAckPayload ack_status;
+  ack_status.ok = 0;
+  ack_status.error = "catalog cannot intern a label or property";
+  ack_status.code = 6;  // StatusCode::kUnavailable
+  seed(11, "mutate_ack_status", ack_status.Encode());
+
   GetVertexPayload get_v;
   get_v.vid = 4;
   seed(12, "get_vertex", get_v.Encode());
@@ -249,6 +255,12 @@ void GenRpcPayloads(const std::filesystem::path& root) {
   reply.label = "file";
   reply.props = {{"size", gt::graph::PropValue(int64_t{4096})}};
   seed(13, "vertex_reply", reply.Encode());
+
+  VertexReplyPayload reply_status;
+  reply_status.vid = 50;
+  reply_status.code = 2;  // StatusCode::kCorruption
+  reply_status.message = "bad vertex value for vid 50";
+  seed(13, "vertex_reply_status", reply_status.Encode());
 
   CatalogInternPayload intern;
   intern.name = "contains";

@@ -321,10 +321,14 @@ std::vector<Surface> AllSurfaces() {
     surfaces.push_back(PayloadSurface("put_edge", put_e, put_e.Encode().size()));
   }
   {
+    // A refused mutation's code byte is an optional tail.
     engine::MutateAckPayload ack;
     ack.ok = 0;
     ack.error = "nope";
-    surfaces.push_back(PayloadSurface("mutate_ack", ack, ack.Encode().size()));
+    ack.code = static_cast<uint8_t>(StatusCode::kUnavailable);
+    engine::MutateAckPayload codeless = ack;
+    codeless.code = 0;
+    surfaces.push_back(PayloadSurface("mutate_ack", ack, codeless.Encode().size()));
   }
   {
     engine::GetVertexPayload get_v;
@@ -338,6 +342,18 @@ std::vector<Surface> AllSurfaces() {
     reply.label = "file";
     reply.props = {{"size", graph::PropValue(int64_t{1})}};
     surfaces.push_back(PayloadSurface("vertex_reply", reply, reply.Encode().size()));
+  }
+  {
+    // The status tail (code byte + message) is optional; a partial tail is
+    // rejected (ReplyStatusTailRows).
+    engine::VertexReplyPayload failed;
+    failed.vid = 3;
+    failed.code = static_cast<uint8_t>(StatusCode::kCorruption);
+    failed.message = "bad vertex value";
+    engine::VertexReplyPayload tailless = failed;
+    tailless.code = 0;
+    surfaces.push_back(
+        PayloadSurface("vertex_reply_status", failed, tailless.Encode().size()));
   }
   {
     engine::CatalogInternPayload intern;
@@ -641,6 +657,61 @@ TEST(DecodeErrorsTest, AbortStatusTailRows) {
                     .status()
                     .IsCorruption());
   }
+}
+
+// The point-query and mutation-ack status tails: each round-trips the
+// Status, an absent tail is the historical form, and a partial vertex-reply
+// tail is Corruption.
+TEST(DecodeErrorsTest, ReplyStatusTailRows) {
+  engine::VertexReplyPayload failed;
+  failed.vid = 50;
+  failed.code = static_cast<uint8_t>(StatusCode::kCorruption);
+  failed.message = "bad vertex value";
+  const std::string valid = failed.Encode();
+  auto decoded = engine::VertexReplyPayload::Decode(valid);
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(decoded->found, 0u);
+  EXPECT_EQ(decoded->vid, 50u);
+  EXPECT_TRUE(engine::StatusFromWire(decoded->code, decoded->message).IsCorruption());
+  EXPECT_EQ(decoded->message, "bad vertex value");
+
+  engine::VertexReplyPayload tailless = failed;
+  tailless.code = 0;
+  const std::string legacy = tailless.Encode();
+  ASSERT_EQ(valid.compare(0, legacy.size(), legacy), 0);  // the tail is a pure suffix
+  auto absent = engine::VertexReplyPayload::Decode(legacy);
+  ASSERT_TRUE(absent.ok());
+  EXPECT_EQ(absent->code, 0u);
+  EXPECT_TRUE(absent->message.empty());
+  for (size_t k = legacy.size() + 1; k < valid.size(); k++) {
+    SCOPED_TRACE("tail truncated to " + std::to_string(k) + "/" +
+                 std::to_string(valid.size()) + " bytes");
+    EXPECT_TRUE(engine::VertexReplyPayload::Decode(std::string_view(valid).substr(0, k))
+                    .status()
+                    .IsCorruption());
+  }
+
+  engine::MutateAckPayload ack;
+  ack.ok = 0;
+  ack.error = "catalog cannot intern a label or property";
+  ack.code = static_cast<uint8_t>(StatusCode::kUnavailable);
+  auto refused = engine::MutateAckPayload::Decode(ack.Encode());
+  ASSERT_TRUE(refused.ok());
+  EXPECT_EQ(refused->ok, 0u);
+  EXPECT_TRUE(engine::StatusFromWire(refused->code, refused->error).IsUnavailable());
+  EXPECT_EQ(refused->error, ack.error);
+
+  engine::MutateAckPayload codeless = ack;
+  codeless.code = 0;
+  const std::string ack_legacy = codeless.Encode();
+  ASSERT_EQ(ack.Encode().size(), ack_legacy.size() + 1);  // the code is one trailing byte
+  auto no_code = engine::MutateAckPayload::Decode(ack_legacy);
+  ASSERT_TRUE(no_code.ok());
+  EXPECT_EQ(no_code->code, 0u);
+  EXPECT_EQ(no_code->error, ack.error);
+
+  engine::MutateAckPayload done;  // an accepted mutation carries no code
+  EXPECT_EQ(done.Encode().size(), 2u);
 }
 
 TEST(DecodeErrorsTest, ResultTailParallelArrayMismatchIsRejected) {

@@ -64,6 +64,17 @@ TEST_F(LiveUpdateTest, GetMissingVertexReportsNotFound) {
   EXPECT_EQ(rec->found, 0);
 }
 
+// A record the store cannot decode is an error, not an absent vertex: the
+// point query returns the store's Corruption.
+TEST_F(LiveUpdateTest, CorruptVertexRecordReturnsCorruption) {
+  ASSERT_TRUE(client_->PutVertex(42, "User", {{"uid", PropValue(int64_t{1001})}}).ok());
+  graph::GraphStore* owner = cluster_->store(cluster_->partitioner()->ServerFor(42));
+  ASSERT_TRUE(owner->db()->Put(graph::VertexKey(42), std::string(1, '\x01')).ok());
+  auto rec = client_->GetVertex(42);
+  ASSERT_FALSE(rec.ok()) << "found=" << static_cast<int>(rec->found);
+  EXPECT_TRUE(rec.status().IsCorruption()) << rec.status().ToString();
+}
+
 TEST_F(LiveUpdateTest, DeleteVertexRemovesIt) {
   ASSERT_TRUE(client_->PutVertex(7, "File").ok());
   ASSERT_TRUE(client_->DeleteVertex(7).ok());
@@ -575,6 +586,17 @@ TEST_F(CatalogFailureTest, MutationWithoutIdsWritesNothing) {
   ASSERT_TRUE(client.PutVertex(vid, "A", {{"w", PropValue(int64_t{1})}}).ok());
   ASSERT_TRUE(owner->GetVertex(vid, &rec).ok());
   EXPECT_EQ(rec.label, authority_.Lookup("A"));
+}
+
+// A refused mutation reaches the client with its own status code, so a
+// caller can tell the retryable Unavailable from a bug.
+TEST_F(CatalogFailureTest, RefusedPutVertexReturnsUnavailable) {
+  const std::set<std::string> refused{"Lost"};
+  Start({refused, refused, refused});
+  GraphTrekClient client(&transport_, rpc::kClientIdBase, kServers);
+  const Status st = client.PutVertex(100, "Lost");
+  EXPECT_TRUE(st.IsUnavailable()) << st.ToString();
+  EXPECT_EQ(st.ToString(), "Unavailable: catalog cannot intern a label or property");
 }
 
 }  // namespace

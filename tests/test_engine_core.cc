@@ -17,7 +17,7 @@
 namespace gt::engine {
 namespace {
 
-// --- traversal-affiliate memo (TravelMemo + MemoPool) ------------------------
+// --- traversal-affiliate memo (TravelMemo) ------------------------------------
 
 // Resolves {step, vid} and returns the waiters it hands back, in order.
 std::vector<TravelMemo::Waiter> ResolveAll(TravelMemo& memo, uint32_t step, graph::VertexId vid,
@@ -28,32 +28,28 @@ std::vector<TravelMemo::Waiter> ResolveAll(TravelMemo& memo, uint32_t step, grap
 }
 
 TEST(TravelCacheTest, FirstArrivalIsMissAndBecomesOwner) {
-  MemoPool pool(100);
-  TravelMemo memo(&pool);
+  TravelMemo memo;
   auto r = memo.LookupOrInsertPending(0, 42);
   EXPECT_EQ(r.state, TravelMemo::State::kMiss);
   r = memo.LookupOrInsertPending(0, 42);
   EXPECT_EQ(r.state, TravelMemo::State::kPending);
-  EXPECT_EQ(pool.misses(), 1u);
-  EXPECT_EQ(pool.hits(), 1u);
+  EXPECT_EQ(memo.size(), 1u);
 }
 
 TEST(TravelCacheTest, KeyIsTravelStepVertexTriple) {
-  MemoPool pool(100);
-  TravelMemo travel1(&pool);
-  TravelMemo travel2(&pool);
+  TravelMemo travel1;
+  TravelMemo travel2;
   travel1.LookupOrInsertPending(0, 42);
   // Different travel, step or vertex: all distinct entries.
   EXPECT_EQ(travel2.LookupOrInsertPending(0, 42).state, TravelMemo::State::kMiss);
   EXPECT_EQ(travel1.LookupOrInsertPending(1, 42).state, TravelMemo::State::kMiss);
   EXPECT_EQ(travel1.LookupOrInsertPending(0, 43).state, TravelMemo::State::kMiss);
-  EXPECT_EQ(pool.size(), 4u);
   EXPECT_EQ(travel1.size(), 3u);
+  EXPECT_EQ(travel2.size(), 1u);
 }
 
 TEST(TravelCacheTest, ResolveFiresWaitersWithReachValue) {
-  MemoPool pool(100);
-  TravelMemo memo(&pool);
+  TravelMemo memo;
   memo.LookupOrInsertPending(2, 7);
   memo.AddWaiter(2, 7, /*exec=*/11);
   memo.AddWaiter(2, 7, /*exec=*/12);
@@ -70,169 +66,45 @@ TEST(TravelCacheTest, ResolveFiresWaitersWithReachValue) {
   EXPECT_TRUE(r.reach);
 }
 
-TEST(TravelCacheTest, EvictionPrefersSmallestStep) {
-  MemoPool pool(4);
-  TravelMemo memo(&pool);
-  // Fill with resolved entries at steps 3, 1, 2, 0.
-  for (uint32_t step : {3u, 1u, 2u, 0u}) {
-    memo.LookupOrInsertPending(step, step);
-    ResolveAll(memo, step, step, false);
-  }
-  EXPECT_EQ(pool.size(), 4u);
-  // Next insert evicts the smallest step id (0), per the paper's policy.
-  memo.LookupOrInsertPending(9, 99);
-  EXPECT_EQ(pool.evictions(), 1u);
-  EXPECT_EQ(memo.LookupOrInsertPending(0, 0).state, TravelMemo::State::kMiss);
-  // Step 3 survived.
-  EXPECT_EQ(memo.LookupOrInsertPending(3, 3).state, TravelMemo::State::kResolved);
-}
-
-TEST(TravelCacheTest, PendingEntriesAreNotEvicted) {
-  MemoPool pool(2);
-  TravelMemo memo(&pool);
-  memo.LookupOrInsertPending(0, 1);  // pending, pinned
-  memo.LookupOrInsertPending(0, 2);  // pending, pinned
-  memo.LookupOrInsertPending(0, 3);  // exceeds capacity, nothing evictable
-  EXPECT_EQ(pool.size(), 3u);
-  EXPECT_EQ(pool.evictions(), 0u);
-  EXPECT_EQ(memo.LookupOrInsertPending(0, 1).state, TravelMemo::State::kPending);
-}
-
 TEST(TravelCacheTest, EraseTravelDropsOnlyThatTravel) {
-  MemoPool pool(100);
-  auto travel1 = std::make_unique<TravelMemo>(&pool);
-  TravelMemo travel2(&pool);
+  auto travel1 = std::make_unique<TravelMemo>();
+  TravelMemo travel2;
   travel1->LookupOrInsertPending(0, 1);
   ResolveAll(*travel1, 0, 1, true);
   travel2.LookupOrInsertPending(0, 1);
   ResolveAll(travel2, 0, 1, false);
   travel1.reset();  // the travel's cleanup drops its memo
-  EXPECT_EQ(pool.size(), 1u);
-  travel1 = std::make_unique<TravelMemo>(&pool);
+  EXPECT_EQ(travel2.size(), 1u);
+  travel1 = std::make_unique<TravelMemo>();
   EXPECT_EQ(travel1->LookupOrInsertPending(0, 1).state, TravelMemo::State::kMiss);
-  EXPECT_EQ(travel2.LookupOrInsertPending(0, 1).state, TravelMemo::State::kResolved);
+  const auto r = travel2.LookupOrInsertPending(0, 1);
+  EXPECT_EQ(r.state, TravelMemo::State::kResolved);
+  EXPECT_FALSE(r.reach);
 }
 
 TEST(TravelCacheTest, EraseTravelDropsPendingEntryWithWaiters) {
-  MemoPool pool(100);
-  auto memo = std::make_unique<TravelMemo>(&pool);
+  auto memo = std::make_unique<TravelMemo>();
   memo->LookupOrInsertPending(0, 5);
   memo->AddWaiter(0, 5, /*exec=*/21);
-  ASSERT_EQ(pool.size(), 1u);
-  memo.reset();
-  EXPECT_EQ(pool.size(), 0u);
+  ASSERT_EQ(memo->size(), 1u);
+  memo.reset();  // the waiter links go with the memo (ASan checks the drop)
 }
 
-// Eviction takes the oldest resolved entry of the smallest step wherever it
-// lives, one per insert past capacity, never a pending entry.
-TEST(TravelCacheTest, EvictionSpansTravelsSmallestStepOldestFirst) {
-  MemoPool pool(3);
-  TravelMemo a(&pool);
-  TravelMemo b(&pool);
-  a.LookupOrInsertPending(1, 10);  // oldest step-1 entry
-  b.LookupOrInsertPending(1, 20);
-  b.LookupOrInsertPending(0, 30);  // pending: pinned
-  ResolveAll(b, 1, 20, true);
-  ResolveAll(a, 1, 10, true);
-  a.LookupOrInsertPending(2, 40);
-  EXPECT_EQ(pool.evictions(), 1u);
-  EXPECT_EQ(a.LookupOrInsertPending(1, 10).state, TravelMemo::State::kMiss);  // evicted
-  EXPECT_EQ(pool.evictions(), 2u);  // that insert evicted b's step-1 entry
-  EXPECT_EQ(b.LookupOrInsertPending(1, 20).state, TravelMemo::State::kMiss);
-  EXPECT_EQ(b.LookupOrInsertPending(0, 30).state, TravelMemo::State::kPending);
-
-  MemoPool big(64);
-  TravelMemo c(&big);
-  for (graph::VertexId v = 0; v < 64; v++) {
-    c.LookupOrInsertPending(1, v);
-    ResolveAll(c, 1, v, false);
-  }
-  c.LookupOrInsertPending(2, 1000);
-  EXPECT_EQ(big.evictions(), 1u);
-  EXPECT_EQ(big.size(), 64u);
-  // The oldest went: hits on the survivors insert nothing.
-  EXPECT_EQ(c.LookupOrInsertPending(1, 1).state, TravelMemo::State::kResolved);
-  EXPECT_EQ(c.LookupOrInsertPending(1, 63).state, TravelMemo::State::kResolved);
-  EXPECT_EQ(c.LookupOrInsertPending(1, 0).state, TravelMemo::State::kMiss);
-  EXPECT_EQ(big.evictions(), 2u);  // that insert evicted the next oldest, (1, 1)
-  EXPECT_EQ(c.LookupOrInsertPending(1, 1).state, TravelMemo::State::kMiss);
-}
-
-// With most entries pending (every queued owner task pins one), a full
-// pool evicts exactly what each insert needs: a resolved entry, oldest of
-// the smallest step, including after the memo that held older victims is
-// dropped.
-TEST(TravelCacheTest, PendingBeyondCapacityEvictsOnePerInsert) {
-  MemoPool pool(8);
-  auto dropped = std::make_unique<TravelMemo>(&pool);
-  for (graph::VertexId v = 0; v < 4; v++) {
-    dropped->LookupOrInsertPending(0, v);
-    ResolveAll(*dropped, 0, v, true);
-  }
-  TravelMemo memo(&pool);
-  for (graph::VertexId v = 0; v < 100; v++) memo.LookupOrInsertPending(1, v);
-  EXPECT_EQ(pool.evictions(), 4u);  // inserts past capacity took the resolved entries
-  EXPECT_EQ(dropped->size(), 0u);
-  dropped.reset();
-  EXPECT_EQ(pool.size(), 100u);
-  for (graph::VertexId v = 0; v < 100; v++) {
-    ResolveAll(memo, 1, v, v % 2 == 0);
-    memo.LookupOrInsertPending(2, v);  // one insert past capacity, one eviction
-    EXPECT_EQ(pool.evictions(), 5u + v);
-    EXPECT_EQ(pool.size(), 100u);
-  }
-  // Every step-1 entry went, oldest first; the step-2 entries stay pending.
-  EXPECT_EQ(memo.LookupOrInsertPending(2, 99).state, TravelMemo::State::kPending);
-  EXPECT_EQ(pool.evictions(), 104u);
-  EXPECT_EQ(memo.LookupOrInsertPending(1, 99).state, TravelMemo::State::kMiss);
-  EXPECT_EQ(pool.evictions(), 104u);  // nothing resolved to evict
-
-  // A dropped memo's resolved entries are skipped, even when a new memo
-  // takes its registry slot: the next eviction is the oldest live entry.
-  MemoPool small(4);
-  TravelMemo kept(&small);
-  for (graph::VertexId v = 1; v <= 3; v++) {
-    kept.LookupOrInsertPending(1, v);
-    ResolveAll(kept, 1, v, false);
-  }
-  auto gone = std::make_unique<TravelMemo>(&small);
-  gone->LookupOrInsertPending(0, 5);  // the smallest step: the heap's top
-  ResolveAll(*gone, 0, 5, true);
-  gone.reset();
-  TravelMemo next(&small);  // reuses the dropped memo's slot
-  next.LookupOrInsertPending(2, 7);
-  EXPECT_EQ(small.evictions(), 0u);
-  next.LookupOrInsertPending(2, 8);
-  EXPECT_EQ(small.evictions(), 1u);
-  EXPECT_EQ(small.size(), 4u);
-  EXPECT_EQ(kept.LookupOrInsertPending(1, 2).state, TravelMemo::State::kResolved);
-  EXPECT_EQ(kept.LookupOrInsertPending(1, 1).state, TravelMemo::State::kMiss);
-}
-
-// The table grows and deletes (backward shift) without losing entries: a
-// memo resolved through many growths and evictions still finds every
-// entry the pool kept.
-TEST(TravelCacheTest, ManyEntriesSurviveGrowthAndEviction) {
-  MemoPool pool(3000);
-  TravelMemo memo(&pool);
+// The table grows (rehash) without losing entries: every one of 5,000
+// resolved entries is still found, with its reach value.
+TEST(TravelCacheTest, ManyEntriesSurviveGrowth) {
+  TravelMemo memo;
   for (graph::VertexId v = 0; v < 5000; v++) {
     ASSERT_EQ(memo.LookupOrInsertPending(v % 7, v * 2654435761u).state, TravelMemo::State::kMiss);
     ResolveAll(memo, v % 7, v * 2654435761u, v % 3 == 0);
   }
-  EXPECT_LE(pool.size(), 3000u);
-  EXPECT_EQ(pool.size(), memo.size());
-  EXPECT_EQ(pool.size() + pool.evictions(), 5000u);
-  size_t kept = 0;
+  EXPECT_EQ(memo.size(), 5000u);
   for (graph::VertexId v = 0; v < 5000; v++) {
     const auto r = memo.LookupOrInsertPending(v % 7, v * 2654435761u);
-    if (r.state == TravelMemo::State::kResolved) {
-      kept++;
-      EXPECT_EQ(r.reach, v % 3 == 0);
-    } else {
-      ResolveAll(memo, v % 7, v * 2654435761u, v % 3 == 0);
-    }
+    ASSERT_EQ(r.state, TravelMemo::State::kResolved) << v;
+    EXPECT_EQ(r.reach, v % 3 == 0) << v;
   }
-  EXPECT_GT(kept, 0u);
+  EXPECT_EQ(memo.size(), 5000u);  // hits insert nothing
 }
 
 // --- RequestQueue ---------------------------------------------------------------

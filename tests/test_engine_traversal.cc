@@ -26,10 +26,9 @@ using lang::GTravel;
 constexpr EngineMode kAllModes[] = {EngineMode::kSync, EngineMode::kAsyncPlain,
                                     EngineMode::kGraphTrek};
 
-std::unique_ptr<Cluster> MakeCluster(uint32_t servers, uint32_t cache_capacity = 1 << 20) {
+std::unique_ptr<Cluster> MakeCluster(uint32_t servers) {
   ClusterConfig cfg;
   cfg.num_servers = servers;
-  cfg.cache_capacity = cache_capacity;
   auto cluster = Cluster::Create(cfg);
   EXPECT_TRUE(cluster.ok()) << cluster.status().ToString();
   return std::move(*cluster);
@@ -333,10 +332,11 @@ TEST_F(EngineScenarioTest, RtnWithNoCompletingPathReturnsNothing) {
   }
 }
 
-TEST_F(EngineScenarioTest, SmallCacheCapacityStillCorrect) {
-  // GraphTrek must stay correct when the traversal-affiliate cache is tiny
-  // and evicts aggressively (recomputation, never wrong answers).
-  auto cluster = MakeCluster(3, /*cache_capacity=*/16);
+TEST_F(EngineScenarioTest, FiveHopsOnDenseRandomGraphMatchOracle) {
+  // Five hops over two labels on a dense random graph (150 vertices, 900
+  // edges): later steps reach vertices through several parents, which
+  // exercises the memo's redundant arrivals on every engine.
+  auto cluster = MakeCluster(3);
   Catalog* catalog = cluster->catalog();
   RefGraph g = RandomGraph(catalog, 17, 150, 900, 2);
   ASSERT_TRUE(cluster->Load(g).ok());
@@ -345,10 +345,7 @@ TEST_F(EngineScenarioTest, SmallCacheCapacityStillCorrect) {
   for (int i = 0; i < 5; i++) travel.e("etype" + std::to_string(i % 2));
   auto plan = travel.Build();
   ASSERT_TRUE(plan.ok());
-  const auto expected = lang::EvaluatePlanOnRefGraph(*plan, g, *catalog);
-  auto result = cluster->Run(*plan, EngineMode::kGraphTrek);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(result->vids, expected);
+  ExpectAllEnginesMatchOracle(cluster.get(), g, *plan, "dense 5-hop");
 }
 
 TEST_F(EngineScenarioTest, RmatGraphTraversalMatchesOracle) {

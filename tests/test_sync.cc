@@ -203,14 +203,13 @@ TEST(BlockingCounterTest, WaitsForAllOutstanding) {
 
 // --- travel memo under the engine-lock discipline -----------------------------
 
-// TravelMemo and MemoPool are deliberately not internally synchronized: the
-// BackendServer serializes every access under its engine mutex. Hammer one
-// travel's memo from several threads under one gt::Mutex the way the engine
-// does, and check the owner/waiter protocol accounting stays exact.
+// TravelMemo is deliberately not internally synchronized: the BackendServer
+// serializes every access under its engine mutex. Hammer one travel's memo
+// from several threads under one gt::Mutex the way the engine does, and
+// check the owner/waiter protocol accounting stays exact.
 TEST(TravelCacheConcurrencyTest, OwnerWaiterProtocolUnderSharedLock) {
   Mutex mu;
-  engine::MemoPool pool(1 << 20);
-  engine::TravelMemo memo(&pool);
+  engine::TravelMemo memo;
   int64_t owners = 0;
   int64_t waiters_fired = 0;
   constexpr int kThreads = 4;
@@ -243,7 +242,7 @@ TEST(TravelCacheConcurrencyTest, OwnerWaiterProtocolUnderSharedLock) {
   // Every vertex got exactly one owner, and every registered waiter fired.
   EXPECT_EQ(owners, kVertices);
   MutexLock lk(&mu);
-  EXPECT_EQ(pool.size(), static_cast<size_t>(kVertices));
+  EXPECT_EQ(memo.size(), static_cast<size_t>(kVertices));
   EXPECT_EQ(waiters_fired, 0);  // owners resolve under the same lock hold
 }
 
