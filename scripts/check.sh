@@ -77,11 +77,13 @@ ctest --test-dir build --output-on-failure --no-tests=error \
 # and the Darshan audit queries against the reference evaluator
 # (bench_smoke_table3_planner), and the catalog-failure tests (a name a
 # server's catalog cannot intern ends the travel or the mutation with
-# Unavailable, CatalogFailureTest). Naming them here keeps them from
-# silently dropping out of discovery.
+# Unavailable, CatalogFailureTest, and over TCP with the authority stopped
+# the submit's Unavailable names the failed catalog call,
+# SubmitWithoutAuthorityNamesTheFailedCatalogCall). Naming them here keeps
+# them from silently dropping out of discovery.
 step "GTravel language + scan-start tests"
 ctest --test-dir build --output-on-failure --no-tests=error \
-  -R 'PlanTest|FilterTest|GTravelTest|EvaluatorTest|ScanStartsMatchOracle|ScanStartRootsAreReadOnce|CorruptScanStartRecordFailsTravel|CorruptHopReadFailsTravel|CorruptRingVertexFailsTravel|CatalogFailureTest|bench_smoke_table3_planner'
+  -R 'PlanTest|FilterTest|GTravelTest|EvaluatorTest|ScanStartsMatchOracle|ScanStartRootsAreReadOnce|CorruptScanStartRecordFailsTravel|CorruptHopReadFailsTravel|CorruptRingVertexFailsTravel|CatalogFailureTest|SubmitWithoutAuthorityNamesTheFailedCatalogCall|bench_smoke_table3_planner'
 
 # Bench smoke gate: every figure/table/ablation binary must still run end to
 # end at --smoke size (they read the metrics registry, so a renamed series
@@ -105,10 +107,14 @@ ctest --test-dir build --output-on-failure --no-tests=error \
 # load generator that drives them at --smoke size (TravelLifecycleTest
 # matches the tick test, PlainTravelCompletesWithoutMaintenanceTick, and
 # the concurrent cancel, CancelLeavesConcurrentTravelIntact, named here
-# too). Explicit -R so a discovery problem cannot silently drop the
-# lifecycle coverage.
+# too). Repeated: ending a travel erases only its record, and its queued
+# tasks leave the queue as workers pop and drop them, so the cancel tests'
+# reclaim (and their bound on store reads after the cancel) depends on
+# the workers' schedule. Explicit -R so a discovery problem cannot
+# silently drop the lifecycle coverage.
 step "travel lifecycle tests + load-generator smoke"
 ctest --test-dir build --output-on-failure --no-tests=error \
+  --repeat until-fail:3 \
   -R 'RequestQueueTest|TravelLifecycleTest|CancelLeavesConcurrentTravelIntact|bench_smoke_load_travels'
 
 # Decode-hardening gate: the table-driven malformed-input matrix, the replay
@@ -125,8 +131,10 @@ ctest --test-dir build --output-on-failure --no-tests=error \
 
 # Snapshot-isolation gate: the kv pin/GC unit tests, the adjacency-cache
 # pinned-read test, the mutate-while-traversing differential legs (in-process
-# and TCP), the torn-read control that proves the legs can catch a violation,
-# and the mixed read/write load bench at --smoke size. Explicit -R so a
+# and TCP), the torn-read control that proves the legs can catch a violation
+# (a travel racing a delete matches the oracle on its pinned dump, and that
+# oracle differs from the oracle on the live graph), and the mixed
+# read/write load bench at --smoke size. Explicit -R so a
 # discovery problem cannot silently drop the consistency coverage.
 step "snapshot-isolation gate (pins, racing travels, torn-read control)"
 ctest --test-dir build --output-on-failure --no-tests=error \

@@ -2,7 +2,7 @@
 // most 3/4 full, backward-shift erase, so there are no tombstones and a
 // lookup probes only past live slots). An insert allocates only when the
 // table doubles, which suits the engine's per-visit hot paths: the
-// per-travel memo, the warm-read set and the queued-task index all use it.
+// per-travel memo and warm-read set use it.
 //
 // Slot is a plain struct whose value-initialized form Slot{} is unused and
 // which provides

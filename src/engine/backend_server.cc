@@ -337,24 +337,20 @@ BackendServer::TravelLocal& BackendServer::LocalLocked(TravelId travel) {
   TravelLocal& tl = it->second;
   if (!created) return tl;
   tl.id = travel;
-  if (cfg_.snapshot_isolation) {
-    // Engine mu_ -> KV locks is a fresh lock order (the KV layer never
-    // calls back into the engine).
-    graph::GraphStore* store = store_;
-    tl.snap.reset(store->GetSnapshot(), [store](const graph::GraphStore::ReadSnapshot* s) {
-      store->ReleaseSnapshot(s);
-    });
-    travel_snapshots_pinned_->Inc();
-  }
+  // Engine mu_ -> KV locks is a fresh lock order (the KV layer never calls
+  // back into the engine).
+  graph::GraphStore* store = store_;
+  tl.snap.reset(store->GetSnapshot(), [store](const graph::GraphStore::ReadSnapshot* s) {
+    store->ReleaseSnapshot(s);
+  });
+  travel_snapshots_pinned_->Inc();
   return tl;
 }
 
 std::shared_ptr<const graph::GraphStore::ReadSnapshot>
 BackendServer::TravelSnapshotForTest(TravelId travel) const {
   MutexLock lk(&mu_);
-  if (auto it = locals_.find(travel); it != locals_.end() && it->second.snap != nullptr) {
-    return it->second.snap;
-  }
+  if (auto it = locals_.find(travel); it != locals_.end()) return it->second.snap;
   if (auto it = retained_snaps_.find(travel); it != retained_snaps_.end()) {
     return it->second;
   }
@@ -520,12 +516,11 @@ Status BackendServer::SubmitLocked(const rpc::Message& msg) {
   // semantic rules (scan anchor, until/branch/paths restrictions, caps).
   GT_RETURN_IF_ERROR(plan->Validate());
 
-  // A catalog replica that cannot reach the authority interns nothing
-  // (kInvalidId); a plan registered with that "type" id would filter every
-  // vertex out and answer empty instead of failing.
-  if (catalog_->Intern("type") == graph::Catalog::kInvalidId) {
-    return Status::Unavailable("catalog cannot intern \"type\"");
-  }
+  // A catalog replica that cannot reach the authority interns nothing; a
+  // plan registered without the "type" id would filter every vertex out
+  // and answer empty instead of failing.
+  auto type_key = catalog_->TryIntern("type");
+  if (!type_key.ok()) return type_key.status();
   const std::string plan_bytes = plan->Encode();
 
   // Expand to the executable form up front so oversized repeat chains
@@ -611,7 +606,7 @@ Status BackendServer::SubmitLocked(const rpc::Message& msg) {
     run->unfinished_per_step.assign(expanded[a].num_steps() + 1, 0);
     run->cplan = RegisterPlanLocked(tl, std::move(expanded[a]),
                                     branch ? subs[a].Encode() : plan_bytes, run->mode,
-                                    cfg_.id);
+                                    cfg_.id, *type_key);
     StartRootExecsLocked(*run);
   }
   return Status::OK();
@@ -619,7 +614,6 @@ Status BackendServer::SubmitLocked(const rpc::Message& msg) {
 
 BackendServer::TravelLocal& BackendServer::PinEverywhereLocked(TravelId travel) {
   TravelLocal& tl = LocalLocked(travel);
-  if (!cfg_.snapshot_isolation) return tl;
   for (ServerId s = 0; s < cfg_.num_servers; s++) {
     if (s != cfg_.id) QueueSendLocked(rpc::MsgType::kPinTravel, s, EncodeTravelId(travel));
   }
@@ -628,34 +622,40 @@ BackendServer::TravelLocal& BackendServer::PinEverywhereLocked(TravelId travel) 
 
 std::shared_ptr<BackendServer::CompiledPlan> BackendServer::RegisterPlanLocked(
     TravelLocal& tl, lang::TraversalPlan plan, std::string_view plan_bytes, EngineMode mode,
-    ServerId coordinator) {
+    ServerId coordinator, graph::Catalog::Id type_key) {
   auto cplan = std::make_shared<CompiledPlan>();
   cplan->attribution = NeedsAttribution(plan);
   cplan->plan = std::move(plan);
   cplan->plan_bytes.assign(plan_bytes);
   cplan->mode = mode;
   cplan->coordinator = coordinator;
-  // Intern, not Lookup: replica catalogs only know names they have seen;
-  // "type" is virtual (never carried by a mutation) so a local-only Lookup
-  // misses forever and every type filter would degrade to an ordinary prop
-  // filter that no vertex carries.
-  cplan->type_key = catalog_->Intern("type");
+  cplan->type_key = type_key;
   tl.cplan = cplan;
   return cplan;
 }
 
-const BackendServer::CompiledPlan* BackendServer::PlanForLocked(TravelLocal& tl,
-                                                               std::string_view plan_bytes,
-                                                               EngineMode mode,
-                                                               ServerId coordinator) {
-  if (tl.cplan != nullptr) return tl.cplan.get();
-  // The wire form is compact; execution uses the repeat-expanded chain so
-  // step attribution and cohort numbering line up across servers.
-  auto plan = lang::TraversalPlan::Decode(plan_bytes);
-  if (!plan.ok()) return nullptr;
-  auto unrolled = plan->Unrolled();
-  if (!unrolled.ok()) return nullptr;
-  return RegisterPlanLocked(tl, std::move(*unrolled), plan_bytes, mode, coordinator).get();
+Result<const BackendServer::CompiledPlan*> BackendServer::PlanForLocked(
+    TravelLocal& tl, std::string_view plan_bytes, EngineMode mode, ServerId coordinator) {
+  if (tl.cplan == nullptr) {
+    // The wire form is compact; execution uses the repeat-expanded chain so
+    // step attribution and cohort numbering line up across servers.
+    auto plan = lang::TraversalPlan::Decode(plan_bytes);
+    if (!plan.ok()) return plan.status();
+    auto unrolled = plan->Unrolled();
+    if (!unrolled.ok()) return unrolled.status();
+    // Intern, not Lookup: replica catalogs only know names they have seen;
+    // "type" is virtual (never carried by a mutation) so a local-only
+    // Lookup misses forever and every type filter would degrade to an
+    // ordinary prop filter that no vertex carries.
+    auto type_key = catalog_->TryIntern("type");
+    RegisterPlanLocked(tl, std::move(*unrolled), plan_bytes, mode, coordinator,
+                       type_key.value_or(graph::Catalog::kInvalidId));
+    if (!type_key.ok()) return type_key.status();
+  }
+  if (tl.cplan->type_key == graph::Catalog::kInvalidId) {
+    return Status::Unavailable("catalog cannot intern \"type\"");
+  }
+  return tl.cplan.get();
 }
 
 Status BackendServer::ScanStartLocked(TravelLocal& tl,
@@ -665,17 +665,15 @@ Status BackendServer::ScanStartLocked(TravelLocal& tl,
   const size_t anchor = ScanAnchorFor(cplan.plan, cplan.type_key);
   if (anchor == std::string::npos) return Status::OK();
   const std::string& type = sf[anchor].values[0].as_string();
-  const graph::LabelId label = catalog_->Intern(type);
-  if (label == graph::Catalog::kInvalidId) {
-    return Status::Unavailable("catalog cannot intern type \"" + type + "\"");
-  }
-  const bool warm = !tl.scanned_types.insert(label).second;
+  auto label = catalog_->TryIntern(type);
+  if (!label.ok()) return label.status();
+  const bool warm = !tl.scanned_types.insert(*label).second;
   // The scan applies every start filter but the anchor, which each
   // candidate from the anchor's index matches by construction (and whose
   // pseudo-property is the costly one to evaluate). The engines re-apply
   // all of them at step 0, so this only decides which vertices root tasks.
   return store_->ScanVerticesByTypeFiltered(
-      label,
+      *label,
       [&](const graph::VertexRecord& rec) {
         for (size_t i = 0; i < sf.size(); i++) {
           if (i != anchor && !lang::VertexMatches(sf[i], rec, *catalog_, cplan.type_key)) {
@@ -816,8 +814,9 @@ void BackendServer::CompleteTravelLocked(TravelState& ts, Status status) {
     QueueSendLocked(rpc::MsgType::kTraversalComplete, ts.client, done.Encode());
   }
 
-  // Broadcast cleanup; every server (including this one) drops the travel's
-  // plans, memo, queued tasks and any leftover execution state. A
+  // Broadcast cleanup; every server (including this one) erases the
+  // travel's record (plan, pin, memo, any leftover execution state), and
+  // its tasks still queued there are dropped as they pop. A
   // completing branch parent also cancels any children still running
   // (their local abort routes back through this function and finds the
   // parent done).
@@ -954,16 +953,17 @@ void BackendServer::HandleTraverse(rpc::Message&& msg) {
   // Lazy first touch: normally the kPinTravel broadcast got here first and
   // created (and pinned) the record.
   TravelLocal& tl = LocalLocked(req->travel_id);
-  const CompiledPlan* cplan = PlanForLocked(tl, req->plan, static_cast<EngineMode>(req->mode),
-                                            req->coordinator);
-  if (cplan == nullptr) {
-    GT_WARN << "server " << cfg_.id << ": bad plan in traverse";
+  auto planned = PlanForLocked(tl, req->plan, static_cast<EngineMode>(req->mode),
+                               req->coordinator);
+  if (!planned.ok()) {
+    if (tl.cplan == nullptr) {
+      GT_WARN << "server " << cfg_.id << ": bad plan in traverse: " << planned.status().ToString();
+    } else {
+      FailOnErrorLocked(tl, "plan", planned.status());
+    }
     return;
   }
-  if (cplan->type_key == graph::Catalog::kInvalidId) {
-    FailOnErrorLocked(tl, "plan", Status::Unavailable("catalog cannot intern \"type\""));
-    return;
-  }
+  const CompiledPlan* cplan = *planned;
 
   // Duplicate-delivery absorption (exec ids are globally unique): only the
   // first copy of a hand-off frame executes.
@@ -1019,8 +1019,7 @@ void BackendServer::StartExecLocked(TravelLocal& tl, TraversePayload& req) {
   const bool attribution = cplan.attribution;
   auto push_task = [&](graph::VertexId vid, bool owner) {
     ex.owned_unprocessed++;
-    tl.queued.Insert(TravelLocal::QueuedKey{
-        queue_.Push(VertexTask{tl.id, ex.step, vid, ex.id, owner}, priority, mergeable), true});
+    queue_.Push(VertexTask{tl.id, ex.step, vid, ex.id, owner}, priority, mergeable);
   };
 
   if (cplan.plan.result_mode == lang::ResultMode::kPaths) {
@@ -1214,13 +1213,13 @@ void BackendServer::ProcessBatch(const std::vector<VertexTask>& batch, BatchScra
   {
     MutexLock lk(&mu_);
     auto it = locals_.find(travel);
-    if (it == locals_.end()) return;  // travel aborted while queued
+    // Travel ended while queued: drop its tasks unread.
+    if (it == locals_.end()) return;
     TravelLocal& tl = it->second;
     // The shared_ptr copies keep the plan and the pinned view alive through
     // the unlocked I/O phase even if an abort erases the record.
     cplan = tl.cplan;
     travel_snap = tl.snap;
-    for (const VertexTask& t : batch) tl.queued.Erase(t.seq);
     // Re-reads within a travel hit the storage engine's block cache.
     for (size_t i = 0; i < num_vertices; i++) {
       sc.vertices[i].warm = !tl.accessed.Insert(sc.vertices[i].vid);
@@ -1915,21 +1914,12 @@ void BackendServer::HandleAbort(rpc::Message&& msg) {
   }
 
   if (auto it = locals_.find(travel); it != locals_.end()) {
-    // Drain the travel's queued-but-unprocessed tasks so workers never touch
-    // them (they would find no record and bail, but each would still burn a
-    // dequeue).
-    std::vector<RequestQueue::OrderKey> keys;
-    keys.reserve(it->second.queued.size());
-    it->second.queued.ForEach(
-        [&](const TravelLocal::QueuedKey& q) { keys.push_back(q.order); });
-    queue_.EraseTravel(travel, keys);
     // Release the pinned view (unblocking compaction GC) — or park it for
     // the differential harness when test retention is on. Workers mid-batch
     // still hold their shared_ptr copy; the KV snapshot is handed back only
-    // when the last holder drops it.
-    if (cfg_.retain_snapshots_for_test && it->second.snap != nullptr) {
-      retained_snaps_[travel] = it->second.snap;
-    }
+    // when the last holder drops it. The travel's tasks still queued here
+    // stay queued: ProcessBatch drops them, unread, when they pop.
+    if (cfg_.retain_snapshots_for_test) retained_snaps_[travel] = it->second.snap;
     locals_.erase(it);  // the memo goes with the record
   }
   travels_.erase(travel);

@@ -70,15 +70,6 @@ struct ServerConfig {
   bool graphtrek_merging = true;        // execution merging (Section V-B)
   bool graphtrek_priority_sched = true; // smallest-step-first scheduling
 
-  // Per-travel snapshot isolation. When on, every travel pins a KV read
-  // snapshot on each participating server at admission (coordinator) or on
-  // first contact (kPinTravel broadcast / lazy first-touch, whichever lands
-  // first), and every traversal read on that server is bounded to the
-  // pinned view — travels racing live mutations see a consistent
-  // point-in-time graph instead of a torn mix of old and new state. Off
-  // reproduces the historical read-latest behaviour (torn-read control for
-  // tests/benches).
-  bool snapshot_isolation = true;
   // Test hook: keep each travel's released snapshot in a side map instead
   // of dropping it at cleanup, so the differential harness can dump the
   // exact pinned view a finished travel saw (Cluster::DumpAtTravelPin).
@@ -128,7 +119,8 @@ class BackendServer {
 
   // The snapshot `travel` is pinned to on this server: the live pin while
   // the travel runs, or the retained copy after cleanup when
-  // cfg.retain_snapshots_for_test is set. Null when never pinned.
+  // cfg.retain_snapshots_for_test is set. Null when the travel never
+  // reached this server, or ended here without retention.
   std::shared_ptr<const graph::GraphStore::ReadSnapshot> TravelSnapshotForTest(
       TravelId travel) const GT_EXCLUDES(mu_);
   // Drains the test-retention side map (releases the underlying KV
@@ -270,35 +262,30 @@ class BackendServer {
     std::map<std::pair<uint32_t, ServerId>, Frontier> path_frames;
   };
 
-  // Everything one travel holds on this server (Section IV-C): created on
-  // first contact (kPinTravel, kTraverse or kReleaseStep), erased whole when
-  // the travel's cleanup or cancel arrives (HandleAbort).
+  // Everything one travel holds on this server (Section IV-C): created and
+  // pinned on first contact (kPinTravel, kTraverse or kReleaseStep), erased
+  // whole when the travel's cleanup or cancel arrives (HandleAbort).
+  // The erase is the whole of ending a travel here: its tasks still queued
+  // pop in their turn and ProcessBatch drops them, unread, for want of a
+  // record.
   struct TravelLocal {
     TravelId id = 0;
     // Null until the first frame (or, at the coordinator, admission)
     // registers it; never changed after, so workers read it outside mu_.
     std::shared_ptr<CompiledPlan> cplan;
-    // The travel's pinned store view (snapshot_isolation), taken when the
-    // record is created. Workers copy the shared_ptr and read through it
-    // lock-free; the deleter hands the pin back to the GraphStore when the
-    // last holder drops it, so an abort erasing the record mid-batch never
-    // yanks the view out from under a worker.
+    // The travel's pinned store view, taken when the record is created (at
+    // admission on the coordinator, else on first contact: the kPinTravel
+    // broadcast or a first frame, whichever lands first); never null.
+    // Every traversal read on this server goes through it. Workers copy the
+    // shared_ptr and read through it lock-free; the deleter hands the pin
+    // back to the GraphStore when the last holder drops it, so an abort
+    // erasing the record mid-batch never yanks the view out from under a
+    // worker.
     std::shared_ptr<const graph::GraphStore::ReadSnapshot> snap;
     std::unordered_map<ExecId, std::unique_ptr<ExecState>> execs;
     // Attribution frames sent and not yet answered, by dispatch id.
     std::unordered_map<ExecId, DispatchRecord> dispatches;
     LocalWork work;
-    // The keys of the travel's tasks queued here and not yet popped, by
-    // arrival number (ProcessBatch drops a batch's keys): the per-travel
-    // index RequestQueue::EraseTravel erases through on abort.
-    struct QueuedKey {
-      RequestQueue::OrderKey order;
-      bool in;
-      uint64_t key() const { return order.seq; }
-      bool used() const { return in; }
-      static uint64_t Hash(uint64_t seq) { return Mix64(seq); }
-    };
-    FlatTable<QueuedKey> queued;
     // The traversal-affiliate memo of the travel's {step, vertex} entries
     // on this server.
     TravelMemo memo;
@@ -428,15 +415,21 @@ class BackendServer {
 
   // --- plans --------------------------------------------------------------------
 
-  // Registers the travel's executable (repeat-unrolled) plan in `tl`.
+  // Registers the travel's executable (repeat-unrolled) plan in `tl`, with
+  // the catalog id of "type" (kInvalidId when it did not intern).
   std::shared_ptr<CompiledPlan> RegisterPlanLocked(TravelLocal& tl, lang::TraversalPlan plan,
                                                    std::string_view plan_bytes,
-                                                   EngineMode mode, ServerId coordinator)
+                                                   EngineMode mode, ServerId coordinator,
+                                                   graph::Catalog::Id type_key)
       GT_REQUIRES(mu_);
   // The travel's plan on this server, compiled from its compact wire form
-  // on first sight. Null when the bytes do not decode.
-  const CompiledPlan* PlanForLocked(TravelLocal& tl, std::string_view plan_bytes,
-                                    EngineMode mode, ServerId coordinator) GT_REQUIRES(mu_);
+  // on first sight. An error when the bytes do not decode (`tl.cplan` stays
+  // null) or when "type" does not intern (the plan is registered; the
+  // first such answer carries the catalog's reason, and later ones are
+  // plain Unavailable).
+  Result<const CompiledPlan*> PlanForLocked(TravelLocal& tl, std::string_view plan_bytes,
+                                            EngineMode mode, ServerId coordinator)
+      GT_REQUIRES(mu_);
   // Scan-start roots on this server: one filtered scan of the anchor
   // type's index, which applies every start filter but the anchor and
   // moves each passing root's record into `records` (vid-sorted), so the

@@ -55,7 +55,6 @@ Result<std::unique_ptr<Cluster>> Cluster::Create(ClusterConfig cfg) {
     scfg.admission_limits = c.admission_limits;
     scfg.graphtrek_merging = c.graphtrek_merging;
     scfg.graphtrek_priority_sched = c.graphtrek_priority_sched;
-    scfg.snapshot_isolation = c.snapshot_isolation;
     scfg.retain_snapshots_for_test = c.retain_snapshots_for_test;
     cluster->servers_.push_back(std::make_unique<BackendServer>(
         scfg, cluster->stores_.back().get(), cluster->partitioner_.get(),

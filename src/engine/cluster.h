@@ -41,10 +41,6 @@ struct ClusterConfig {
   // frontier I/O"); 0 disables it.
   size_t adjacency_cache_bytes = 16 << 20;
 
-  // Per-travel snapshot isolation (see ServerConfig::snapshot_isolation).
-  // Off = historical read-latest behaviour; the torn-read control legs in
-  // tests/benches flip this.
-  bool snapshot_isolation = true;
   // Test hook: servers retain each travel's pinned snapshot past cleanup
   // so DumpAtTravelPin can reconstruct the exact view the travel saw.
   bool retain_snapshots_for_test = false;
@@ -112,8 +108,8 @@ class Cluster {
 
   // Dumps the composite view `travel` was pinned to: each shard contributes
   // its vertices/edges as seen through that server's pinned snapshot for
-  // the travel (its live state when the server holds no pin — isolation
-  // off, or a server the travel never touched). With
+  // the travel (its live state when the server holds no pin: a server the
+  // travel never touched). With
   // retain_snapshots_for_test set this works after the travel completes;
   // the result is exactly the graph the distributed engines read, so it is
   // the oracle input for the mutate-while-traversing differential leg.

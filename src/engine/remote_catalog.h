@@ -6,10 +6,12 @@
 // authority, by convention server 0) owns assignment; every other process
 // resolves unknown names through it and caches the bindings locally.
 // Lookup()/Name() are local-only (warm the replica with Pull() at startup);
-// Intern() falls through to an RPC on a local miss.
+// Intern()/TryIntern() fall through to an RPC on a local miss, and
+// TryIntern() says which call failed.
 #pragma once
 
 #include <memory>
+#include <string>
 
 #include "src/engine/mutation.h"
 #include "src/graph/catalog.h"
@@ -40,7 +42,7 @@ class RemoteCatalog final : public graph::Catalog {
     return Status::OK();
   }
 
-  Id Intern(const std::string& name) override {
+  Result<Id> TryIntern(const std::string& name) override {
     const Id local = graph::Catalog::Lookup(name);
     if (local != kInvalidId) return local;
 
@@ -48,16 +50,28 @@ class RemoteCatalog final : public graph::Catalog {
     req.name = name;
     auto reply = mailbox_->Call(authority_, rpc::MsgType::kCatalogIntern, req.Encode(),
                                 timeout_ms_);
-    if (!reply.ok()) return kInvalidId;
+    if (!reply.ok()) return InternFailed(name, reply.status());
     auto decoded = CatalogReplyPayload::Decode(reply->payload);
+    if (!decoded.ok()) return InternFailed(name, decoded.status());
     // The id is untrusted wire input and feeds a resize(id + 1) in
     // InsertAt; reject anything outside the sane dense-id range.
-    if (!decoded.ok() || decoded->id >= kMaxWireId) return kInvalidId;
+    if (decoded->id >= kMaxWireId) {
+      return InternFailed(name, Status::Corruption("id " + std::to_string(decoded->id) +
+                                                   " out of range"));
+    }
     InsertAt(decoded->id, name);
     return decoded->id;
   }
 
+  Id Intern(const std::string& name) override { return TryIntern(name).value_or(kInvalidId); }
+
  private:
+  Status InternFailed(const std::string& name, const Status& why) const {
+    return Status::Unavailable(std::string(rpc::MsgTypeName(rpc::MsgType::kCatalogIntern)) +
+                               " of \"" + name + "\" to authority " +
+                               std::to_string(authority_) + " failed: " + why.ToString());
+  }
+
   rpc::Mailbox* mailbox_;
   rpc::EndpointId authority_;
   uint32_t timeout_ms_;

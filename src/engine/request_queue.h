@@ -10,6 +10,10 @@
 //                     the same {travel, vertex} so a single disk access
 //                     serves them all ("combined visits").
 //   Async-GT and Sync-GT tasks - plain FIFO, never merged.
+//
+// The queue knows nothing of a travel's lifecycle: a cancelled travel's
+// tasks stay queued and pop in their turn, and the server drops them there
+// because the travel's record is gone.
 #pragma once
 
 #include <cassert>
@@ -28,7 +32,6 @@ struct VertexTask {
   graph::VertexId vid = 0;
   ExecId exec = 0;      // owning local execution
   bool is_owner = true; // false: Async-GT redundant arrival: pays its read, applies nothing
-  uint64_t seq = 0;     // arrival number, set by RequestQueue::Push (the OrderKey's seq)
 };
 
 class RequestQueue {
@@ -40,26 +43,9 @@ class RequestQueue {
 
   RequestQueue() : cv_(&mu_) {}
 
-  // Scheduling rank. Priority tasks carry their step in `band`; FIFO tasks
-  // always use band 0. `seq` is the full 64-bit arrival number, so keys are
-  // unique across both classes by construction (no packing, no wrap).
-  struct OrderKey {
-    uint64_t band;
-    uint64_t seq;
-    bool operator<(const OrderKey& o) const {
-      if (band != o.band) return band < o.band;
-      return seq < o.seq;
-    }
-    bool operator==(const OrderKey& o) const { return band == o.band && seq == o.seq; }
-  };
-
   // `priority`: order by (step, arrival) rather than arrival only.
-  // `mergeable`: candidate for execution merging. Returns the task's key,
-  // whose seq the popped task carries: the caller keeps its travel's keys
-  // of tasks not yet popped (BackendServer: in the travel's TravelLocal
-  // record) as the per-travel index EraseTravel erases through.
-  OrderKey Push(VertexTask task, bool priority, bool mergeable) GT_EXCLUDES(mu_) {
-    OrderKey key;
+  // `mergeable`: candidate for execution merging.
+  void Push(VertexTask task, bool priority, bool mergeable) GT_EXCLUDES(mu_) {
     {
       MutexLock lk(&mu_);
       const uint64_t seq = next_seq_++;
@@ -70,14 +56,12 @@ class RequestQueue {
       // packed encoding truncated it to 44 bits, so a FIFO key could equal
       // a priority key and the emplace below silently dropped a task while
       // merge_index_ still recorded it).
-      key = priority ? OrderKey{task.step, seq} : OrderKey{0, seq};
-      task.seq = seq;
+      const OrderKey key = priority ? OrderKey{task.step, seq} : OrderKey{0, seq};
       if (mergeable) merge_index_[MergeKey{task.travel, task.vid}].push_back(key);
       queue_.emplace(key, Item{std::move(task), mergeable});
       if (queue_.size() > high_watermark_) high_watermark_ = queue_.size();
     }
     cv_.Signal();
-    return key;
   }
 
   // Blocks until tasks are available (or shutdown). Returns the scheduled
@@ -120,27 +104,6 @@ class RequestQueue {
     return true;
   }
 
-  // Drops every queued task belonging to `travel` (cooperative abort /
-  // cancellation reclaim), through `keys`: the keys Push returned for the
-  // travel's tasks (keys of tasks already popped are skipped). Touches only
-  // that travel's tasks and merge groups. Returns the number of tasks
-  // removed.
-  size_t EraseTravel(TravelId travel, const std::vector<OrderKey>& keys) GT_EXCLUDES(mu_) {
-    MutexLock lk(&mu_);
-    size_t erased = 0;
-    for (const OrderKey& key : keys) {
-      auto it = queue_.find(key);
-      if (it == queue_.end()) continue;  // already popped
-      queue_.erase(it);
-      erased++;
-    }
-    auto lo = merge_index_.lower_bound(MergeKey{travel, 0});
-    auto hi = lo;
-    while (hi != merge_index_.end() && hi->first.travel == travel) ++hi;
-    merge_index_.erase(lo, hi);
-    return erased;
-  }
-
   // Test hook: fast-forwards the arrival sequence (the key-collision
   // regression needs seq values near the old 44-bit packing boundary, which
   // brute-force pushes cannot reach).
@@ -168,6 +131,18 @@ class RequestQueue {
   }
 
  private:
+  // Scheduling rank. Priority tasks carry their step in `band`; FIFO tasks
+  // always use band 0. `seq` is the full 64-bit arrival number, so keys are
+  // unique across both classes by construction (no packing, no wrap).
+  struct OrderKey {
+    uint64_t band;
+    uint64_t seq;
+    bool operator<(const OrderKey& o) const {
+      if (band != o.band) return band < o.band;
+      return seq < o.seq;
+    }
+  };
+
   struct Item {
     VertexTask task;
     bool mergeable;

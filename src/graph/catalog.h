@@ -44,6 +44,16 @@ class Catalog {
     return id;
   }
 
+  // Intern that says why it failed. This catalog never fails; a replica
+  // that cannot reach its authority returns Unavailable naming the failed
+  // call. A subclass that overrides only Intern has its kInvalidId read as
+  // Unavailable.
+  virtual Result<Id> TryIntern(const std::string& name) {
+    const Id id = Intern(name);
+    if (id == kInvalidId) return Status::Unavailable("catalog cannot intern \"" + name + "\"");
+    return id;
+  }
+
   // Returns kInvalidId when the name was never interned.
   virtual Id Lookup(const std::string& name) const GT_EXCLUDES(mu_) {
     ReaderMutexLock lk(&mu_);

@@ -414,6 +414,26 @@ TEST_F(TcpClusterTest, ReplicaCatalogsAgreeAfterMutations) {
   }
 }
 
+// A coordinator whose catalog replica cannot reach the authority refuses
+// the submit with Unavailable, and the message names the catalog call that
+// failed and why, instead of a bare "cannot intern".
+TEST_F(TcpClusterTest, SubmitWithoutAuthorityNamesTheFailedCatalogCall) {
+  auto plan = GTravel(&authority_catalog_).v({0}).e("next").Build();
+  ASSERT_TRUE(plan.ok());
+  servers_[0]->Stop();  // the catalog authority; no replica has "type" yet
+
+  GraphTrekClient client(transport_.get(), 6504, kServers);
+  RunOptions opts;
+  opts.coordinator = 1;
+  opts.max_admission_retries = 0;  // an Unavailable submit is not retried
+  auto result = client.Run(*plan, opts);
+  ASSERT_FALSE(result.ok());
+  const std::string msg = result.status().ToString();
+  EXPECT_TRUE(result.status().IsUnavailable()) << msg;
+  EXPECT_NE(msg.find("CatalogIntern of \"type\" to authority 0 failed: NotFound: no endpoint 0"),
+            std::string::npos)
+      << msg;
+}
 
 // --- catalog failures ----------------------------------------------------------
 

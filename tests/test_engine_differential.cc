@@ -822,81 +822,71 @@ TEST(EngineDifferentialTest, MutationsRacingTravelsMatchPinnedOracle) {
 // Deterministic torn-read control: proves the differential leg actually
 // catches the bug the snapshot pin fixes. A 3-vertex chain 1 -x-> 2 -x-> 3
 // is traversed while vertex 2 is deleted mid-travel (the step-0 access is
-// stalled long enough for the delete to land first). With snapshot
-// isolation the travel answers from its pin ({3}); with isolation off it
-// reads the live store and sees the torn graph (deleted mid-path vertex).
+// stalled long enough for the delete to land first). The travel answers
+// from its pin ({3}), which the oracle on DumpAtTravelPin confirms; the
+// oracle on the live post-delete graph answers differently, so an engine
+// that read the latest state instead of its pin would fail the leg.
 TEST(EngineDifferentialTest, TornReadControlRequiresSnapshotIsolation) {
-  for (const bool isolation : {true, false}) {
-    SCOPED_TRACE(isolation ? "snapshot_isolation=on" : "snapshot_isolation=off");
-    ClusterConfig cfg;
-    cfg.num_servers = 3;
-    cfg.snapshot_isolation = isolation;
-    cfg.retain_snapshots_for_test = true;
-    auto cluster = Cluster::Create(cfg);
-    ASSERT_TRUE(cluster.ok());
-    Catalog* catalog = (*cluster)->catalog();
+  ClusterConfig cfg;
+  cfg.num_servers = 3;
+  cfg.retain_snapshots_for_test = true;
+  auto cluster = Cluster::Create(cfg);
+  ASSERT_TRUE(cluster.ok());
+  Catalog* catalog = (*cluster)->catalog();
 
-    auto client = (*cluster)->NewClient();
-    for (VertexId v : {1u, 2u, 3u}) {
-      ASSERT_TRUE(client->PutVertex(v, "A", {{"w", PropValue(int64_t(v))}}).ok());
-    }
-    ASSERT_TRUE(client->PutEdge(1, "x", 2).ok());
-    ASSERT_TRUE(client->PutEdge(2, "x", 3).ok());
-
-    GTravel travel(catalog);
-    travel.v({1}).e("x").e("x");
-    auto plan = travel.Build();
-    ASSERT_TRUE(plan.ok());
-
-    // Stall the anchor's step-0 access on every server (only its owner
-    // fires) so the delete below is guaranteed to land mid-travel, after
-    // admission/pinning but before the traversal reaches vertex 2.
-    for (uint32_t s = 0; s < cfg.num_servers; s++) {
-      (*cluster)->straggler()->AddRule(
-          StragglerRule{.server_id = s, .step = 0, .delay_us = 400000, .max_hits = 1});
-    }
-
-    RunOptions opts;
-    opts.mode = EngineMode::kGraphTrek;
-    auto submitted = client->Submit(*plan, opts);
-    ASSERT_TRUE(submitted.ok());
-
-    // Wait for the travel to be inside the stalled access, then delete the
-    // mid-path vertex. The synchronous ack returns in well under the 400ms
-    // stall, so the ordering is deterministic.
-    const auto stall_deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(10);
-    while ((*cluster)->straggler()->total_injected_delays() == 0) {
-      ASSERT_LT(std::chrono::steady_clock::now(), stall_deadline);
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    ASSERT_TRUE(client->DeleteVertex(2).ok());
-
-    auto result = client->Await(*submitted);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-
-    // The frozen-copy oracle at the pin point. With isolation on the pin
-    // predates the delete, so the oracle sees the full chain; with
-    // isolation off there is no pin and DumpAtTravelPin degrades to the
-    // live (post-delete) state.
-    auto frozen = (*cluster)->DumpAtTravelPin(result->travel_id);
-    ASSERT_TRUE(frozen.ok());
-    const std::vector<VertexId> oracle =
-        lang::EvaluatePlanOnRefGraph(*plan, *frozen, *catalog);
-
-    if (isolation) {
-      EXPECT_NE(frozen->FindVertex(2), nullptr);
-      EXPECT_EQ(oracle, (std::vector<VertexId>{3}));
-      EXPECT_EQ(result->vids, oracle);
-    } else {
-      // The unpinned travel walked 1 -> 2 before the delete but found 2
-      // gone when visiting it: a torn read the frozen-at-submit oracle
-      // ({3}) flags. This is the pre-fix behaviour the leg exists to catch.
-      EXPECT_EQ(frozen->FindVertex(2), nullptr);
-      EXPECT_EQ(result->vids, std::vector<VertexId>{});
-      EXPECT_NE(result->vids, (std::vector<VertexId>{3}));
-    }
+  auto client = (*cluster)->NewClient();
+  for (VertexId v : {1u, 2u, 3u}) {
+    ASSERT_TRUE(client->PutVertex(v, "A", {{"w", PropValue(int64_t(v))}}).ok());
   }
+  ASSERT_TRUE(client->PutEdge(1, "x", 2).ok());
+  ASSERT_TRUE(client->PutEdge(2, "x", 3).ok());
+
+  GTravel travel(catalog);
+  travel.v({1}).e("x").e("x");
+  auto plan = travel.Build();
+  ASSERT_TRUE(plan.ok());
+
+  // Stall the anchor's step-0 access on every server (only its owner
+  // fires) so the delete below is guaranteed to land mid-travel, after
+  // admission/pinning but before the traversal reaches vertex 2.
+  for (uint32_t s = 0; s < cfg.num_servers; s++) {
+    (*cluster)->straggler()->AddRule(
+        StragglerRule{.server_id = s, .step = 0, .delay_us = 400000, .max_hits = 1});
+  }
+
+  RunOptions opts;
+  opts.mode = EngineMode::kGraphTrek;
+  auto submitted = client->Submit(*plan, opts);
+  ASSERT_TRUE(submitted.ok());
+
+  // Wait for the travel to be inside the stalled access, then delete the
+  // mid-path vertex. The synchronous ack returns in well under the 400ms
+  // stall, so the ordering is deterministic.
+  const auto stall_deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while ((*cluster)->straggler()->total_injected_delays() == 0) {
+    ASSERT_LT(std::chrono::steady_clock::now(), stall_deadline);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(client->DeleteVertex(2).ok());
+
+  auto result = client->Await(*submitted);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+
+  // The frozen-copy oracle at the pin point: the pin predates the delete,
+  // so it sees the full chain, and the travel matches it.
+  auto frozen = (*cluster)->DumpAtTravelPin(result->travel_id);
+  ASSERT_TRUE(frozen.ok());
+  const std::vector<VertexId> pinned = lang::EvaluatePlanOnRefGraph(*plan, *frozen, *catalog);
+  EXPECT_NE(frozen->FindVertex(2), nullptr);
+  EXPECT_EQ(pinned, (std::vector<VertexId>{3}));
+  EXPECT_EQ(result->vids, pinned);
+
+  // The live graph lost vertex 2, so its oracle differs from the pinned
+  // one: a travel that read the latest state would not match the leg.
+  auto live = (*cluster)->Dump();
+  ASSERT_TRUE(live.ok());
+  EXPECT_EQ(live->FindVertex(2), nullptr);
+  EXPECT_NE(lang::EvaluatePlanOnRefGraph(*plan, *live, *catalog), pinned);
 }
 
 }  // namespace

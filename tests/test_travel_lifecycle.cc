@@ -3,7 +3,6 @@
 // server-enforced deadlines, and completion without the maintenance tick.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <chrono>
 #include <set>
 #include <string>
@@ -74,85 +73,6 @@ TEST(RequestQueueTest, OrderKeysDoNotCollideAcrossClasses) {
   }
   ASSERT_EQ(popped.size(), 2u);
   EXPECT_NE(popped[0].travel, popped[1].travel);
-}
-
-TEST(RequestQueueTest, EraseTravelDrainsQueuedTasks) {
-  RequestQueue q;
-  std::vector<RequestQueue::OrderKey> keys100;  // travel 100's per-travel index
-  for (uint32_t i = 0; i < 8; i++) {
-    keys100.push_back(q.Push(VertexTask{/*travel=*/100, /*step=*/i % 3, /*vid=*/i, /*exec=*/i,
-                                        /*is_owner=*/true},
-                             /*priority=*/(i % 2) == 0, /*mergeable=*/(i % 2) == 0));
-  }
-  for (uint32_t i = 0; i < 3; i++) {
-    q.Push(VertexTask{/*travel=*/200, /*step=*/0, /*vid=*/50 + i, /*exec=*/i,
-                      /*is_owner=*/true},
-           /*priority=*/false, /*mergeable=*/false);
-  }
-  ASSERT_EQ(q.size(), 11u);
-
-  EXPECT_EQ(q.EraseTravel(100, keys100), 8u);
-  EXPECT_EQ(q.size(), 3u);
-
-  // The survivors all belong to the other travel, and popping them never
-  // touches a dangling merge_index_ entry.
-  std::vector<VertexTask> batch;
-  size_t seen = 0;
-  while (q.size() > 0 && q.PopBatch(&batch)) {
-    for (const auto& t : batch) {
-      EXPECT_EQ(t.travel, 200u);
-      seen++;
-    }
-  }
-  EXPECT_EQ(seen, 3u);
-  EXPECT_EQ(q.EraseTravel(100, keys100), 0u);  // idempotent on an empty queue
-}
-
-// EraseTravel goes through the erased travel's keys only: beside another
-// travel's 10 K queued tasks (mergeable and FIFO), it removes exactly the
-// erased travel's still-queued tasks, skips its popped ones, and leaves
-// every task of the other travel in place and poppable.
-TEST(RequestQueueTest, EraseTravelLeavesOtherTravelsTasksIntact) {
-  RequestQueue q;
-  constexpr uint32_t kOther = 10000;
-  std::vector<RequestQueue::OrderKey> keys;
-  for (uint32_t i = 0; i < 40; i++) {
-    keys.push_back(q.Push(
-        VertexTask{/*travel=*/9, /*step=*/0, /*vid=*/i % 10, /*exec=*/2, /*is_owner=*/true},
-        /*priority=*/i % 2 == 0, /*mergeable=*/i % 2 == 0));
-  }
-  for (uint32_t i = 0; i < kOther; i++) {
-    q.Push(VertexTask{/*travel=*/7, /*step=*/i % 4, /*vid=*/i, /*exec=*/1, /*is_owner=*/true},
-           /*priority=*/i % 2 == 0, /*mergeable=*/i % 2 == 0);
-  }
-  ASSERT_EQ(q.size(), kOther + 40);
-  // Pop the queue's head group: travel 9's merge group of vertex 0.
-  std::vector<VertexTask> batch;
-  ASSERT_TRUE(q.PopBatch(&batch));
-  size_t popped9 = 0;
-  for (const auto& t : batch) {
-    if (t.travel != 9) continue;
-    popped9++;
-    // A popped task carries its key's arrival number, by which the server
-    // drops the key from the travel's index.
-    EXPECT_TRUE(std::any_of(keys.begin(), keys.end(),
-                            [&](const RequestQueue::OrderKey& k) { return k.seq == t.seq; }));
-  }
-  ASSERT_GT(popped9, 0u);
-  const size_t popped7 = batch.size() - popped9;
-
-  EXPECT_EQ(q.EraseTravel(9, keys), 40u - popped9);
-  EXPECT_EQ(q.size(), kOther - popped7);
-  EXPECT_EQ(q.EraseTravel(9, keys), 0u);
-
-  size_t seen = 0;
-  while (q.size() > 0 && q.PopBatch(&batch, /*consumers=*/1)) {
-    for (const auto& t : batch) {
-      EXPECT_EQ(t.travel, 7u);
-      seen++;
-    }
-  }
-  EXPECT_EQ(seen, kOther - popped7);
 }
 
 // Without a consumer count PopBatch hands out exactly one {travel, vertex}
@@ -301,7 +221,11 @@ TEST(TravelLifecycleTest, AdmissionLimitRejectsThenBackoffRetrySucceeds) {
 
 // Cancellation reclaims an anchored travel and a filtered scan start alike.
 // The scan start's roots are cancelled while queued, holding the records
-// their pushed-down scan read; those leave with the root execution.
+// their pushed-down scan read; those leave with the root execution. Ending
+// a travel erases its record only: its tasks still queued pop and are
+// dropped unread, so after the cancel each server's store sees at most the
+// accesses of the batches already inside their I/O phase (each of a
+// worker's at most kMaxBatchVertices vertices one read plus one edge scan).
 TEST(TravelLifecycleTest, CancelledTravelIsFullyReclaimedOnEveryServer) {
   ClusterConfig cfg;
   cfg.num_servers = 3;
@@ -310,8 +234,19 @@ TEST(TravelLifecycleTest, CancelledTravelIsFullyReclaimedOnEveryServer) {
   auto cluster = Cluster::Create(cfg);
   ASSERT_TRUE(cluster.ok());
   Catalog* catalog = (*cluster)->catalog();
-  ASSERT_TRUE((*cluster)->Load(FanoutGraph(catalog, 30, 12)).ok());
-  // ~350 roots pass the start filters, each a 20ms edge scan at step 0.
+  // 1,200 isolated type-N vertices beside the fan-out widen the scan start
+  // to ~1,430 roots, ~480 per server: far more than the two batches in
+  // flight, so reading the dropped ones would break the bound below.
+  RefGraph g = FanoutGraph(catalog, 30, 12);
+  for (VertexId v = g.num_vertices(), end = v + 1200; v < end; v++) {
+    VertexRecord rec;
+    rec.id = v;
+    rec.label = catalog->Intern("N");
+    rec.props.Set(catalog->Intern("w"), graph::PropValue(static_cast<int64_t>(v % 10)));
+    g.AddVertex(rec);
+  }
+  ASSERT_TRUE((*cluster)->Load(g).ok());
+  // Each root that passes the start filters is a 20ms edge scan at step 0.
   auto scan_start = GTravel(catalog)
                         .v()
                         .va("type", lang::FilterOp::kEq, {graph::PropValue("N")})
@@ -349,6 +284,10 @@ TEST(TravelLifecycleTest, CancelledTravelIsFullyReclaimedOnEveryServer) {
     auto result = client->Await(*travel, 50);
     ASSERT_FALSE(result.ok());
     EXPECT_TRUE(result.status().IsTimeout()) << result.status().ToString();
+    std::vector<uint64_t> accesses_at_cancel;
+    for (uint32_t s = 0; s < cfg.num_servers; s++) {
+      accesses_at_cancel.push_back((*cluster)->store(s)->vertex_accesses());
+    }
 
     // Every server must drain the travel's queued tasks and drop its state
     // (plans, execs with their held root records, memo entries, cache
@@ -368,6 +307,13 @@ TEST(TravelLifecycleTest, CancelledTravelIsFullyReclaimedOnEveryServer) {
       std::this_thread::sleep_for(std::chrono::milliseconds(20));
     }
     EXPECT_TRUE(reclaimed) << "travel state not reclaimed within 20s";
+    const uint64_t in_flight_bound =
+        uint64_t{cfg.workers_per_server} * RequestQueue::kMaxBatchVertices * 2;
+    for (uint32_t s = 0; s < cfg.num_servers; s++) {
+      EXPECT_LE((*cluster)->store(s)->vertex_accesses() - accesses_at_cancel[s],
+                in_flight_bound)
+          << "server " << s << " read tasks queued for a cancelled travel";
+    }
   }
   EXPECT_GE(MetricSum("gt_travel_cancelled_total"), cancelled_before + 2);
 
