@@ -160,9 +160,9 @@ if [[ "$FAST" == 0 ]]; then
   step "crash-fault-injection sweep under TSan"
   ctest --test-dir build-tsan --output-on-failure --no-tests=error \
     -R 'Crash(Sweep|Recovery|FaultEnv)Test'
-  step "cross-engine differential harness + travel memo under TSan"
+  step "cross-engine differential harness + travel memo + batched device waits under TSan"
   ctest --test-dir build-tsan --output-on-failure --no-tests=error \
-    -R 'EngineDifferentialTest|TravelCache'
+    -R 'EngineDifferentialTest|TravelCache|DeviceModelTest|DeviceMetricsTest|BatchedDeviceWaitsMatchOracle'
   step "scan-start record hand-off + store errors + fuzz-corpus replay under TSan"
   ctest --test-dir build-tsan --output-on-failure --no-tests=error \
     -R 'ScanStartRootsAreReadOnce|CorruptScanStartRecordFailsTravel|CorruptHopReadFailsTravel|CorruptRingVertexFailsTravel|CorpusReplayTest'

@@ -3,10 +3,18 @@
 // The paper evaluates GraphTrek cold-start on RocksDB instances backed by
 // GPFS / local disk, so every vertex access pays a device-level cost. This
 // repo runs on one machine with an in-process cluster, so the device cost is
-// modeled explicitly: each "real I/O" vertex access charges a configurable
-// latency (sleep). Because the engines are latency-bound rather than
+// modeled explicitly: each "real I/O" access (a vertex record read, an edge
+// scan, a type-index scan) charges a configurable latency, and the charging
+// thread waits it out. Because the engines are latency-bound rather than
 // CPU-bound under this model, relative behaviour (barrier idling, straggler
 // amplification, merging benefits) matches the paper's disk-bound setting.
+//
+// A thread may defer its waits with a BatchWait scope: the charges inside it
+// are counted at once and paid in one sleep for their sum when the scope
+// closes, as a real server submits a batch's reads together and blocks once
+// for the last completion. The device stays serial per thread: the wait is
+// the sum of the charges, never their max. A charge made outside any scope
+// waits at once.
 //
 // The model also carries the external-straggler injection hook used by the
 // Fig. 11 experiment (fixed delays inserted into individual vertex accesses).
@@ -22,7 +30,9 @@
 namespace gt {
 
 struct DeviceModelConfig {
-  // Cost charged per cold vertex access (point lookup + edge scan seek).
+  // Cost charged per cold access. A vertex record read and an edge scan are
+  // one access each, so expanding a vertex whose record is not yet read
+  // charges twice.
   uint32_t access_latency_us = 0;
   // Additional cost per KiB transferred (sequential scan cost).
   uint32_t per_kib_us = 0;
@@ -42,6 +52,33 @@ struct DeviceModelConfig {
 class DeviceModel {
  public:
   explicit DeviceModel(DeviceModelConfig cfg = {}) : cfg_(cfg) {}
+
+  // While open on a thread, that thread's charges to `device` update every
+  // counter at once but add their microseconds here instead of sleeping;
+  // closing the scope sleeps once for the sum. A scope opened while another
+  // is open on the thread, or with a null device, does nothing: nested
+  // charges join the outermost scope (when it names the same device) and are
+  // paid when it closes.
+  class BatchWait {
+   public:
+    explicit BatchWait(DeviceModel* device)
+        : device_(device), outermost_(device != nullptr && tls_open_ == nullptr) {
+      if (outermost_) tls_open_ = this;
+    }
+    ~BatchWait() {
+      if (!outermost_) return;
+      tls_open_ = nullptr;
+      device_->Pay(pending_us_);
+    }
+    BatchWait(const BatchWait&) = delete;
+    BatchWait& operator=(const BatchWait&) = delete;
+
+   private:
+    friend class DeviceModel;
+    DeviceModel* device_;
+    bool outermost_;
+    uint64_t pending_us_ = 0;
+  };
 
   void set_config(DeviceModelConfig cfg) { cfg_ = cfg; }
   const DeviceModelConfig& config() const { return cfg_; }
@@ -65,13 +102,13 @@ class DeviceModel {
     }
     total_accesses_.fetch_add(1, std::memory_order_relaxed);
     total_us_.fetch_add(us, std::memory_order_relaxed);
-    if (us > 0) std::this_thread::sleep_for(std::chrono::microseconds(us));
+    Wait(us);
   }
 
   // Charges an explicitly injected external delay (straggler emulation).
   void ChargeInjectedDelay(uint64_t us) {
     injected_us_.fetch_add(us, std::memory_order_relaxed);
-    if (us > 0) std::this_thread::sleep_for(std::chrono::microseconds(us));
+    Wait(us);
   }
 
   uint64_t total_accesses() const { return total_accesses_.load(std::memory_order_relaxed); }
@@ -79,6 +116,9 @@ class DeviceModel {
   uint64_t tail_accesses() const { return tail_accesses_.load(std::memory_order_relaxed); }
   uint64_t total_us() const { return total_us_.load(std::memory_order_relaxed); }
   uint64_t injected_us() const { return injected_us_.load(std::memory_order_relaxed); }
+  // Sleeps actually taken: one per paid charge outside a scope, one per
+  // closed scope whose charges were not all zero.
+  uint64_t waits() const { return waits_.load(std::memory_order_relaxed); }
 
   void ResetStats() {
     total_accesses_ = 0;
@@ -86,15 +126,35 @@ class DeviceModel {
     tail_accesses_ = 0;
     total_us_ = 0;
     injected_us_ = 0;
+    waits_ = 0;
   }
 
  private:
+  // Adds `us` to this thread's open scope on this device, or pays it now.
+  void Wait(uint64_t us) {
+    BatchWait* open = tls_open_;
+    if (open != nullptr && open->device_ == this) {
+      open->pending_us_ += us;
+    } else {
+      Pay(us);
+    }
+  }
+
+  void Pay(uint64_t us) {
+    if (us == 0) return;
+    waits_.fetch_add(1, std::memory_order_relaxed);
+    std::this_thread::sleep_for(std::chrono::microseconds(us));
+  }
+
+  static inline thread_local BatchWait* tls_open_ = nullptr;
+
   DeviceModelConfig cfg_;
   std::atomic<uint64_t> total_accesses_{0};
   std::atomic<uint64_t> warm_accesses_{0};
   std::atomic<uint64_t> tail_accesses_{0};
   std::atomic<uint64_t> total_us_{0};
   std::atomic<uint64_t> injected_us_{0};
+  std::atomic<uint64_t> waits_{0};
 };
 
 }  // namespace gt

@@ -1,8 +1,7 @@
-// FlatTable: an open-addressing hash table in one array (linear probing, at
-// most 3/4 full, backward-shift erase, so there are no tombstones and a
-// lookup probes only past live slots). An insert allocates only when the
-// table doubles, which suits the engine's per-visit hot paths: the
-// per-travel memo and warm-read set use it.
+// FlatTable: an insert-only open-addressing hash table in one array (linear
+// probing, at most 3/4 full). An insert allocates only when the table
+// doubles, which suits the engine's per-visit hot paths: the per-travel memo
+// and warm-read set use it, and each lives and dies with its travel.
 //
 // Slot is a plain struct whose value-initialized form Slot{} is unused and
 // which provides
@@ -39,7 +38,7 @@ class FlatTable {
 
   // Stores `slot` unless an entry with its key is present. Returns the
   // stored entry and whether `slot` was inserted; the pointer is valid until
-  // the next insert or erase.
+  // the next insert.
   std::pair<Slot*, bool> Insert(const Slot& slot) {
     if ((size_ + 1) * 4 > slots_.size() * 3) Grow();
     const Key key = slot.key();
@@ -51,32 +50,6 @@ class FlatTable {
         return {&s, true};
       }
       if (s.key() == key) return {&s, false};
-    }
-  }
-
-  // Removes the entry with `key`; false when there is none.
-  bool Erase(const Key& key) {
-    const Slot* found = Find(key);
-    if (found == nullptr) return false;
-    size_t hole = static_cast<size_t>(found - slots_.data());
-    for (size_t j = Next(hole); slots_[j].used(); j = Next(j)) {
-      const size_t home = Home(slots_[j].key());
-      // The entry at j may fill the hole unless its home lies in (hole, j].
-      const bool stays = hole < j ? (hole < home && home <= j) : (hole < home || home <= j);
-      if (stays) continue;
-      slots_[hole] = slots_[j];
-      hole = j;
-    }
-    slots_[hole] = Slot{};
-    size_--;
-    return true;
-  }
-
-  // Calls f(const Slot&) for every entry, in table order.
-  template <typename F>
-  void ForEach(F&& f) const {
-    for (const Slot& s : slots_) {
-      if (s.used()) f(s);
     }
   }
 

@@ -262,6 +262,14 @@ Status BackendServer::Start() {
                       "Travel-cache lookups that inserted a pending entry");
   reg->DescribeFamily("gt_engine_queue_depth", metrics::MetricType::kGauge,
                       "Request-queue depth");
+  reg->DescribeFamily("gt_device_accesses_total", metrics::MetricType::kCounter,
+                      "Simulated device accesses charged by this server's store");
+  reg->DescribeFamily("gt_device_charged_us_total", metrics::MetricType::kCounter,
+                      "Simulated device time charged for those accesses (us)");
+  reg->DescribeFamily("gt_device_injected_us_total", metrics::MetricType::kCounter,
+                      "Injected straggler delay charged to the device (us)");
+  reg->DescribeFamily("gt_device_waits_total", metrics::MetricType::kCounter,
+                      "Sleeps taken to pay the device's charges");
   metrics_collector_ = reg->AddCollector([this, server](
                                              std::vector<metrics::Sample>* out) {
     using metrics::MetricType;
@@ -289,6 +297,12 @@ Status BackendServer::Start() {
     counter("gt_engine_duplicate_frames_total", visit_stats_.duplicate_frames.load());
     counter("gt_engine_frames_sent_total", visit_stats_.frames_sent.load());
     counter("gt_engine_local_flushes_total", visit_stats_.local_flushes.load());
+    if (const DeviceModel* device = store_->device()) {
+      counter("gt_device_accesses_total", device->total_accesses());
+      counter("gt_device_charged_us_total", device->total_us());
+      counter("gt_device_injected_us_total", device->injected_us());
+      counter("gt_device_waits_total", device->waits());
+    }
     out->push_back({"gt_engine_queue_depth", base,
                     static_cast<double>(queue_.size()), MetricType::kGauge});
     out->push_back({"gt_engine_queue_high_watermark", base,
@@ -1259,30 +1273,36 @@ void BackendServer::ProcessBatch(const std::vector<VertexTask>& batch, BatchScra
     sc.edge_bytes.append(value);
     return true;
   };
-  for (size_t i = 0; i < num_vertices; i++) {
-    BatchScratch::Vertex& v = sc.vertices[i];
-    tls_current_step = static_cast<int>(v.step);
-    if (!v.exists) {
-      v.status = store_->GetVertex(v.vid, &v.rec, v.warm, travel_snap.get());
-      v.exists = v.status.ok();
-      if (v.status.IsNotFound()) v.status = Status::OK();  // absent: not an error
-    }
-    if (v.exists && v.need_edges) {
-      v.edges_begin = static_cast<uint32_t>(sc.edges.size());
-      if (hop_label_only) {
-        const graph::LabelId label = plan.hops[v.step].edge_label;
-        v.status = store_->ScanEdges(
-            v.vid, label,
-            [&keep, label](graph::VertexId dst, std::string_view value) {
-              return keep(label, dst, value);
-            },
-            v.warm, travel_snap.get());
-      } else {
-        v.status = store_->ScanAllEdges(v.vid, keep, v.warm, travel_snap.get());
+  // The batch's device charges (reads, scans, injected straggler delays)
+  // are paid in one wait for their sum when this block closes, before the
+  // apply phase takes mu_.
+  {
+    DeviceModel::BatchWait device_wait(store_->device());
+    for (size_t i = 0; i < num_vertices; i++) {
+      BatchScratch::Vertex& v = sc.vertices[i];
+      tls_current_step = static_cast<int>(v.step);
+      if (!v.exists) {
+        v.status = store_->GetVertex(v.vid, &v.rec, v.warm, travel_snap.get());
+        v.exists = v.status.ok();
+        if (v.status.IsNotFound()) v.status = Status::OK();  // absent: not an error
       }
-      v.edges_end = static_cast<uint32_t>(sc.edges.size());
+      if (v.exists && v.need_edges) {
+        v.edges_begin = static_cast<uint32_t>(sc.edges.size());
+        if (hop_label_only) {
+          const graph::LabelId label = plan.hops[v.step].edge_label;
+          v.status = store_->ScanEdges(
+              v.vid, label,
+              [&keep, label](graph::VertexId dst, std::string_view value) {
+                return keep(label, dst, value);
+              },
+              v.warm, travel_snap.get());
+        } else {
+          v.status = store_->ScanAllEdges(v.vid, keep, v.warm, travel_snap.get());
+        }
+        v.edges_end = static_cast<uint32_t>(sc.edges.size());
+      }
+      tls_current_step = -1;
     }
-    tls_current_step = -1;
   }
 
   visit_stats_.real_io.fetch_add(num_vertices);

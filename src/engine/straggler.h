@@ -1,16 +1,15 @@
 // External-straggler injection (the Fig. 11 methodology): fixed delays
-// inserted into individual vertex data accesses on selected servers at
-// selected steps. The engine publishes the step being processed in a
-// thread-local so the injector can match step-scoped rules.
+// added to individual vertex data accesses on selected servers at selected
+// steps. The injector only picks the delay; the accessing store charges it
+// to its device model, so it is paid with the access. The engine publishes
+// the step being processed in a thread-local so the injector can match
+// step-scoped rules.
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
-#include <thread>
 #include <vector>
 
-#include "src/common/device_model.h"
 #include "src/common/sync.h"
 #include "src/common/thread_annotations.h"
 #include "src/graph/graph_store.h"
@@ -29,8 +28,6 @@ struct StragglerRule {
 
 class StragglerInjector final : public graph::AccessInterceptor {
  public:
-  explicit StragglerInjector(DeviceModel* device = nullptr) : device_(device) {}
-
   void AddRule(StragglerRule rule) GT_EXCLUDES(mu_) {
     MutexLock lk(&mu_);
     rules_.push_back(RuleState{rule, 0});
@@ -43,7 +40,8 @@ class StragglerInjector final : public graph::AccessInterceptor {
 
   uint64_t total_injected_delays() const { return hits_.load(); }
 
-  void OnVertexAccess(uint32_t server_id, graph::VertexId) override {
+  // Returns the summed delay of every rule the access matches.
+  uint64_t OnVertexAccess(uint32_t server_id, graph::VertexId) override {
     uint64_t delay = 0;
     {
       MutexLock lk(&mu_);
@@ -55,14 +53,8 @@ class StragglerInjector final : public graph::AccessInterceptor {
         delay += rs.rule.delay_us;
       }
     }
-    if (delay > 0) {
-      hits_.fetch_add(1);
-      if (device_ != nullptr) {
-        device_->ChargeInjectedDelay(delay);
-      } else {
-        std::this_thread::sleep_for(std::chrono::microseconds(delay));
-      }
-    }
+    if (delay > 0) hits_.fetch_add(1);
+    return delay;
   }
 
  private:
@@ -71,7 +63,6 @@ class StragglerInjector final : public graph::AccessInterceptor {
     uint64_t hits;
   };
 
-  DeviceModel* device_;
   Mutex mu_;
   std::vector<RuleState> rules_ GT_GUARDED_BY(mu_);
   std::atomic<uint64_t> hits_{0};

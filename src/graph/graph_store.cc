@@ -77,8 +77,11 @@ Status GraphStore::DeleteVertex(VertexId vid) {
 
 void GraphStore::ChargeAccess(VertexId vid, uint64_t bytes, bool warm) {
   vertex_accesses_.fetch_add(1, std::memory_order_relaxed);
-  if (interceptor_ != nullptr) interceptor_->OnVertexAccess(opts_.server_id, vid);
-  if (opts_.device != nullptr) opts_.device->ChargeAccess(bytes, warm);
+  const uint64_t injected_us =
+      interceptor_ != nullptr ? interceptor_->OnVertexAccess(opts_.server_id, vid) : 0;
+  if (opts_.device == nullptr) return;
+  if (injected_us > 0) opts_.device->ChargeInjectedDelay(injected_us);
+  opts_.device->ChargeAccess(bytes, warm);
 }
 
 Status GraphStore::GetVertex(VertexId vid, VertexRecord* out, bool warm,

@@ -4,8 +4,8 @@
 // Every *logical vertex access* (point lookup of a vertex record, or an edge
 // scan rooted at a vertex) charges the simulated device model once — the
 // access granularity the paper's evaluation instruments ("real I/O visits").
-// An optional AccessInterceptor lets the straggler injector insert external
-// delays into individual vertex accesses (Fig. 11 methodology).
+// An optional AccessInterceptor lets the straggler injector add external
+// delays to individual vertex accesses (Fig. 11 methodology).
 #pragma once
 
 #include <atomic>
@@ -21,12 +21,14 @@
 
 namespace gt::graph {
 
-// Called before the store performs a vertex access; implementations may
-// sleep to emulate external interference.
+// Called before the store performs a vertex access. Returns an external
+// delay in microseconds (0 for none) that the store charges to its device
+// model as injected time, where it is paid like any other charge; a store
+// without a device model drops it.
 class AccessInterceptor {
  public:
   virtual ~AccessInterceptor() = default;
-  virtual void OnVertexAccess(uint32_t server_id, VertexId vid) = 0;
+  virtual uint64_t OnVertexAccess(uint32_t server_id, VertexId vid) = 0;
 };
 
 struct GraphStoreOptions {
@@ -152,6 +154,8 @@ class GraphStore {
 
   kv::DB* db() { return db_.get(); }
   uint32_t server_id() const { return opts_.server_id; }
+  // Null when the store charges no device model.
+  DeviceModel* device() const { return opts_.device; }
 
   // Null when adjacency_cache_bytes == 0.
   AdjacencyCache* adjacency_cache() { return adj_cache_.get(); }

@@ -65,9 +65,10 @@ TEST(FlatSet64Test, InsertReportsNewKeysThroughGrowth) {
   EXPECT_FALSE(set.Contains(7));
 }
 
-// FlatTable's backward-shift erase keeps every other key findable, across
-// wrap-around and growth, and agrees with std::map on contents.
-TEST(FlatTableTest, EraseKeepsOtherKeysFindable) {
+// FlatTable keeps every inserted entry findable with its first value,
+// through long collision runs, wrap-around and growth, and agrees with
+// std::map on contents.
+TEST(FlatTableTest, InsertFindsEveryKeyThroughGrowth) {
   struct Slot {
     uint64_t k;
     uint64_t value;
@@ -79,25 +80,21 @@ TEST(FlatTableTest, EraseKeepsOtherKeysFindable) {
   FlatTable<Slot> table;
   std::map<uint64_t, uint64_t> ref;
   std::mt19937_64 rng(5);
-  for (int i = 0; i < 20000; i++) {
-    const uint64_t key = rng() % 300;
-    if (rng() % 3 == 0) {
-      EXPECT_EQ(table.Erase(key), ref.erase(key) == 1) << key;
-    } else {
-      const auto [slot, inserted] = table.Insert(Slot{key, key * 3, true});
-      EXPECT_EQ(inserted, ref.emplace(key, key * 3).second) << key;
-      EXPECT_EQ(slot->value, key * 3);
-    }
+  EXPECT_EQ(table.Find(0), nullptr);
+  for (int i = 0; i < 3000; i++) {
+    const uint64_t key = rng() % 1200;
+    const uint64_t value = rng();
+    const auto [slot, inserted] = table.Insert(Slot{key, value, true});
+    const auto [it, ref_inserted] = ref.emplace(key, value);
+    EXPECT_EQ(inserted, ref_inserted) << key;
+    EXPECT_EQ(slot->value, it->second) << key;  // a repeat keeps the first value
   }
   EXPECT_EQ(table.size(), ref.size());
-  size_t visited = 0;
-  table.ForEach([&](const Slot& s) {
-    visited++;
-    EXPECT_EQ(ref.count(s.k), 1u);
-  });
-  EXPECT_EQ(visited, ref.size());
-  for (uint64_t key = 0; key < 300; key++) {
-    EXPECT_EQ(table.Find(key) != nullptr, ref.count(key) == 1) << key;
+  for (uint64_t key = 0; key < 1200; key++) {
+    const Slot* found = table.Find(key);
+    const auto it = ref.find(key);
+    ASSERT_EQ(found != nullptr, it != ref.end()) << key;
+    if (found != nullptr) EXPECT_EQ(found->value, it->second) << key;
   }
 }
 
@@ -470,6 +467,79 @@ TEST(DeviceModelTest, InjectedDelaysTrackedSeparately) {
   EXPECT_EQ(dev.total_us(), 0u);
   dev.ResetStats();
   EXPECT_EQ(dev.injected_us(), 0u);
+}
+
+// The same charges leave the same counters inside a batch scope as outside
+// one; only the number of sleeps differs.
+TEST(DeviceModelTest, BatchWaitKeepsCounters) {
+  DeviceModelConfig cfg;
+  cfg.access_latency_us = 300;
+  cfg.warm_latency_us = 30;
+  cfg.per_kib_us = 5;
+  auto charge = [](DeviceModel* dev) {
+    dev->ChargeAccess(4096);
+    dev->ChargeAccess(100, /*warm=*/true);
+    dev->ChargeAccess(0);
+    dev->ChargeInjectedDelay(200);
+  };
+  DeviceModel unscoped(cfg);
+  charge(&unscoped);
+  DeviceModel scoped(cfg);
+  {
+    DeviceModel::BatchWait wait(&scoped);
+    charge(&scoped);
+    EXPECT_EQ(scoped.waits(), 0u);  // nothing paid while the scope is open
+  }
+  for (const DeviceModel* dev : {&unscoped, &scoped}) {
+    EXPECT_EQ(dev->total_accesses(), 3u);
+    EXPECT_EQ(dev->warm_accesses(), 1u);
+    EXPECT_EQ(dev->tail_accesses(), 0u);
+    EXPECT_EQ(dev->total_us(), 320u + 30u + 300u);
+    EXPECT_EQ(dev->injected_us(), 200u);
+  }
+  EXPECT_EQ(unscoped.waits(), 4u);
+  EXPECT_EQ(scoped.waits(), 1u);
+}
+
+// Nested scopes pay once, for the sum, when the outermost one closes.
+TEST(DeviceModelTest, NestedBatchWaitsPayOnceAtTheOutermost) {
+  DeviceModel dev(DeviceModelConfig{.access_latency_us = 2000, .per_kib_us = 0});
+  Stopwatch watch;
+  {
+    DeviceModel::BatchWait outer(&dev);
+    {
+      DeviceModel::BatchWait inner(&dev);
+      dev.ChargeAccess(0);
+    }
+    EXPECT_EQ(dev.waits(), 0u);  // the inner close paid nothing
+    dev.ChargeAccess(0);
+    dev.ChargeInjectedDelay(1000);
+  }
+  EXPECT_GE(watch.ElapsedMicros(), 5000u);
+  EXPECT_EQ(dev.waits(), 1u);
+  EXPECT_EQ(dev.total_us(), 4000u);
+}
+
+// A charge outside any scope, or to a device the open scope does not name,
+// waits at once; a scope whose charges are all zero does not sleep.
+TEST(DeviceModelTest, ChargeOutsideScopeWaitsAtOnce) {
+  DeviceModel dev(DeviceModelConfig{.access_latency_us = 2000, .per_kib_us = 0});
+  DeviceModel other(DeviceModelConfig{.access_latency_us = 2000, .per_kib_us = 0});
+  {
+    DeviceModel::BatchWait wait(&other);
+    Stopwatch watch;
+    dev.ChargeAccess(0);
+    EXPECT_GE(watch.ElapsedMicros(), 2000u);
+    EXPECT_EQ(dev.waits(), 1u);
+  }
+  EXPECT_EQ(other.waits(), 0u);
+  DeviceModel free_dev;
+  {
+    DeviceModel::BatchWait wait(&free_dev);
+    free_dev.ChargeAccess(128);
+  }
+  EXPECT_EQ(free_dev.waits(), 0u);
+  EXPECT_EQ(free_dev.total_accesses(), 1u);
 }
 
 }  // namespace

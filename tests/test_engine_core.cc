@@ -13,6 +13,7 @@
 #include "src/engine/travel_cache.h"
 #include "src/engine/types.h"
 #include "src/engine/visit_stats.h"
+#include "tests/test_util.h"
 
 namespace gt::engine {
 namespace {
@@ -407,16 +408,28 @@ TEST(StragglerTest, AnyStepRuleAndMaxHits) {
   EXPECT_EQ(injector.total_injected_delays(), 2u);
 }
 
+// The injector picks the delay; the accessing store charges it to its
+// device model, which waits it out.
 TEST(StragglerTest, DelayIsActuallyInjected) {
+  gt::testing::ScopedTempDir dir;
   DeviceModel device;
-  StragglerInjector injector(&device);
+  graph::GraphStoreOptions opts;
+  opts.device = &device;
+  auto store = graph::GraphStore::Open(dir.sub("store"), opts);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  graph::VertexRecord v;
+  v.id = 1;
+  ASSERT_TRUE((*store)->PutVertex(v).ok());
+  StragglerInjector injector;
+  (*store)->SetInterceptor(&injector);
   injector.AddRule(StragglerRule{.server_id = 0, .step = -1, .delay_us = 5000, .max_hits = 1});
   tls_current_step = 1;
   Stopwatch watch;
-  injector.OnVertexAccess(0, 1);
+  ASSERT_TRUE((*store)->GetVertex(1, &v).ok());
   tls_current_step = -1;
   EXPECT_GE(watch.ElapsedMicros(), 4000u);
   EXPECT_EQ(device.injected_us(), 5000u);
+  EXPECT_EQ(device.waits(), 1u);
 }
 
 TEST(StragglerTest, ClearRulesStopsInjection) {

@@ -382,6 +382,44 @@ TEST(EngineFeatureTest, AsyncPlainDoesMoreIoThanGraphTrek) {
   EXPECT_GT(async_io, graphtrek_io);
 }
 
+// A worker pays its batch's device charges in one wait. On a device-on
+// 8-step GraphTrek travel, merged batches keep the sleeps well under the
+// accesses they pay for, and the answer still matches the oracle.
+TEST(EngineFeatureTest, BatchedDeviceWaitsMatchOracle) {
+  ClusterConfig cfg;
+  cfg.num_servers = 4;
+  cfg.device.access_latency_us = 50;
+  auto cluster = Cluster::Create(cfg);
+  ASSERT_TRUE(cluster.ok());
+  Catalog* catalog = (*cluster)->catalog();
+  gen::RmatConfig rcfg;
+  rcfg.scale = 10;
+  rcfg.avg_degree = 8;
+  rcfg.attr_bytes = 16;
+  gen::RmatGenerator rmat(rcfg);
+  RefGraph g = rmat.Build(catalog);
+  ASSERT_TRUE((*cluster)->Load(g).ok());
+
+  GTravel travel(catalog);
+  travel.v({0, 1});
+  for (int i = 0; i < 8; i++) travel.e("link");
+  auto plan = travel.Build();
+  ASSERT_TRUE(plan.ok());
+  const auto expected = lang::EvaluatePlanOnRefGraph(*plan, g, *catalog);
+
+  (*cluster)->ResetStats();
+  auto result = (*cluster)->Run(*plan, EngineMode::kGraphTrek);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->vids, expected);
+  uint64_t accesses = 0, waits = 0;
+  for (uint32_t s = 0; s < 4; s++) {
+    accesses += (*cluster)->device(s)->total_accesses();
+    waits += (*cluster)->device(s)->waits();
+  }
+  EXPECT_GT(accesses, 0u);
+  EXPECT_LT(waits, accesses / 2) << "accesses " << accesses;
+}
+
 TEST(EngineFeatureTest, AsyncPlainPaysOneReadPerArrival) {
   ClusterConfig cfg;
   cfg.num_servers = 4;
@@ -450,8 +488,9 @@ TEST(EngineFeatureTest, AsyncPlainPaysOneReadPerArrival) {
 // publishes the step being processed; the scan start runs outside any).
 class TaskAccessCounter final : public graph::AccessInterceptor {
  public:
-  void OnVertexAccess(uint32_t server_id, VertexId) override {
+  uint64_t OnVertexAccess(uint32_t server_id, VertexId) override {
     if (engine::tls_current_step >= 0) counts_[server_id].fetch_add(1);
+    return 0;
   }
   uint64_t count(uint32_t server_id) const { return counts_[server_id].load(); }
   void Reset() {
@@ -789,7 +828,7 @@ class AccessGate final : public graph::AccessInterceptor {
     return false;
   }
 
-  void OnVertexAccess(uint32_t server_id, VertexId vid) override {
+  uint64_t OnVertexAccess(uint32_t server_id, VertexId vid) override {
     for (const auto& h : holds_) {
       if (h->server != server_id || h->vid != vid) continue;
       h->reached.store(true);
@@ -798,6 +837,7 @@ class AccessGate final : public graph::AccessInterceptor {
         std::this_thread::sleep_for(std::chrono::microseconds(200));
       }
     }
+    return 0;
   }
 
  private:
@@ -997,12 +1037,13 @@ class AccessLog final : public graph::AccessInterceptor {
   AccessLog(uint32_t held_server, VertexId held_vid, std::chrono::milliseconds hold)
       : held_server_(held_server), held_vid_(held_vid), hold_(hold) {}
 
-  void OnVertexAccess(uint32_t server_id, VertexId vid) override {
+  uint64_t OnVertexAccess(uint32_t server_id, VertexId vid) override {
     if (server_id == held_server_ && vid == held_vid_ && !held_.exchange(true)) {
       std::this_thread::sleep_for(hold_);
     }
     MutexLock lk(&mu_);
     log_.emplace_back(server_id, vid);
+    return 0;
   }
   std::vector<std::pair<uint32_t, VertexId>> Log() {
     MutexLock lk(&mu_);

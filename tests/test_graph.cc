@@ -612,7 +612,10 @@ TEST_F(GraphStoreTest, FilteredTypeScanSequentialAndPointPaths) {
 TEST_F(GraphStoreTest, InterceptorSeesEveryAccess) {
   class CountingInterceptor : public AccessInterceptor {
    public:
-    void OnVertexAccess(uint32_t, VertexId) override { count++; }
+    uint64_t OnVertexAccess(uint32_t, VertexId) override {
+      count++;
+      return 0;
+    }
     int count = 0;
   };
   CountingInterceptor interceptor;

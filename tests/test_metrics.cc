@@ -3,13 +3,19 @@
 // exposition format (golden output), and the reset-for-test fixture.
 //
 // Tests run against local Registry instances so they never depend on (or
-// pollute) the process-wide Registry::Default() other subsystems report to.
+// pollute) the process-wide Registry::Default() other subsystems report to,
+// except the device-counter test at the end, which reads what a cluster's
+// servers export there.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "src/common/metrics.h"
+#include "src/engine/cluster.h"
+#include "src/lang/gtravel.h"
 
 namespace gt::metrics {
 namespace {
@@ -201,6 +207,64 @@ TEST_F(MetricsFixtureTest, ResetLeavesCollectorsRegistered) {
   registry_.ResetForTest();
   EXPECT_DOUBLE_EQ(registry_.Sum("gt_test_live_total"), 1.0);
   EXPECT_EQ(calls, 1);
+}
+
+// Each server exports its store's device-model counters, labelled with the
+// server, and they read the device's own figures. Waits count the sleeps
+// taken: a worker batch pays its accesses in one.
+TEST(DeviceMetricsTest, ServersExportTheirDeviceCounters) {
+  engine::ClusterConfig cfg;
+  cfg.num_servers = 2;
+  cfg.device.access_latency_us = 50;
+  auto cluster = engine::Cluster::Create(cfg);
+  ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
+  graph::Catalog* catalog = (*cluster)->catalog();
+  const auto node = catalog->Intern("N");
+  const auto link = catalog->Intern("link");
+  graph::RefGraph g;
+  for (graph::VertexId v = 0; v < 32; v++) {
+    graph::VertexRecord rec;
+    rec.id = v;
+    rec.label = node;
+    g.AddVertex(rec);
+    for (graph::VertexId d : {(v + 1) % 32, (v * 7 + 3) % 32}) {
+      graph::EdgeRecord e;
+      e.src = v;
+      e.label = link;
+      e.dst = d;
+      g.AddEdge(e);
+    }
+  }
+  ASSERT_TRUE((*cluster)->Load(g).ok());
+  (*cluster)->straggler()->AddRule(
+      engine::StragglerRule{.server_id = 1, .step = -1, .delay_us = 300, .max_hits = 1});
+  lang::GTravel travel(catalog);
+  travel.v({0});
+  for (int i = 0; i < 4; i++) travel.e("link");
+  auto plan = travel.Build();
+  ASSERT_TRUE(plan.ok());
+  ASSERT_TRUE((*cluster)->Run(*plan, engine::EngineMode::kGraphTrek).ok());
+
+  std::map<std::string, std::map<std::string, double>> by_server;
+  for (const Sample& s : Registry::Default()->Collect("gt_device_")) {
+    for (const auto& [key, value] : s.labels) {
+      if (key == "server") by_server[value][s.name] = s.value;
+    }
+  }
+  for (uint32_t i = 0; i < 2; i++) {
+    const DeviceModel* device = (*cluster)->device(i);
+    const auto& got = by_server["s" + std::to_string(i)];
+    ASSERT_EQ(got.size(), 4u) << i;
+    EXPECT_GT(device->total_accesses(), 0u) << i;
+    EXPECT_EQ(got.at("gt_device_accesses_total"), device->total_accesses()) << i;
+    EXPECT_EQ(got.at("gt_device_charged_us_total"), device->total_us()) << i;
+    EXPECT_EQ(got.at("gt_device_injected_us_total"), device->injected_us()) << i;
+    EXPECT_EQ(got.at("gt_device_waits_total"), device->waits()) << i;
+    EXPECT_GT(device->waits(), 0u) << i;
+    EXPECT_LE(device->waits(), device->total_accesses()) << i;
+  }
+  EXPECT_EQ((*cluster)->device(0)->injected_us(), 0u);
+  EXPECT_EQ((*cluster)->device(1)->injected_us(), 300u);
 }
 
 }  // namespace
